@@ -32,7 +32,7 @@ from .errors import (
     ReductionError,
     OracleError,
 )
-from .exact import Rat, QuadInt, NfElem, ExactMatrix, ZLattice, solve_field
+from .exact import Rat, QuadInt, ExactMatrix, ZLattice, solve_field
 from .cmlat import (
     LATTICE,
     AXIOMATIC,
@@ -50,7 +50,7 @@ from .cmlat import (
     model_to_dict,
     model_from_dict,
 )
-from .corr import Corr2, GridProjectors, compose, transpose, bullet, conv, build_grids
+from .corr import Corr2, GridProjectors, compose, transpose, conv, build_grids
 from .motcalc import (
     MotiveExpr,
     CKProjectorRing,
@@ -74,7 +74,7 @@ from .decomp import (
     refute,
     decide,
 )
-from .polyring import MultiNf, BiPoly, RatFunc, parse_ratfunc
+from .polyring import MultiNf, BiPoly, RatFunc
 from .fermat import (
     PlaneCurve,
     CurveMorphism,
@@ -106,7 +106,6 @@ __all__ = [
     "OracleError",
     "Rat",
     "QuadInt",
-    "NfElem",
     "ExactMatrix",
     "ZLattice",
     "solve_field",
@@ -129,7 +128,6 @@ __all__ = [
     "GridProjectors",
     "compose",
     "transpose",
-    "bullet",
     "conv",
     "build_grids",
     "MotiveExpr",
@@ -154,7 +152,6 @@ __all__ = [
     "MultiNf",
     "BiPoly",
     "RatFunc",
-    "parse_ratfunc",
     "PlaneCurve",
     "CurveMorphism",
     "OmegaCoefficient",

@@ -10,10 +10,8 @@ integer pairs, and wall-clock timing is only embedded on request.
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as Rat
 
 from . import __version__
@@ -54,26 +52,6 @@ from .motcalc import (
     hypersurface_ck,
     product_of_curves,
 )
-
-
-def worker_count():
-    raw = os.environ.get("MOTIVIX_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidInput("MOTIVIX_THREADS must be an integer, got %r" % raw)
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Map fn across items, threading only when MOTIVIX_THREADS > 1.
-    Result order always follows input order."""
-    items = list(items)
-    n = min(worker_count(), len(items))
-    if n <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _pair(q):
@@ -138,11 +116,11 @@ def _apply_trace(verdict_dict, level):
 def cmd_decide(args):
     model = _load_model(args.model)
     mode = EXHAUSTIVE if args.mode == "exhaustive" else PROOFTRACE
-    t0 = time.time()
+    t0 = time.perf_counter()
     verdict = decide(model, mode)
     results = _apply_trace(verdict_to_dict(verdict), args.trace)
     if args.timing:
-        results["timing_seconds"] = round(time.time() - t0, 3)
+        results["timing_seconds"] = round(time.perf_counter() - t0, 3)
     code = 0 if verdict.status == INDECOMPOSABLE else 2
     return _report(args, [_digest(args.model)], results), code
 
@@ -166,7 +144,7 @@ def cmd_conv_table(args):
             cells[kind] = hits
         return {"probe": probe.name, "nonzero": cells}
 
-    table = parallel_map(row, probes)
+    table = [row(probe) for probe in probes]
     results = {
         "g": model.g,
         "mode": model.mode.lower(),

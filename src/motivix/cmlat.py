@@ -225,6 +225,7 @@ class AbelianModel:
         self.maximal_order = maximal_order
         self.assume_proper_ge4 = assume_proper_ge4
         self._exp_cache = {}
+        self._grids = None  # corr.GridProjectors, built on the first probe
         self._glue_exp = None
         self._proper_ge4_verified = None
 
@@ -235,16 +236,6 @@ class AbelianModel:
                 exponent(self, frozenset([i])) for i in range(self.g)
             )
         return self._atom_exps
-
-    def with_assumption(self):
-        """Copy of the model with the proper-exponents->=4 assumption set."""
-        if self.assume_proper_ge4:
-            return self
-        m = AbelianModel(
-            self.d, self.g, self.glue, self.mode, self.lattice, self._olat,
-            self._atom_exps, self.maximal_order, True,
-        )
-        return m
 
     def __repr__(self):
         return "AbelianModel(d=%d, g=%d, mode=%s)" % (self.d, self.g, self.mode)

@@ -19,12 +19,11 @@ altogether. Storing them atomically with their proven convolution table is
 exact; collapsing them to tensors would silently change conv.
 """
 
-from .errors import CandidateError, InvalidInput, ShapeError, UnsupportedQuery
+from .errors import InvalidInput, ShapeError, UnsupportedQuery
 from .exact import QuadInt, Rat
 from .cmlat import (
     EndoQ,
     endo_identity,
-    endo_zero,
     rosati,
     subset_idempotent,
 )
@@ -47,11 +46,8 @@ __all__ = [
     "GridProjectors",
     "compose",
     "transpose",
-    "bullet",
     "conv",
     "build_grids",
-    "conv_delta_of_candidate",
-    "corr_to_jsonable",
 ]
 
 
@@ -311,12 +307,6 @@ def transpose(x):
     return Corr2(model, {k: c for k, c in terms.items() if c != 0})
 
 
-def bullet(x, y):
-    """The bullet product on c_0; in the modulo-balanced tensor model it
-    coincides with composition, with unit id(x)id."""
-    return compose(x, y)
-
-
 def conv(sigma, x):
     """Convolution by sigma, landing in End_Q(J).
 
@@ -374,12 +364,6 @@ class GridProjectors:
     def __setattr__(self, name, value):
         raise AttributeError("GridProjectors is immutable")
 
-    def theta_sum(self, cells):
-        out = Corr2.zero(self.model)
-        for (i, j) in cells:
-            out = out + self.theta[i][j]
-        return out
-
 
 def build_grids(m):
     """Construct the theta/a1/a2 grids and verify the class-1 identity:
@@ -403,61 +387,3 @@ def build_grids(m):
     assert reduced == Corr2.unit(m), "theta reductions must sum to the unit class"
     return GridProjectors(m, theta, a1, a2)
 
-
-def conv_delta_of_candidate(cand, m):
-    """conv by the diagonal of the Lambda side of a candidate:
-    -1/2 e_{I_U} - 1/2 e_{I_V} + 2 e_{I_W}, where I_S collects the i with
-    diagonal cell (i,i) on the Lambda side of grid S."""
-    g = m.g
-    if getattr(cand, "g", None) != g:
-        raise CandidateError(
-            "candidate for g=%r on a model with g=%d" % (getattr(cand, "g", None), g)
-        )
-    for name in ("U_lambda", "V_lambda", "W_lambda"):
-        cells = getattr(cand, name, None)
-        if cells is None:
-            raise CandidateError("candidate lacks %s" % name)
-        for cell in cells:
-            if (
-                not isinstance(cell, tuple)
-                or len(cell) != 2
-                or not all(isinstance(c, int) and 0 <= c < g for c in cell)
-            ):
-                raise CandidateError("bad cell %r in %s" % (cell, name))
-    I_U = [i for i in range(g) if (i, i) in cand.U_lambda]
-    I_V = [i for i in range(g) if (i, i) in cand.V_lambda]
-    I_W = [i for i in range(g) if (i, i) in cand.W_lambda]
-    return (
-        subset_idempotent(m, I_U).scale(Rat(-1, 2))
-        + subset_idempotent(m, I_V).scale(Rat(-1, 2))
-        + subset_idempotent(m, I_W).scale(2)
-    )
-
-
-def corr_to_jsonable(x):
-    """Deterministic JSON form of a Corr2 (for CLI dumps).
-
-    Tensor terms carry 1-based basis cells [i, j, u] with u = 1 marking
-    the sqrt(-d) part of that leg; grid terms carry their 1-based cell.
-    """
-    out = []
-    for k, c in x._sorted_terms():
-        if k[0] == TENSOR:
-            _, i, j, u, kk, l, v = k
-            out.append(
-                {
-                    "kind": "tensor",
-                    "coeff": [c.numerator, c.denominator],
-                    "left": [i + 1, j + 1, u],
-                    "right": [kk + 1, l + 1, v],
-                }
-            )
-        else:
-            out.append(
-                {
-                    "kind": k[0],
-                    "cell": [k[1] + 1, k[2] + 1],
-                    "coeff": [c.numerator, c.denominator],
-                }
-            )
-    return out

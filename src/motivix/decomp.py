@@ -35,7 +35,7 @@ from .cmlat import (
     rosati,
     verify_proper_exponents,
 )
-from .corr import Corr2, conv
+from .corr import Corr2, build_grids, conv
 from .errors import (
     CandidateError,
     HypothesisError,
@@ -204,17 +204,10 @@ def _side_class(m, cand_sets, grids):
     return out
 
 
-_GRIDS_CACHE = {}
-
-
 def _grids(m):
-    got = _GRIDS_CACHE.get(m)
-    if got is None:
-        from .corr import build_grids
-
-        got = build_grids(m)
-        _GRIDS_CACHE[m] = got
-    return got
+    if m._grids is None:
+        m._grids = build_grids(m)
+    return m._grids
 
 
 def eval_probe(c, p, m):
@@ -723,37 +716,6 @@ def candidate_to_dict(c):
     }
 
 
-def candidate_from_dict(data):
-    if not isinstance(data, dict) or "g" not in data:
-        raise InvalidInput("candidate dict needs a g field")
-    g = data["g"]
-    if not isinstance(g, int):
-        raise InvalidInput("candidate g must be an integer")
-
-    def cells(name, shift):
-        raw = data.get(name, [])
-        if not isinstance(raw, list):
-            raise InvalidInput("%s must be a list" % name)
-        out = []
-        for cell in raw:
-            if not (
-                isinstance(cell, list)
-                and len(cell) == 2
-                and all(isinstance(c, int) for c in cell)
-            ):
-                raise InvalidInput("bad cell %r in %s" % (cell, name))
-            out.append((cell[0] - shift, cell[1] - shift))
-        return frozenset(out)
-
-    return Candidate(
-        g,
-        cells("u_lambda", 1),
-        cells("v_lambda", 1),
-        cells("w_lambda", 1),
-        cells("l_lambda", 0),
-    )
-
-
 def verdict_to_dict(v):
     return {
         "status": v.status,
@@ -783,6 +745,5 @@ __all__ = [
     "refute",
     "decide",
     "candidate_to_dict",
-    "candidate_from_dict",
     "verdict_to_dict",
 ]

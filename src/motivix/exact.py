@@ -1,8 +1,8 @@
 """Exact arithmetic foundation.
 
 Arbitrary-precision rationals (stdlib Fraction, re-exported as Rat),
-imaginary-quadratic-field elements, generic number-field elements, dense
-exact matrices over any of these, and integer-lattice linear algebra via
+imaginary-quadratic-field elements, dense exact matrices and Gaussian
+elimination over any exact field, and integer-lattice linear algebra via
 row Hermite normal form.
 
 No floating point anywhere in this module.
@@ -16,14 +16,10 @@ from .errors import InvalidInput, RankError, ShapeError
 __all__ = [
     "Rat",
     "QuadInt",
-    "NfElem",
-    "nf_reduce",
     "ExactMatrix",
+    "row_echelon",
     "solve_field",
-    "det_field",
     "ZLattice",
-    "hnf",
-    "lattice_contains",
 ]
 
 
@@ -191,274 +187,12 @@ class QuadInt:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Rat, low degree first
-
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Rat(0)] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        if c:
-            for j, e in enumerate(q):
-                out[i + j] += c * e
-    return _poly_trim(out)
-
-
-def _poly_divmod(p, m):
-    """Division with remainder over Rat; m need not be monic but must be nonzero."""
-    p = [Rat(c) for c in p]
-    _poly_trim(p)
-    dm = len(m) - 1
-    lead = m[-1]
-    q = [Rat(0)] * max(0, len(p) - dm)
-    while len(p) - 1 >= dm and p:
-        c = p[-1] / lead
-        k = len(p) - 1 - dm
-        q[k] = c
-        for j in range(dm + 1):
-            p[k + j] -= c * m[j]
-        _poly_trim(p)
-    return _poly_trim(q), p
-
-
-def _reduce_mod_monic_int(p, m):
-    """p mod m for monic integer m; returns coeff list of length deg(m)."""
-    deg = len(m) - 1
-    p = [Rat(c) for c in p]
-    for i in range(len(p) - 1, deg - 1, -1):
-        c = p[i]
-        if c:
-            for j in range(deg + 1):
-                p[i - deg + j] -= c * m[j]
-    out = p[:deg]
-    out += [Rat(0)] * (deg - len(out))
-    return out
-
-
-def _poly_xgcd(p, q):
-    """Extended gcd over Rat: (g, s, t) with s*p + t*q = g."""
-    r0, r1 = [Rat(c) for c in p], [Rat(c) for c in q]
-    _poly_trim(r0)
-    _poly_trim(r1)
-    s0, s1 = [Rat(1)], []
-    t0, t1 = [], [Rat(1)]
-    while r1:
-        qq, rr = _poly_divmod(r0, r1)
-        r0, r1 = r1, rr
-        s0, s1 = s1, _poly_trim([a - b for a, b in _zip_pad(s0, _poly_mul(qq, s1))])
-        t0, t1 = t1, _poly_trim([a - b for a, b in _zip_pad(t0, _poly_mul(qq, t1))])
-    return r0, s0, t0
-
-
-def _zip_pad(p, q):
-    n = max(len(p), len(q))
-    p = p + [Rat(0)] * (n - len(p))
-    q = q + [Rat(0)] * (n - len(q))
-    return zip(p, q)
-
-
-def _divisors(n):
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
-_checked_minpolys = set()
-
-
-def _check_minpoly(m):
-    """Validate a monic integer minimal polynomial.
-
-    Irreducibility is checked best-effort by a rational-root screen, which
-    is decisive for degree <= 3; higher degrees only get the screen.
-    """
-    if len(m) < 2:
-        raise InvalidInput("minpoly must have degree >= 1")
-    if m[-1] != 1:
-        raise InvalidInput("minpoly must be monic, got leading coefficient %r" % (m[-1],))
-    if any(not isinstance(c, int) for c in m):
-        raise InvalidInput("minpoly must have integer coefficients")
-    if m in _checked_minpolys:
-        return
-    if m[0] == 0:
-        raise InvalidInput("minpoly has root 0, reducible")
-    # monic => any rational root is an integer dividing the constant term
-    for r in _divisors(m[0]):
-        for root in (r, -r):
-            acc = 0
-            for c in reversed(m):
-                acc = acc * root + c
-            if acc == 0:
-                raise InvalidInput("minpoly has rational root %d, reducible" % root)
-    _checked_minpolys.add(m)
-
-
-class NfElem:
-    """Residue class mod a monic integer polynomial m(t): an element of
-    Q[t]/(m), i.e. of the number field when m is irreducible."""
-
-    __slots__ = ("minpoly", "coeffs")
-
-    def __init__(self, minpoly, coeffs):
-        m = tuple(int(c) for c in minpoly)
-        _check_minpoly(m)
-        deg = len(m) - 1
-        cs = [Rat(c) for c in coeffs]
-        if len(cs) > deg:
-            cs = _reduce_mod_monic_int(cs, m)
-        cs += [Rat(0)] * (deg - len(cs))
-        object.__setattr__(self, "minpoly", m)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NfElem is immutable")
-
-    @classmethod
-    def constant(cls, minpoly, c):
-        return cls(minpoly, [Rat(c)])
-
-    @classmethod
-    def gen(cls, minpoly):
-        return cls(minpoly, [0, 1])
-
-    def _coerce(self, other):
-        if isinstance(other, NfElem):
-            if other.minpoly != self.minpoly:
-                raise InvalidInput("mixed number fields: %r vs %r" % (self.minpoly, other.minpoly))
-            return other
-        if isinstance(other, (int, Rat)):
-            return NfElem.constant(self.minpoly, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return NfElem(self.minpoly, [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return NfElem(self.minpoly, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return NfElem(self.minpoly, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prod = _poly_mul(list(self.coeffs), list(o.coeffs))
-        return NfElem(self.minpoly, _reduce_mod_monic_int(prod, self.minpoly))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero mod %r" % (self.minpoly,))
-        g, s, _t = _poly_xgcd(list(self.coeffs), [Rat(c) for c in self.minpoly])
-        if len(g) != 1:
-            # gcd nonconstant: the residue is a zero divisor, minpoly not irreducible
-            raise InvalidInput("element not invertible mod %r" % (self.minpoly,))
-        inv = [c / g[0] for c in s]
-        return NfElem(self.minpoly, _reduce_mod_monic_int(inv, self.minpoly))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = NfElem.constant(self.minpoly, 1)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Rat)):
-            return self.coeffs[0] == other and all(c == 0 for c in self.coeffs[1:])
-        if not isinstance(other, NfElem):
-            return NotImplemented
-        return self.minpoly == other.minpoly and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        if all(c == 0 for c in self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.minpoly, self.coeffs))
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("%s*t" % c)
-            else:
-                terms.append("%s*t^%d" % (c, i))
-        body = " + ".join(terms) if terms else "0"
-        return "NfElem(%s mod %s)" % (body, list(self.minpoly))
-
-
-def nf_reduce(p, minpoly):
-    """Reduce the polynomial p (coeff list, low degree first) mod minpoly."""
-    m = tuple(int(c) for c in minpoly)
-    _check_minpoly(m)
-    return NfElem(m, _reduce_mod_monic_int([Rat(c) for c in p], m))
-
-
-# ---------------------------------------------------------------------------
 # dense exact matrices over a generic coefficient ring
 
 
-def _ring_zero(x):
-    return x - x
-
-
 class ExactMatrix:
-    """Dense matrix with exact entries (Rat, QuadInt, NfElem, or anything
-    with ring operations and equality)."""
+    """Dense matrix with exact entries (Rat, QuadInt, or anything with
+    ring operations and equality to 0)."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -479,10 +213,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n, one, zero):
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, r, c, zero):
-        return cls([[zero for _ in range(c)] for _ in range(r)])
 
     def entry(self, i, j):
         return self.entries[i][j]
@@ -559,7 +289,7 @@ class ExactMatrix:
         return acc
 
     def is_zero(self):
-        return all(x == _ring_zero(x) for row in self.entries for x in row)
+        return all(x == 0 for row in self.entries for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -577,84 +307,62 @@ class ExactMatrix:
         return "ExactMatrix(%r)" % ([list(r) for r in self.entries],)
 
 
+def row_echelon(rows, ncols):
+    """Forward Gaussian elimination over a field, in place.
+
+    rows: list of row lists whose entries support +, -, *, / and == 0
+    (Rat, QuadInt, MultiNf). Pivots are sought in the first ncols
+    columns only. Returns the pivot columns: afterwards row k has its
+    pivot at pivots[k] and zeros below it in that column, and the rows
+    past len(pivots) are zero in the first ncols columns.
+    """
+    m = len(rows)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r]
+        for i in range(r + 1, m):
+            f = rows[i][c]
+            if f != 0:
+                f = f / lead[c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        pivots.append(c)
+    return pivots
+
+
 def solve_field(mat, rhs):
-    """Solve mat*x = rhs over a field by Gaussian elimination.
+    """Solve mat*x = rhs over a field: row_echelon, then back substitution.
 
     mat: ExactMatrix or list of rows; rhs: list. Returns a solution list
     (free variables set to 0) or None if the system is inconsistent.
     """
     if isinstance(mat, ExactMatrix):
-        rows = [list(r) for r in mat.entries]
+        rows = mat.entries
     else:
-        rows = [list(r) for r in mat]
+        rows = mat
     m = len(rows)
     n = len(rows[0]) if m else 0
     if len(rhs) != m:
         raise ShapeError("rhs length %d vs %d rows" % (len(rhs), m))
-    aug = [rows[i] + [rhs[i]] for i in range(m)]
-    zero = _ring_zero(aug[0][0]) if m else None
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if not aug[i][c] == _ring_zero(aug[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv_p = aug[r][c]
-        aug[r] = [x / inv_p for x in aug[r]]
-        for i in range(m):
-            if i != r:
-                f = aug[i][c]
-                if not f == _ring_zero(f):
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if not aug[i][n] == _ring_zero(aug[i][n]):
-            return None
+    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
+    zero = aug[0][0] * 0 if m else None
+    pivots = row_echelon(aug, n)
+    if any(aug[i][n] != 0 for i in range(len(pivots), m)):
+        return None
     x = [zero] * n
-    for k, c in enumerate(pivots):
-        x[c] = aug[k][n]
+    for k in range(len(pivots) - 1, -1, -1):
+        row = aug[k]
+        acc = row[n]
+        for c in pivots[k + 1:]:
+            acc = acc - row[c] * x[c]
+        x[pivots[k]] = acc / row[pivots[k]]
     return x
-
-
-def det_field(mat):
-    """Determinant over a field by Gaussian elimination with division."""
-    if isinstance(mat, ExactMatrix):
-        rows = [list(r) for r in mat.entries]
-    else:
-        rows = [list(r) for r in mat]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ShapeError("det of non-square matrix")
-    sign = 1
-    det = None
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if not rows[i][c] == _ring_zero(rows[i][c]):
-                piv = i
-                break
-        if piv is None:
-            return _ring_zero(rows[0][0])
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        det = p if det is None else det * p
-        for i in range(c + 1, n):
-            f = rows[i][c] / p
-            if not f == _ring_zero(f):
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    if sign < 0:
-        det = -det
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -798,17 +506,3 @@ class ZLattice:
             [list(r) for r in self.hbasis],
         )
 
-
-def hnf(basis):
-    """Canonical Hermite-normal-form basis of the lattice spanned by basis.
-
-    Accepts a ZLattice or raw rational rows; idempotent by construction.
-    """
-    if isinstance(basis, ZLattice):
-        return ZLattice.from_rows(basis.basis_rows())
-    return ZLattice.from_rows(basis)
-
-
-def lattice_contains(lat, v):
-    """True iff v lies in the Z-span of the lattice basis."""
-    return lat.contains(v)

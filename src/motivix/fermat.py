@@ -10,12 +10,10 @@ to degree 3 happens only inside rep_membership.
 """
 
 import random
-from fractions import Fraction as Rat
 
 from .cmlat import AXIOMATIC, build_model
-from .corr import build_grids
 from .errors import InvalidInput, OracleError, ReductionError
-from .exact import solve_field
+from .exact import row_echelon, solve_field
 from .motcalc import product_of_curves
 from .polyring import (
     KNOWN_GENS,
@@ -71,9 +69,6 @@ class PlaneCurve:
     @property
     def deg_x(self):
         return self.F.deg_x
-
-    def reduce(self, poly):
-        return poly.y_reduce(self.F)
 
     def __eq__(self, other):
         if not isinstance(other, PlaneCurve):
@@ -304,31 +299,6 @@ def compose_with_perm(phi, pi):
     )
 
 
-def _rank(rows):
-    """Rank of a matrix over a field; entries need ==, /, *, -."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / lead[col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], lead)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def span_rank(forms):
     """Dimension of the span of coefficient polynomials."""
     polys = []
@@ -341,7 +311,7 @@ def span_rank(forms):
     if not keys:
         return 0
     rows = [[p.lift(spec).coeff(i, j) for (i, j) in keys] for p in polys]
-    return _rank(rows)
+    return len(row_echelon(rows, len(keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +480,10 @@ class C6Instance:
     to CM elliptic targets, their pullback forms, and the axiomatic
     endomorphism model ready for the decision procedure."""
 
-    __slots__ = ("model", "grids", "morphisms", "forms", "report")
+    __slots__ = ("model", "morphisms", "forms", "report")
 
-    def __init__(self, model, grids, morphisms, forms, report):
+    def __init__(self, model, morphisms, forms, report):
         self.model = model
-        self.grids = grids
         self.morphisms = tuple(morphisms)
         self.forms = tuple(forms)
         self.report = report
@@ -582,7 +551,6 @@ def build_c6_instance(check_degrees=True):
         exponents=DECLARED_EXPONENTS,
         assume_proper_ge4=True,
     )
-    grids = build_grids(model)
     report = {
         "g": 10,
         "d": 3,
@@ -593,7 +561,7 @@ def build_c6_instance(check_degrees=True):
         "form_classes": classes,
         "form_ranks": {"g1": r1, "g2": r2, "total": rtot},
     }
-    return C6Instance(model, grids, morphisms, forms, report)
+    return C6Instance(model, morphisms, forms, report)
 
 
 __all__ = [

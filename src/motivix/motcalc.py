@@ -36,17 +36,13 @@ __all__ = [
     "direct_sum",
     "tensor",
     "hypersurface_middle",
-    "projective_space",
     "ck_curve",
     "ck_surface",
     "product_of_curves",
     "hypersurface_ck",
     "middle_betti",
-    "blowup_chain",
     "blowup_rows",
     "cubic_rationality_ledger",
-    "motive_to_dict",
-    "motive_from_dict",
     "M1",
     "M2ALG",
     "M2TR",
@@ -150,11 +146,6 @@ def hypersurface_middle(n, d, rho_mid):
             "rho_mid=%d exceeds the middle Betti number %d" % (rho_mid, middle_betti(n, d))
         )
     return MotiveExpr(HYPERSURFACE_MIDDLE, (n, d, rho_mid))
-
-
-def projective_space(n):
-    _check_count(n, "dimension")
-    return direct_sum(lefschetz(k) for k in range(n + 1))
 
 
 def _dims(e):
@@ -506,28 +497,6 @@ def _center_parts(center, ambient_dim):
     raise InvalidInput("unsupported blow-up center %r" % (center,))
 
 
-def blowup_chain(start, centers, ambient_dim=4):
-    """Motive after sequentially blowing up the given centers.
-
-    Ambient dimension 4 accepts points, curves and surfaces and requires
-    the start to have the dimension vector of the ambient projective
-    space; ambient dimension 2 accepts only points on an arbitrary
-    surface motive.
-    """
-    if ambient_dim not in (2, 4):
-        raise InvalidInput("ambient dimension must be 2 or 4, got %r" % (ambient_dim,))
-    if not isinstance(start, MotiveExpr):
-        raise InvalidInput("start must be a MotiveExpr")
-    if ambient_dim == 4 and start.dims() != projective_space(4).dims():
-        raise InvalidInput("ambient dimension 4 starts from the projective space motive")
-    if ambient_dim == 2 and len(start.dims()) > 5:
-        raise InvalidInput("ambient dimension 2 starts from a surface motive")
-    parts = [start]
-    for center in centers:
-        parts.append(_center_parts(center, ambient_dim))
-    return direct_sum(parts).canonical()
-
-
 def blowup_rows(centers, ambient_dim=4):
     """The three ledger rows: dimension vectors contributed by point,
     curve and surface centers respectively."""
@@ -596,52 +565,3 @@ def cubic_rationality_ledger(surfaces, curves, points, b4=23, rho2=1):
         "summary": summary,
     }
 
-
-def motive_to_dict(e):
-    if e.kind == UNIT:
-        return {"kind": UNIT}
-    if e.kind == LEFSCHETZ:
-        return {"kind": LEFSCHETZ, "power": e.data}
-    if e.kind == CURVE_H1:
-        return {"kind": CURVE_H1, "genus": e.data}
-    if e.kind == SURFACE_PART:
-        tag, b2, rho, q = e.data
-        return {"kind": SURFACE_PART, "part": tag, "b2": b2, "rho": rho, "q": q}
-    if e.kind == HYPERSURFACE_MIDDLE:
-        n, d, rho_mid = e.data
-        return {"kind": HYPERSURFACE_MIDDLE, "n": n, "degree": d, "rho_mid": rho_mid}
-    if e.kind == DIRECT_SUM:
-        return {"kind": DIRECT_SUM, "parts": [motive_to_dict(p) for p in e.data]}
-    if e.kind == TENSOR_PROD:
-        return {
-            "kind": TENSOR_PROD,
-            "factors": [motive_to_dict(e.data[0]), motive_to_dict(e.data[1])],
-        }
-    raise InvalidInput("unknown expression kind %r" % (e.kind,))
-
-
-def motive_from_dict(data):
-    if not isinstance(data, dict) or "kind" not in data:
-        raise InvalidInput("motive description must be a dict with a 'kind'")
-    kind = data["kind"]
-    try:
-        if kind == UNIT:
-            return unit()
-        if kind == LEFSCHETZ:
-            return lefschetz(data["power"])
-        if kind == CURVE_H1:
-            return curve_h1(data["genus"])
-        if kind == SURFACE_PART:
-            return surface_part(data["part"], data["b2"], data["rho"], data["q"])
-        if kind == HYPERSURFACE_MIDDLE:
-            return hypersurface_middle(data["n"], data["degree"], data["rho_mid"])
-        if kind == DIRECT_SUM:
-            return direct_sum(motive_from_dict(p) for p in data["parts"])
-        if kind == TENSOR_PROD:
-            f = data["factors"]
-            if len(f) != 2:
-                raise InvalidInput("tensor takes exactly two factors")
-            return tensor(motive_from_dict(f[0]), motive_from_dict(f[1]))
-    except KeyError as exc:
-        raise InvalidInput("missing field %s for kind %r" % (exc, kind))
-    raise InvalidInput("unknown expression kind %r" % (kind,))

@@ -9,7 +9,6 @@ tuples on the fly, so no primitive element is ever computed and plain
 rational values stay one-dimensional.
 """
 
-import ast
 import itertools
 from fractions import Fraction as Rat
 
@@ -133,14 +132,6 @@ class MultiNf:
 
     def is_zero(self):
         return not self.c
-
-    def is_rational(self):
-        return all(all(e == 0 for e in exps) for exps in self.c)
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise InvalidInput("value %s is not rational" % (self,))
-        return self.c.get((0,) * len(self.spec), Rat(0))
 
     def _pair(self, other):
         if isinstance(other, MultiNf):
@@ -619,79 +610,6 @@ class RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# expression parsing for the CLI-facing morphism grammar
-
-
-def parse_ratfunc(text):
-    """Parse the morphism grammar: x, y, eps, cbrt4, i, integers, and
-    + - * / ^ with parentheses."""
-    if not isinstance(text, str) or not text.strip():
-        raise InvalidInput("empty expression")
-    try:
-        tree = ast.parse(text.replace("^", "**"), mode="eval")
-    except SyntaxError as exc:
-        raise InvalidInput("cannot parse %r: %s" % (text, exc)) from None
-    names = {
-        "x": RatFunc.var_x(),
-        "y": RatFunc.var_y(),
-        "eps": RatFunc.const(MultiNf.gen("eps")),
-        "cbrt4": RatFunc.const(MultiNf.gen("cbrt4")),
-        "i": RatFunc.const(MultiNf.gen("i")),
-    }
-
-    def walk(node):
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, int) and not isinstance(node.value, bool):
-                return RatFunc.const(node.value)
-            raise InvalidInput("only integer literals are allowed")
-        if isinstance(node, ast.Name):
-            if node.id in names:
-                return names[node.id]
-            raise InvalidInput("unknown name %r" % node.id)
-        if isinstance(node, ast.UnaryOp):
-            val = walk(node.operand)
-            if isinstance(node.op, ast.USub):
-                return -val
-            if isinstance(node.op, ast.UAdd):
-                return val
-            raise InvalidInput("unsupported unary operator")
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Pow):
-                if not (
-                    isinstance(node.right, ast.Constant)
-                    and isinstance(node.right.value, int)
-                ) and not (
-                    isinstance(node.right, ast.UnaryOp)
-                    and isinstance(node.right.op, ast.USub)
-                    and isinstance(node.right.operand, ast.Constant)
-                ):
-                    raise InvalidInput("exponents must be integer literals")
-                exp = (
-                    node.right.value
-                    if isinstance(node.right, ast.Constant)
-                    else -node.right.operand.value
-                )
-                return walk(node.left) ** exp
-            left, right = walk(node.left), walk(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.Div):
-                if right.is_zero():
-                    raise InvalidInput("division by zero in expression")
-                return left / right
-            raise InvalidInput("unsupported operator")
-        raise InvalidInput("unsupported syntax in %r" % (text,))
-
-    return walk(tree)
-
-
-# ---------------------------------------------------------------------------
 # mod-p univariate toolkit (dense lists, low degree first)
 
 
@@ -726,18 +644,6 @@ def fp_scale(f, s, p):
     return fp_trim([c * s % p for c in f])
 
 
-def fp_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for a, ca in enumerate(f):
-        if not ca:
-            continue
-        for b, cb in enumerate(g):
-            out[a + b] = (out[a + b] + ca * cb) % p
-    return fp_trim(out)
-
-
 def fp_divmod(f, g, p):
     f = list(f)
     g = fp_trim(list(g))
@@ -767,13 +673,6 @@ def fp_gcd(f, g, p):
     if f:
         f = fp_scale(f, pow(f[-1], p - 2, p), p)
     return f
-
-
-def fp_eval(f, x0, p):
-    out = 0
-    for c in reversed(f):
-        out = (out * x0 + c) % p
-    return out
 
 
 def fp_interp(xs, ys, p):
@@ -890,16 +789,13 @@ __all__ = [
     "BiPoly",
     "RatFunc",
     "join_specs",
-    "parse_ratfunc",
     "fp_trim",
     "fp_add",
     "fp_sub",
     "fp_scale",
-    "fp_mul",
     "fp_divmod",
     "fp_deriv",
     "fp_gcd",
-    "fp_eval",
     "fp_interp",
     "fp_resultant",
     "fp_distinct_root_count",

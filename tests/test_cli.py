@@ -104,6 +104,23 @@ def test_report_determinism(capsys, g3_model, tmp_path):
         target.read_text(encoding="utf-8").rstrip("\n") == out3.rstrip("\n")
 
 
+def test_decide_timing(capsys, g3_model):
+    main(["decide", g3_model])
+    plain = capsys.readouterr().out
+    main(["decide", g3_model])
+    assert capsys.readouterr().out == plain
+    code, timed = run(capsys, "--timing", "decide", g3_model)
+    assert code == 0
+    seconds = timed["results"].pop("timing_seconds")
+    assert isinstance(seconds, float) and seconds >= 0
+    # apart from the echoed flag, timing adds nothing else to the report
+    untimed = json.loads(plain)
+    assert "timing_seconds" not in untimed["results"]
+    assert timed["command"] == ["--timing"] + untimed["command"]
+    timed["command"] = untimed["command"]
+    assert timed == untimed
+
+
 def test_conv_table(capsys, tmp_path):
     m = build_model(1, 2, glue=[(F(1, 5), F(1, 5))])
     path = write_model(tmp_path, "g2.json", m)
@@ -117,17 +134,6 @@ def test_conv_table(capsys, tmp_path):
     for kind in ("theta", "a1", "a2"):
         cells = [(i, j) for i, j, _ in ident["nonzero"][kind]]
         assert cells == [(1, 1), (2, 2)]
-
-
-def test_conv_table_thread_invariance(capsys, tmp_path, monkeypatch):
-    m = build_model(1, 3, glue=[(F(1, 5), F(1, 5), F(1, 5))])
-    path = write_model(tmp_path, "g3.json", m)
-    main(["conv-table", path])
-    single = capsys.readouterr().out
-    monkeypatch.setenv("MOTIVIX_THREADS", "4")
-    main(["conv-table", path])
-    threaded = capsys.readouterr().out
-    assert single == threaded
 
 
 def test_motive_commands(capsys):

@@ -1,5 +1,5 @@
 """Tests for the correspondence algebra: frozen convolution table,
-grid orthogonality, transpose, and the candidate conv formula."""
+grid orthogonality, transpose, and the unit and tensor laws."""
 
 import random
 
@@ -14,7 +14,6 @@ from motivix.cmlat import (
     perm_endo,
     PermEndoSpec,
     rosati,
-    subset_idempotent,
 )
 from motivix.corr import (
     A1,
@@ -22,14 +21,11 @@ from motivix.corr import (
     THETA,
     Corr2,
     build_grids,
-    bullet,
     compose,
     conv,
-    conv_delta_of_candidate,
-    corr_to_jsonable,
     transpose,
 )
-from motivix.errors import CandidateError, ShapeError, UnsupportedQuery
+from motivix.errors import ShapeError, UnsupportedQuery
 from motivix.exact import QuadInt, Rat
 
 
@@ -103,7 +99,9 @@ def test_conv_theta_block_of_permutation():
         full = frozenset((i, sigma[i]) for i in range(m.g))
         probe = perm_endo(m, PermEndoSpec(sigma, full_grid(m.g)))
         for U in (full, frozenset(list(full)[:1]), frozenset()):
-            theta_U = grids.theta_sum((i, j) for (i, j) in U)
+            theta_U = Corr2.zero(m)
+            for (i, j) in U:
+                theta_U = theta_U + grids.theta[i][j]
             got = conv(probe, theta_U)
             want = rosati(perm_endo(m, PermEndoSpec(sigma, U)), m).scale(2)
             assert got == want
@@ -198,7 +196,6 @@ def test_unit_laws():
     )
     assert compose(one, x) == x
     assert compose(x, one) == x
-    assert bullet(one, x) == x
 
 
 def test_compose_tensor_rule_and_mixed_failure():
@@ -255,52 +252,3 @@ def test_model_mismatch_rejected():
     with pytest.raises(ShapeError):
         Corr2.tensor(m1, endo_identity(m2), endo_identity(m2))
 
-
-class _Cand:
-    def __init__(self, g, U, V, W):
-        self.g = g
-        self.U_lambda = frozenset(U)
-        self.V_lambda = frozenset(V)
-        self.W_lambda = frozenset(W)
-
-
-def test_conv_delta_of_candidate():
-    m = model_555()
-    allcells = {(i, j) for i in range(3) for j in range(3)}
-    diag = {(i, i) for i in range(3)}
-    # everything on the Lambda side: -1/2 - 1/2 + 2 = 1 on each atom
-    assert conv_delta_of_candidate(_Cand(3, allcells, allcells, allcells), m) == endo_identity(m)
-    # nothing on the Lambda side
-    assert conv_delta_of_candidate(_Cand(3, (), (), ()), m).is_zero()
-    # only the W diagonal
-    assert conv_delta_of_candidate(_Cand(3, (), (), diag), m) == endo_identity(m).scale(2)
-    # off-diagonal cells do not contribute
-    off = allcells - diag
-    assert conv_delta_of_candidate(_Cand(3, off, off, off), m).is_zero()
-    mixed = conv_delta_of_candidate(_Cand(3, diag, (), {(0, 0)}), m)
-    want = subset_idempotent(m, [0, 1, 2]).scale(Rat(-1, 2)) + subset_idempotent(m, [0]).scale(2)
-    assert mixed == want
-
-
-def test_conv_delta_of_candidate_errors():
-    m = model_555()
-    with pytest.raises(CandidateError):
-        conv_delta_of_candidate(_Cand(2, (), (), ()), m)
-    with pytest.raises(CandidateError):
-        conv_delta_of_candidate(_Cand(3, {(0, 5)}, (), ()), m)
-    with pytest.raises(CandidateError):
-        conv_delta_of_candidate(object(), m)
-
-
-def test_jsonable_deterministic():
-    m = model_441()
-    grids = build_grids(m)
-    x = grids.a1[2][0] + grids.theta[0][1].scale(Rat(3, 4)) + Corr2.unit(m)
-    j1 = corr_to_jsonable(x)
-    j2 = corr_to_jsonable(grids.theta[0][1].scale(Rat(3, 4)) + Corr2.unit(m) + grids.a1[2][0])
-    assert j1 == j2
-    kinds = [t["kind"] for t in j1]
-    # the unit expands to g*g basis tensors, then theta, then a1
-    assert kinds == ["tensor"] * 9 + ["theta", "a1"]
-    assert j1[9]["cell"] == [1, 2] and j1[9]["coeff"] == [3, 4]
-    assert j1[0]["left"] == [1, 1, 0] and j1[0]["right"] == [1, 1, 0]

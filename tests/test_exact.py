@@ -1,26 +1,23 @@
 """Tests for the exact arithmetic foundation.
 
 Expected values are frozen from independent oracles written here: a
-brute-force lattice membership scan, a naive rational Gaussian determinant,
-and a schoolbook polynomial-power reduction.
+brute-force lattice membership scan and a naive rational Gaussian
+determinant.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from motivix.errors import InvalidInput, RankError, ShapeError
 from motivix.exact import (
     ExactMatrix,
-    NfElem,
     QuadInt,
     Rat,
     ZLattice,
-    det_field,
-    hnf,
-    lattice_contains,
-    nf_reduce,
+    row_echelon,
     solve_field,
 )
 
@@ -64,20 +61,6 @@ def oracle_det(rows):
     return sign * det
 
 
-def oracle_power_mod(minpoly, k):
-    """t^k mod minpoly by schoolbook multiply-and-reduce, one step at a time."""
-    deg = len(minpoly) - 1
-    acc = [Fraction(1)]
-    for _ in range(k):
-        acc = [Fraction(0)] + acc  # multiply by t
-        while len(acc) > deg:
-            lead = acc.pop()
-            for j in range(deg):
-                acc[len(acc) - deg + j] -= lead * minpoly[j]
-    acc += [Fraction(0)] * (deg - len(acc))
-    return acc
-
-
 # --- QuadInt ---------------------------------------------------------------
 
 
@@ -116,55 +99,6 @@ def test_quadint_ring_properties_random():
         assert x * (y + z) == x * y + x * z
         assert (x * y).conj() == x.conj() * y.conj()
         assert (x * y).norm() == x.norm() * y.norm()
-
-
-# --- NfElem / nf_reduce ----------------------------------------------------
-
-
-def test_nf_reduce_cube_root():
-    # defining relation of cbrt(4)
-    e = nf_reduce([0, 0, 0, 1], (-4, 0, 0, 1))
-    assert e == 4
-
-
-def test_nf_reduce_sixth_root():
-    m = (1, -1, 1)  # t^2 - t + 1
-    e2 = nf_reduce([0, 0, 1], m)
-    assert e2 == NfElem(m, [-1, 1])  # t - 1
-    # frozen from oracle_power_mod: eps^3 = -1 and eps^6 = +1
-    assert oracle_power_mod(m, 3) == [Fraction(-1), Fraction(0)]
-    assert oracle_power_mod(m, 6) == [Fraction(1), Fraction(0)]
-    assert nf_reduce([0] * 3 + [1], m) == -1
-    assert nf_reduce([0] * 6 + [1], m) == 1
-    assert NfElem.gen(m) ** 6 == 1
-
-
-def test_nf_reduce_of_minpoly_is_zero():
-    for m in ((-4, 0, 0, 1), (1, -1, 1), (1, 0, 1)):
-        assert nf_reduce(list(m), m).is_zero()
-
-
-def test_nf_ring_axioms_random():
-    m = (-4, 0, 0, 1)
-    rng = random.Random(202)
-
-    def re():
-        return NfElem(m, [Rat(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)])
-
-    for _ in range(200):
-        x, y, z = re(), re(), re()
-        assert (x + y) * z == x * z + y * z
-        assert (x * y) * z == x * (y * z)
-        assert x * y == y * x
-        if not x.is_zero():
-            assert x * x.inverse() == 1
-
-
-def test_nf_rejects_reducible():
-    with pytest.raises(InvalidInput):
-        nf_reduce([0, 1], (-1, 0, 1))  # t^2 - 1 has root 1
-    with pytest.raises(InvalidInput):
-        nf_reduce([0, 1], (0, 2, 1))  # root 0
 
 
 # --- ExactMatrix -----------------------------------------------------------
@@ -219,20 +153,48 @@ def test_solve_field():
     # underdetermined still returns some solution
     x = solve_field(b, [Rat(1), Rat(2)])
     assert x is not None and x[0] + x[1] == Rat(1)
+    # over Q(sqrt(-2)) the second row is w times the first: x1 and x2 are
+    # free and come back as QuadInt zeros
+    d = 2
+    w = QuadInt.sqrt_minus_d(d)
+    one = QuadInt.one(d)
+    rows = [[one, w, one], [w, QuadInt(-2, 0, d), w]]
+    x = solve_field(rows, [one + w, w * (one + w)])
+    assert x == [one + w, 0, 0]
+    assert all(isinstance(v, QuadInt) for v in x)
+    assert solve_field(rows, [one, one]) is None
 
 
-def test_det_field_matches_oracle():
+def oracle_rank(rows):
+    """Largest k with a nonzero k x k minor, by brute force over minors."""
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for ri in combinations(range(m), k):
+            for ci in combinations(range(n), k):
+                if oracle_det([[rows[i][j] for j in ci] for i in ri]) != 0:
+                    return k
+    return 0
+
+
+def test_solve_field_random_against_oracle():
     rng = random.Random(404)
-    for _ in range(30):
-        m = _rand_rat_matrix(rng, 4)
-        assert det_field(m) == oracle_det([list(r) for r in m.entries])
+    for trial in range(30):
+        rows = [[Rat(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)] for _ in range(3)]
+        if trial % 3 == 0:
+            # force a dependent row
+            rows[2] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+        x0 = [Rat(rng.randint(-4, 4)) for _ in range(4)]
+        rhs = [sum((a * b for a, b in zip(r, x0)), Rat(0)) for r in rows]
+        x = solve_field(rows, rhs)
+        assert [sum((a * b for a, b in zip(r, x)), Rat(0)) for r in rows] == rhs
+        assert len(row_echelon([list(r) for r in rows], 4)) == oracle_rank(rows)
 
 
-# --- ZLattice / hnf / lattice_contains -------------------------------------
+# --- ZLattice ----------------------------------------------------------------
 
 
 def test_hnf_identity_fixed():
-    lat = hnf([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    lat = ZLattice.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert lat.basis_rows() == tuple(
         tuple(Rat(1) if i == j else Rat(0) for j in range(4)) for i in range(4)
     )
@@ -240,7 +202,7 @@ def test_hnf_identity_fixed():
 
 
 def test_hnf_small_example():
-    lat = hnf([[2, 0], [1, 1]])
+    lat = ZLattice.from_rows([[2, 0], [1, 1]])
     assert lat.basis_rows() == ((Rat(1), Rat(1)), (Rat(0), Rat(2)))
     # same membership as the generating set, brute force both ways
     gens = [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1)]]
@@ -250,28 +212,28 @@ def test_hnf_small_example():
 
 
 def test_hnf_rational_closure_det():
-    lat = hnf([[Rat(1, 5), Rat(2, 5)], [1, 0], [0, 1]])
+    lat = ZLattice.from_rows([[Rat(1, 5), Rat(2, 5)], [1, 0], [0, 1]])
     assert lat.det() == Rat(1, 5)
     assert oracle_det(lat.basis_rows()) in (Rat(1, 5), Rat(-1, 5))
 
 
 def test_hnf_idempotent():
-    lat = hnf([[Rat(1, 5), Rat(2, 5)], [1, 0], [0, 1]])
-    again = hnf(lat)
+    lat = ZLattice.from_rows([[Rat(1, 5), Rat(2, 5)], [1, 0], [0, 1]])
+    again = ZLattice.from_rows(lat.basis_rows())
     assert lat == again and lat.hbasis == again.hbasis
 
 
 def test_hnf_rank_deficient():
     with pytest.raises(RankError):
-        hnf([[1, 2], [2, 4]])
+        ZLattice.from_rows([[1, 2], [2, 4]])
 
 
 def test_contains_examples():
-    z2 = hnf([[1, 0], [0, 1]])
-    assert lattice_contains(z2, [Rat(3), Rat(-7)])
-    lat = hnf([[Rat(1, 5), Rat(2, 5)], [1, 0], [0, 1]])
-    assert lattice_contains(lat, [Rat(1, 5), Rat(2, 5)])
-    assert not lattice_contains(lat, [Rat(1, 5), Rat(0)])
+    z2 = ZLattice.from_rows([[1, 0], [0, 1]])
+    assert z2.contains([Rat(3), Rat(-7)])
+    lat = ZLattice.from_rows([[Rat(1, 5), Rat(2, 5)], [1, 0], [0, 1]])
+    assert lat.contains([Rat(1, 5), Rat(2, 5)])
+    assert not lat.contains([Rat(1, 5), Rat(0)])
     # brute-force oracle over k*(1/5,2/5) + Z^2 for |k| <= 5
     for v in ([Rat(1, 5), Rat(2, 5)], [Rat(1, 5), Rat(0)], [Rat(3, 5), Rat(1, 5)]):
         expect = any(
@@ -279,26 +241,26 @@ def test_contains_examples():
             and (v[1] - k * Rat(2, 5)).denominator == 1
             for k in range(-5, 6)
         )
-        assert lattice_contains(lat, v) == expect
+        assert lat.contains(v) == expect
 
 
 def test_contains_shape_error():
-    z2 = hnf([[1, 0], [0, 1]])
+    z2 = ZLattice.from_rows([[1, 0], [0, 1]])
     with pytest.raises(ShapeError):
-        lattice_contains(z2, [Rat(1)])
+        z2.contains([Rat(1)])
 
 
 def test_contains_unimodular_invariance():
     rng = random.Random(505)
     base = [[Rat(1, 6), Rat(1, 3), 0], [0, Rat(1, 2), 0], [0, 0, 1], [1, 0, 0], [0, 1, 0]]
-    lat = hnf(base)
+    lat = ZLattice.from_rows(base)
     rows = [list(r) for r in lat.basis_rows()]
     for _ in range(20):
         # random elementary row operations keep the lattice
         i, j = rng.sample(range(3), 2)
         k = rng.randint(-3, 3)
         rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
-        assert hnf(rows) == lat
+        assert ZLattice.from_rows(rows) == lat
     for _ in range(50):
         v = [Rat(rng.randint(-6, 6), rng.choice([1, 2, 3, 6])) for _ in range(3)]
-        assert hnf(rows).contains(v) == lat.contains(v)
+        assert ZLattice.from_rows(rows).contains(v) == lat.contains(v)

@@ -35,7 +35,6 @@ from motivix.polyring import (
     BiPoly,
     MultiNf,
     RatFunc,
-    parse_ratfunc,
 )
 
 X = BiPoly.var_x()
@@ -68,21 +67,6 @@ def test_bipoly_division_and_calculus():
     u, v = RatFunc.var_x(), RatFunc.var_y()
     assert h.dx() == ((2 * u) * (u + v) - (u**2 - 1)) / (u + v) ** 2
     assert h.subst(RatFunc.const(2), RatFunc.const(1)) == 1
-
-
-def test_parse_ratfunc():
-    u, v = RatFunc.var_x(), RatFunc.var_y()
-    assert parse_ratfunc("-x^2") == -(u**2)
-    assert parse_ratfunc("(y^4)/(cbrt4*x^2)") == v**4 / (
-        RatFunc.const(ALPHA) * u**2
-    )
-    assert parse_ratfunc("(x^6 - 1)/(2*x^3)") == (u**6 - 1) / (2 * u**3)
-    assert parse_ratfunc("eps*i + 1") == RatFunc.const(
-        MultiNf.gen("eps") * MultiNf.gen("i") + 1
-    )
-    for junk in ("", "z + 1", "x**y", "1.5*x", "__import__('os')", "x +"):
-        with pytest.raises(InvalidInput):
-            parse_ratfunc(junk)
 
 
 def test_curve_normalization_and_validation():
