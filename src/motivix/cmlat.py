@@ -1,7 +1,7 @@
 """Lattice model of a CM abelian variety J isogenous to E^g.
 
 Holds the endomorphism arithmetic the decision procedure runs on: integral
-endomorphisms, exponents of abelian subvarieties, atomic idempotents,
+endomorphisms, exponents of abelian subvarieties, subset idempotents,
 permutation endomorphisms, the Rosati transpose, and the subsets-lemma
 engine.
 
@@ -19,6 +19,7 @@ Indices are 0-based internally; 1-based only at the JSON/CLI boundary.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -46,10 +47,9 @@ __all__ = [
     "PermEndoSpec",
     "build_model",
     "is_integral",
+    "monomial_is_integral",
     "exponent",
-    "atom_idempotent",
     "subset_idempotent",
-    "norm_endo",
     "perm_endo",
     "full_grid",
     "rosati",
@@ -130,18 +130,6 @@ class EndoQ:
     def conj(self):
         return EndoQ(self.mat.map_entries(lambda x: x.conj()), self.d)
 
-    def apply(self, vec):
-        """Matrix times column vector of QuadInt."""
-        if len(vec) != self.g:
-            raise ShapeError("vector length %d vs g=%d" % (len(vec), self.g))
-        out = []
-        for i in range(self.g):
-            acc = QuadInt.zero(self.d)
-            for j in range(self.g):
-                acc = acc + self.mat.entry(i, j) * vec[j]
-            out.append(acc)
-        return out
-
     def is_zero(self):
         return all(x.is_zero() for row in self.mat.entries for x in row)
 
@@ -188,11 +176,6 @@ def realify_vec(w):
         out.append(x.a)
         out.append(x.b)
     return out
-
-
-def derealify_vec(r, d):
-    assert len(r) % 2 == 0
-    return [QuadInt(r[2 * i], r[2 * i + 1], d) for i in range(len(r) // 2)]
 
 
 def _divisors_sorted(n):
@@ -340,22 +323,12 @@ def subset_idempotent(m, K):
     return EndoQ.from_rows(rows, m.d)
 
 
-def atom_idempotent(m, i):
-    return subset_idempotent(m, [i])
-
-
 def endo_identity(m):
     return subset_idempotent(m, range(m.g))
 
 
 def endo_zero(m):
     return subset_idempotent(m, [])
-
-
-def norm_endo(m, K):
-    """The primitive integral multiple n_K * e_K."""
-    K = _check_subset(m, K)
-    return subset_idempotent(m, K).scale(exponent(m, K))
 
 
 def perm_endo(m, spec):
@@ -402,17 +375,55 @@ def is_integral(m, x):
     if x.d != m.d:
         raise InvalidInput("endomorphism over d=%d, model d=%d" % (x.d, m.d))
     if m.mode == LATTICE:
-        return _lattice_is_integral(m, x)
+        L, X = _realify_endo(x)
+        return _maps_into(m, L, lambda h: [sum(map(operator.mul, r, h)) for r in X])
     return _axiomatic_is_integral(m, x)
 
 
-def _lattice_is_integral(m, x):
-    for row in m.lattice.basis_rows():
-        w = derealify_vec(list(row), m.d)
-        y = x.apply(w)
-        if not m.lattice.contains(realify_vec(y)):
-            return False
-    return True
+def monomial_is_integral(m, sigma, nums, den):
+    """is_integral for the LATTICE model m and the rational endomorphism
+    with entry nums[i] / den at (sigma[i], i) and zeros elsewhere (sigma a
+    permutation, den > 0), without building it as an EndoQ."""
+    pairs = [(2 * i, 2 * j, c) for i, (j, c) in enumerate(zip(sigma, nums)) if c]
+
+    def image(h):
+        w = [0] * len(h)
+        for i, j, c in pairs:
+            w[j] = c * h[i]
+            w[j + 1] = c * h[i + 1]
+        return w
+
+    return _maps_into(m, den, image)
+
+
+def _maps_into(m, L, image):
+    """The integrality kernel, in plain ints. The lattice is H / den for
+    its integer HNF basis H, so x is integral iff x maps each row h / den
+    of that basis into it, i.e. iff (L x) h lies in L times the row span
+    of H. image(h) is the integer vector (L x) h, realified."""
+    return all(m.lattice.spans(image(h), L) for h in m.lattice.hbasis)
+
+
+def _realify_endo(x):
+    """(L, X): L the lcm of the denominators of x, X the integer 2g x 2g
+    matrix of L x acting on realified column vectors."""
+    L = 1
+    for row in x.mat.entries:
+        for e in row:
+            L = math.lcm(L, e.a.denominator, e.b.denominator)
+    d = x.d
+    X = []
+    for row in x.mat.entries:
+        re_row, im_row = [], []
+        for e in row:
+            # (a + b w)(u + v w) = (a u - d b v) + (b u + a v) w, w^2 = -d
+            a = e.a.numerator * (L // e.a.denominator)
+            b = e.b.numerator * (L // e.b.denominator)
+            re_row += (a, -d * b)
+            im_row += (b, a)
+        X.append(re_row)
+        X.append(im_row)
+    return L, X
 
 
 def _crt_solvable(congs):
@@ -503,9 +514,9 @@ def exponent(m, K):
         )
     if K in m._exp_cache:
         return m._exp_cache[K]
-    e_K = subset_idempotent(m, K)
+    ident = tuple(range(m.g))
     for t in _divisors_sorted(_glue_group_exponent(m)):
-        if _lattice_is_integral(m, e_K.scale(t)):
+        if monomial_is_integral(m, ident, [t if i in K else 0 for i in ident], 1):
             m._exp_cache[K] = t
             return t
     raise AssertionError("no exponent found; glue group bound is wrong")
@@ -588,9 +599,16 @@ def subsets_lemma_check(m, A, B):
             "exponent hypothesis fails: n_%r = %d < 4"
             % (sorted(i + 1 for i in K), n)
         )
-    x = subset_idempotent(m, A).scale(2) + subset_idempotent(m, B)
+    if m.mode == LATTICE:
+        ident = tuple(range(m.g))
+        nums = [2 * (i in A) + (i in B) for i in ident]
+        integral = monomial_is_integral(m, ident, nums, 1)
+    else:
+        integral = is_integral(
+            m, subset_idempotent(m, A).scale(2) + subset_idempotent(m, B)
+        )
     allowed = len(A) in (0, m.g) and len(B) in (0, m.g)
-    if is_integral(m, x) and not allowed:
+    if integral and not allowed:
         return VIOLATES
     return CONSISTENT
 

@@ -31,6 +31,7 @@ from .cmlat import (
     endo_to_jsonable,
     full_grid,
     is_integral,
+    monomial_is_integral,
     perm_endo,
     rosati,
     verify_proper_exponents,
@@ -42,7 +43,6 @@ from .errors import (
     InvalidInput,
     UnsupportedQuery,
 )
-from .exact import Rat
 
 EXHAUSTIVE = "EXHAUSTIVE"
 PROOFTRACE = "PROOFTRACE"
@@ -226,32 +226,18 @@ def eval_probe(c, p, m):
     return lam, xi
 
 
-def _images_direct(m, sigma, in_U, in_V, in_W):
-    """Closed form of eval_probe for membership predicates.
+def _images_direct(sigma, in_U, in_V, in_W):
+    """Closed form of eval_probe for membership predicates, doubled.
 
-    Cell (i, sigma(i)) contributes -1/2 [in U_lam] - 1/2 [in V_lam]
-    + 2 [in W_lam] at entry (sigma(i), i); the XI coefficient is one
-    minus the LAMBDA one.  Agreement with the convolution route is
-    covered by the property suite."""
-    g = m.g
-    lam = [[Rat(0)] * g for _ in range(g)]
-    xi = [[Rat(0)] * g for _ in range(g)]
-    for i in range(g):
-        j = sigma[i]
-        cell = (i, j)
-        c = Rat(0)
-        if in_U(cell):
-            c -= Rat(1, 2)
-        if in_V(cell):
-            c -= Rat(1, 2)
-        if in_W(cell):
-            c += 2
-        lam[j][i] += c
-        xi[j][i] += 1 - c
-    return (
-        EndoQ.from_rows(lam, m.d),
-        EndoQ.from_rows(xi, m.d),
+    Both images are zero off the entries (sigma(i), i). There the LAMBDA
+    image is c_i / 2 with c_i = 4 [in W_lam] - [in U_lam] - [in V_lam] on
+    the graph cell (i, sigma(i)), and the XI image is (2 - c_i) / 2.
+    Returns the two numerator tuples (c_i) and (2 - c_i). Agreement with
+    the convolution route is covered by the decomp tests."""
+    lam = tuple(
+        4 * in_W(cell) - in_U(cell) - in_V(cell) for cell in enumerate(sigma)
     )
+    return lam, tuple(2 - c for c in lam)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +384,7 @@ def _note(rule, note, probe=None):
 def decide(m, mode):
     """Decide essential indecomposability for the model.
 
-    EXHAUSTIVE (lattice models, g <= 4): enumerate all nontrivial
+    EXHAUSTIVE (lattice models, g <= 6): enumerate all nontrivial
     candidates up to the side swap, factored through per-probe
     restrictions, and refute each.  PROOFTRACE (any g): replay the
     symbolic argument.  INDECOMPOSABLE means every nontrivial candidate
@@ -424,8 +410,8 @@ def decide(m, mode):
 
 def _decide_exhaustive(m, probes):
     g = m.g
-    if g > 4:
-        raise InvalidInput("exhaustive search is bounded to g <= 4")
+    if g > 6:
+        raise InvalidInput("exhaustive search is bounded to g <= 6")
     if m.mode != LATTICE:
         raise UnsupportedQuery(
             "exhaustive search needs a lattice model; axiomatic "
@@ -433,11 +419,11 @@ def _decide_exhaustive(m, probes):
         )
     integral_memo = {}
 
-    def ok(x):
-        got = integral_memo.get(x)
+    def ok(sigma, nums):
+        key = (sigma, nums)
+        got = integral_memo.get(key)
         if got is None:
-            got = is_integral(m, x)
-            integral_memo[x] = got
+            got = integral_memo[key] = monomial_is_integral(m, sigma, nums, 2)
         return got
 
     full = (1 << g) - 1
@@ -471,13 +457,12 @@ def _decide_exhaustive(m, probes):
         for bits in itertools.product((1, 0), repeat=6):
             uab, uba, vab, vba, wab, wba = bits
             lam, xi = _images_direct(
-                m,
                 sigma,
                 member(um, uab, uba),
                 member(vm, vab, vba),
                 member(wm, wab, wba),
             )
-            if ok(lam) and ok(xi):
+            if ok(sigma, lam) and ok(sigma, xi):
                 survivors.append(bits)
         got = tuple(survivors)
         pair_memo[key] = got
@@ -500,9 +485,9 @@ def _decide_exhaustive(m, probes):
             for vm in range(full + 1):
                 diag_total += 1
                 lam, xi = _images_direct(
-                    m, ident, diag_member(um), diag_member(vm), diag_member(wm)
+                    ident, diag_member(um), diag_member(vm), diag_member(wm)
                 )
-                if not (ok(lam) and ok(xi)):
+                if not (ok(ident, lam) and ok(ident, xi)):
                     diag_killed_identity += 1
                     continue
                 per_pair = []

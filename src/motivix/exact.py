@@ -469,15 +469,24 @@ class ZLattice:
             if x.denominator != 1:
                 return False
             w.append(x.numerator)
-        # back-substitute against the upper-triangular basis, left to right
-        for i in range(self.ambient_rank):
-            p = self.hbasis[i][i]
-            if w[i] % p:
-                return False
-            q = w[i] // p
-            if q:
-                w = [a - q * b for a, b in zip(w, self.hbasis[i])]
-        assert all(x == 0 for x in w)
+        return self.spans(w, 1)
+
+    def spans(self, w, scale):
+        """Whether the integer vector w lies in scale times the integer row
+        span of hbasis, i.e. whether w / (scale * den) is in the lattice.
+
+        Back-substitutes against the upper-triangular basis, left to right,
+        overwriting w. The last pivot step leaves w zero."""
+        n = self.ambient_rank
+        for i, row in enumerate(self.hbasis):
+            x = w[i]
+            if x:
+                q, r = divmod(x, scale * row[i])
+                if r:
+                    return False
+                q *= scale
+                for k in range(i + 1, n):
+                    w[k] -= q * row[k]
         return True
 
     def det(self):

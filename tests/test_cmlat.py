@@ -16,7 +16,6 @@ from motivix.cmlat import (
     LATTICE,
     EndoQ,
     PermEndoSpec,
-    atom_idempotent,
     build_model,
     endo_identity,
     exponent,
@@ -24,7 +23,6 @@ from motivix.cmlat import (
     is_integral,
     model_from_dict,
     model_to_dict,
-    norm_endo,
     perm_endo,
     proper_nonempty_subsets,
     rosati,
@@ -115,13 +113,13 @@ def test_maximal_order_changes_integrality():
 def test_is_integral_examples():
     m = glue_model_g2()
     assert is_integral(m, endo_identity(m))
-    e1 = atom_idempotent(m, 0)
+    e1 = subset_idempotent(m, [0])
     assert not is_integral(m, e1.scale(Rat(1, 5)))
     assert not is_integral(m, e1)
-    assert is_integral(m, norm_endo(m, [0]))
-    assert norm_endo(m, [0]) == e1.scale(5)
+    assert is_integral(m, subset_idempotent(m, [0]).scale(exponent(m, [0])))
+    assert subset_idempotent(m, [0]).scale(exponent(m, [0])) == e1.scale(5)
     # subsets lemma instance: 2e_A + e_B with A={1}, B={2}
-    x = atom_idempotent(m, 0).scale(2) + atom_idempotent(m, 1)
+    x = subset_idempotent(m, [0]).scale(2) + subset_idempotent(m, [1])
     assert not is_integral(m, x)
 
 
@@ -137,9 +135,9 @@ def test_axiomatic_is_integral_rules():
     m = build_model(1, 3, mode=AXIOMATIC, exponents=(4, 4, 4), assume_proper_ge4=True)
     assert is_integral(m, endo_identity(m))
     # non-integer coefficient
-    assert not is_integral(m, atom_idempotent(m, 0).scale(Rat(1, 2)))
+    assert not is_integral(m, subset_idempotent(m, [0]).scale(Rat(1, 2)))
     # shift certificate: diag(4, 0, 0) = 4 e_1, and 4 = n_1
-    assert is_integral(m, atom_idempotent(m, 0).scale(4))
+    assert is_integral(m, subset_idempotent(m, [0]).scale(4))
     # diag(2, 2, 0): no shift (2 != 0 mod 4); the value-2 class {1,2} is a
     # proper union with |M| = 2 < 4, so the hypothesis refutes it
     x = subset_idempotent(m, [0, 1]).scale(2)
@@ -156,12 +154,12 @@ def test_axiomatic_crt_shift_true_case():
     # diag(1, 3) with exponents (2, 2): t = 1 matches both congruences,
     # so the endomorphism is id + e_2^0, integral
     m = build_model(1, 2, mode=AXIOMATIC, exponents=(2, 2))
-    x = endo_identity(m) + atom_idempotent(m, 1).scale(2)
+    x = endo_identity(m) + subset_idempotent(m, [1]).scale(2)
     assert is_integral(m, x)
     # and the matching lattice model agrees: glue (1/4, 1/2) realified below
     lat = build_model(1, 2, glue=[(Rat(1, 4), Rat(1, 2))])
     assert lat.atom_exponents == (2, 2)
-    y = endo_identity(lat) + atom_idempotent(lat, 1).scale(2)
+    y = endo_identity(lat) + subset_idempotent(lat, [1]).scale(2)
     assert is_integral(lat, y)
 
 
@@ -213,7 +211,7 @@ def test_perm_endo_identity_cases():
     assert perm_endo(m, PermEndoSpec(ident, full_grid(2))) == endo_identity(m)
     # restricted identity keeps only diagonal cells of U
     U = frozenset({(0, 0), (0, 1), (1, 0)})
-    assert perm_endo(m, PermEndoSpec(ident, U)) == atom_idempotent(m, 0)
+    assert perm_endo(m, PermEndoSpec(ident, U)) == subset_idempotent(m, [0])
 
 
 def test_perm_endo_power_matches_power_of_sigma():
@@ -230,7 +228,7 @@ def test_rosati_fixes_atoms_and_is_involution():
     m = build_model(1, 3, glue=[(Rat(1, 4), Rat(1, 4), 0)])
     rng = random.Random(909)
     for i in range(3):
-        e = atom_idempotent(m, i)
+        e = subset_idempotent(m, [i])
         assert rosati(e, m) == e
     for _ in range(100):
         rows = [
@@ -268,7 +266,7 @@ def test_rosati_permutation_identity_example():
     s_U = perm_endo(m, PermEndoSpec(swap, frozenset({(0, 1)})))
     s_J = perm_endo(m, PermEndoSpec(swap, full_grid(2)))  # own inverse
     got = rosati(s_U, m) * rosati(s_J, m)
-    assert got == atom_idempotent(m, 1)
+    assert got == subset_idempotent(m, [1])
 
 
 def test_rosati_permutation_identity_general_involutions():

@@ -7,8 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from motivix import decomp
 from motivix.cmlat import (
     AXIOMATIC,
+    EndoQ,
     build_model,
     endo_identity,
     is_integral,
@@ -117,23 +119,38 @@ def test_eval_probe_does_not_keep_the_model_alive():
     assert ref() is None
 
 
+def d7_model(g):
+    # maximal order of Q(sqrt(-7)), glue (1/5 + 2/5 sqrt(-7), ...) and (1/7, ...)
+    return build_model(
+        7, g, glue=[((F(1, 5), F(2, 5)),) * g, (F(1, 7),) * g], maximal_order=True
+    )
+
+
+def monomial_endo(m, sigma, nums):
+    """The endomorphism with nums[i] / 2 at (sigma[i], i), zeros elsewhere."""
+    rows = [[F(0)] * m.g for _ in range(m.g)]
+    for i, c in enumerate(nums):
+        rows[sigma[i]][i] = F(c, 2)
+    return EndoQ.from_rows(rows, m.d)
+
+
 def test_eval_probe_matches_direct_form():
     rng = random.Random(7)
-    for g in (2, 3):
-        m = sym_model(g)
+    for m in (sym_model(2), sym_model(3), sym_model(4), d7_model(3)):
         probes = probes_for(m)
         for _ in range(10):
-            c = random_candidate(rng, g)
+            c = random_candidate(rng, m.g)
             for p in probes:
                 lam, xi = eval_probe(c, p, m)
                 dlam, dxi = _images_direct(
-                    m,
                     p.sigma,
                     c.U_lambda.__contains__,
                     c.V_lambda.__contains__,
                     c.W_lambda.__contains__,
                 )
-                assert lam == dlam and xi == dxi
+                assert all(isinstance(n, int) for n in dlam + dxi)
+                assert lam == monomial_endo(m, p.sigma, dlam)
+                assert xi == monomial_endo(m, p.sigma, dxi)
 
 
 def test_eval_probe_sum_is_rosati():
@@ -219,8 +236,9 @@ def test_candidate_validation():
 
 
 def test_decide_agreement_small_g():
-    for g in (1, 3, 4):
-        m = sym_model(g)
+    # up to the exhaustive bound g <= 6
+    g6 = build_model(2, 6, glue=[(F(1, 7),) * 6])
+    for m in (sym_model(1), sym_model(3), sym_model(4), sym_model(5), d7_model(5), g6):
         ve = decide(m, EXHAUSTIVE)
         vp = decide(m, PROOFTRACE)
         assert ve.status == INDECOMPOSABLE
@@ -297,13 +315,18 @@ def test_probe_validity_gate():
         decide(m, PROOFTRACE)
 
 
-def test_decide_input_validation():
+def test_decide_input_validation(monkeypatch):
     m = sym_model(2)
     with pytest.raises(InvalidInput):
         decide(m, "GUESS")
-    m5 = sym_model(5)
-    with pytest.raises(InvalidInput):
-        decide(m5, EXHAUSTIVE)
+    m7 = sym_model(7)
+
+    def no_enumeration(*args):
+        raise AssertionError("g = 7 reached the candidate enumeration")
+
+    monkeypatch.setattr(decomp, "_images_direct", no_enumeration)
+    with pytest.raises(InvalidInput, match="g <= 6"):
+        decide(m7, EXHAUSTIVE)
     ax = build_model(1, 3, mode=AXIOMATIC, exponents=(5, 5, 5), assume_proper_ge4=True)
     with pytest.raises(UnsupportedQuery):
         decide(ax, EXHAUSTIVE)
