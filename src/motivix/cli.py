@@ -16,7 +16,7 @@ from fractions import Fraction as Rat
 
 from . import __version__
 from .cmlat import (
-    EndoQ,
+    endo_from_jsonable,
     endo_to_jsonable,
     endo_zero,
     exponent,
@@ -24,6 +24,7 @@ from .cmlat import (
     model_from_dict,
     model_to_dict,
     proper_nonempty_subsets,
+    rat_to_jsonable,
 )
 from .corr import build_grids, conv
 from .decomp import (
@@ -35,12 +36,13 @@ from .decomp import (
     verdict_to_dict,
 )
 from .errors import HypothesisError, InvalidInput, MotivixError, UnsupportedQuery
-from .exact import QuadInt
 from .fermat import (
+    DECLARED_EXPONENTS,
     build_c6_instance,
     c6_generator_morphisms,
     canonical_form,
     degree,
+    per_morphism,
     pullback,
     rep_membership,
 )
@@ -52,11 +54,6 @@ from .motcalc import (
     hypersurface_ck,
     product_of_curves,
 )
-
-
-def _pair(q):
-    q = Rat(q)
-    return [q.numerator, q.denominator]
 
 
 def _digest(path):
@@ -184,7 +181,7 @@ def cmd_motive(args):
             "n": args.n,
             "d": args.d,
             "off_middle_weights": [2 * j for j in ring.off_middle_indices()],
-            "projector_coefficient": _pair(Rat(1, args.d)),
+            "projector_coefficient": rat_to_jsonable(Rat(1, args.d)),
             "middle_dim": ring.middle_dim(),
             "prim_middle_dim": ring.prim_middle_dim(),
             "verified": True,
@@ -249,10 +246,8 @@ def cmd_fermat(args):
             "class": rep_membership(form),
         }
     elif args.what == "degrees":
-        phi1, phi2, phi3 = c6_generator_morphisms()
-        d1, d2, d3 = degree(phi1), degree(phi2), degree(phi3)
-        computed = [d1] * 6 + [d2] * 3 + [d3]
-        declared = [6] * 6 + [24] * 3 + [4]
+        computed = per_morphism(*map(degree, c6_generator_morphisms()))
+        declared = list(DECLARED_EXPONENTS)
         results = {
             "computed": computed,
             "declared": declared,
@@ -290,32 +285,6 @@ def _parse_subset(text, g):
     return frozenset(i - 1 for i in atoms)
 
 
-def _parse_endo_entry(entry):
-    if (
-        isinstance(entry, (list, tuple))
-        and len(entry) == 2
-        and all(isinstance(c, int) for c in entry)
-    ):
-        return Rat(entry[0], entry[1]), Rat(0)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        (an, ad), (bn, bd) = entry
-        return Rat(an, ad), Rat(bn, bd)
-    raise InvalidInput("bad endomorphism entry %r" % (entry,))
-
-
-def _endo_from_jsonable(rows, model):
-    if not isinstance(rows, list) or len(rows) != model.g:
-        raise InvalidInput("endomorphism must be a %d-row matrix" % model.g)
-    out = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) != model.g:
-            raise InvalidInput("endomorphism rows must have length %d" % model.g)
-        out.append(
-            [QuadInt(*(_parse_endo_entry(e) + (model.d,))) for e in row]
-        )
-    return EndoQ.from_rows(out, model.d)
-
-
 def cmd_av(args):
     model = _load_model(args.model)
     if args.query == "exponents":
@@ -341,7 +310,7 @@ def cmd_av(args):
         results = {"g": model.g, "mode": model.mode.lower(), "exponents": entries}
     elif args.query == "integrality":
         payload = _load_json(args.endo)
-        x = _endo_from_jsonable(payload, model)
+        x = endo_from_jsonable(payload, model)
         results = {
             "g": model.g,
             "mode": model.mode.lower(),

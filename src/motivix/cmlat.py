@@ -58,6 +58,8 @@ __all__ = [
     "model_to_dict",
     "model_from_dict",
     "endo_to_jsonable",
+    "endo_from_jsonable",
+    "rat_to_jsonable",
     "endo_identity",
     "endo_zero",
     "verify_proper_exponents",
@@ -377,7 +379,22 @@ def is_integral(m, x):
     if m.mode == LATTICE:
         L, X = _realify_endo(x)
         return _maps_into(m, L, lambda h: [sum(map(operator.mul, r, h)) for r in X])
-    return _axiomatic_is_integral(m, x)
+    for i in range(m.g):
+        for j in range(m.g):
+            e = x.entry(i, j)
+            if i == j:
+                if e.b != 0:
+                    raise UnsupportedQuery(
+                        "axiomatic integrality is defined only on the e_K span "
+                        "(diagonal rational matrices); entry (%d,%d) has a "
+                        "sqrt(-d) part" % (i + 1, j + 1)
+                    )
+            elif not e.is_zero():
+                raise UnsupportedQuery(
+                    "axiomatic integrality is defined only on the e_K span; "
+                    "off-diagonal entry at (%d,%d)" % (i + 1, j + 1)
+                )
+    return _axiomatic_is_integral(m, [x.entry(i, i).a for i in range(m.g)])
 
 
 def monomial_is_integral(m, sigma, nums, den):
@@ -444,24 +461,8 @@ def _crt_solvable(congs):
     return True
 
 
-def _axiomatic_is_integral(m, x):
-    cs = []
-    for i in range(m.g):
-        for j in range(m.g):
-            e = x.entry(i, j)
-            if i == j:
-                if e.b != 0:
-                    raise UnsupportedQuery(
-                        "axiomatic integrality is defined only on the e_K span "
-                        "(diagonal rational matrices); entry (%d,%d) has a "
-                        "sqrt(-d) part" % (i + 1, j + 1)
-                    )
-                cs.append(e.a)
-            elif not e.is_zero():
-                raise UnsupportedQuery(
-                    "axiomatic integrality is defined only on the e_K span; "
-                    "off-diagonal entry at (%d,%d)" % (i + 1, j + 1)
-                )
+def _axiomatic_is_integral(m, cs):
+    """Integrality of diag(cs) on the AXIOMATIC model m, cs rationals."""
     # q*e_i with q not an integer is never integral: iterating x would give
     # unbounded denominators inside the finite group Lambda/O^g
     if any(c.denominator != 1 for c in cs):
@@ -599,14 +600,12 @@ def subsets_lemma_check(m, A, B):
             "exponent hypothesis fails: n_%r = %d < 4"
             % (sorted(i + 1 for i in K), n)
         )
+    ident = tuple(range(m.g))
+    nums = [2 * (i in A) + (i in B) for i in ident]
     if m.mode == LATTICE:
-        ident = tuple(range(m.g))
-        nums = [2 * (i in A) + (i in B) for i in ident]
         integral = monomial_is_integral(m, ident, nums, 1)
     else:
-        integral = is_integral(
-            m, subset_idempotent(m, A).scale(2) + subset_idempotent(m, B)
-        )
+        integral = _axiomatic_is_integral(m, nums)
     allowed = len(A) in (0, m.g) and len(B) in (0, m.g)
     if integral and not allowed:
         return VIOLATES
@@ -617,7 +616,13 @@ def subsets_lemma_check(m, A, B):
 # JSON model description
 
 
-def _pair(x):
+def _is_int(x):
+    # JSON true/false load as bools, which Python counts as ints
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def rat_to_jsonable(x):
+    """A rational as its [numerator, denominator] pair."""
     x = Rat(x)
     return [x.numerator, x.denominator]
 
@@ -626,16 +631,42 @@ def _from_pair(p):
     if not isinstance(p, (list, tuple)) or len(p) != 2:
         raise InvalidInput("rational must be a [numerator, denominator] pair, got %r" % (p,))
     num, den = p
-    if not isinstance(num, int) or not isinstance(den, int) or den == 0:
+    if not _is_int(num) or not _is_int(den) or den == 0:
         raise InvalidInput("bad rational pair %r" % (p,))
     return Rat(num, den)
+
+
+def _parse_coord(entry, what):
+    """(a, b) for a + b sqrt(-d) given as [[an, ad], [bn, bd]], or as the
+    shorthand [num, den] for a rational."""
+    if isinstance(entry, (list, tuple)) and len(entry) == 2:
+        if all(_is_int(c) for c in entry):
+            return _from_pair(entry), Rat(0)
+        return _from_pair(entry[0]), _from_pair(entry[1])
+    raise InvalidInput("bad %s %r" % (what, entry))
 
 
 def endo_to_jsonable(x):
     """Row-major nested list with each entry as [[an, ad], [bn, bd]]."""
     return [
-        [[_pair(q.a), _pair(q.b)] for q in row] for row in x.mat.entries
+        [[rat_to_jsonable(q.a), rat_to_jsonable(q.b)] for q in row]
+        for row in x.mat.entries
     ]
+
+
+def endo_from_jsonable(rows, m):
+    """The endomorphism of m that endo_to_jsonable writes as rows; an
+    entry may also be the [num, den] shorthand for a rational."""
+    if not isinstance(rows, list) or len(rows) != m.g:
+        raise InvalidInput("endomorphism must be a %d-row matrix" % m.g)
+    out = []
+    for row in rows:
+        if not isinstance(row, list) or len(row) != m.g:
+            raise InvalidInput("endomorphism rows must have length %d" % m.g)
+        out.append(
+            [QuadInt(*_parse_coord(e, "endomorphism entry"), m.d) for e in row]
+        )
+    return EndoQ.from_rows(out, m.d)
 
 
 def model_to_dict(m):
@@ -643,7 +674,8 @@ def model_to_dict(m):
         "d": m.d,
         "g": m.g,
         "glue": [
-            [[_pair(x.a), _pair(x.b)] for x in vec] for vec in m.glue
+            [[rat_to_jsonable(x.a), rat_to_jsonable(x.b)] for x in vec]
+            for vec in m.glue
         ],
         "mode": m.mode.lower(),
         "exponents": list(m.atom_exponents),
@@ -653,19 +685,6 @@ def model_to_dict(m):
     if m.assume_proper_ge4:
         out["assume_proper_exponents_ge4"] = True
     return out
-
-
-def _parse_glue_coord(entry):
-    # [[an, ad], [bn, bd]] or the shorthand [num, den] for a rational
-    if (
-        isinstance(entry, (list, tuple))
-        and len(entry) == 2
-        and all(isinstance(c, int) for c in entry)
-    ):
-        return _from_pair(entry), Rat(0)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return _from_pair(entry[0]), _from_pair(entry[1])
-    raise InvalidInput("bad glue coordinate %r" % (entry,))
 
 
 def model_from_dict(data):
@@ -679,20 +698,33 @@ def model_from_dict(data):
         raise InvalidInput("mode must be 'lattice' or 'axiomatic', got %r" % (data["mode"],))
     d = data["d"]
     g = data["g"]
-    if not isinstance(d, int) or not isinstance(g, int):
+    if not _is_int(d) or not _is_int(g):
         raise InvalidInput("d and g must be integers")
+    vecs = data.get("glue", [])
+    if not isinstance(vecs, list):
+        raise InvalidInput("glue must be a list of vectors, got %r" % (vecs,))
     glue = []
-    for vec in data.get("glue", []):
+    for vec in vecs:
         if not isinstance(vec, (list, tuple)):
             raise InvalidInput("glue vector %r is not a list" % (vec,))
-        glue.append([_parse_glue_coord(entry) for entry in vec])
+        glue.append([_parse_coord(entry, "glue coordinate") for entry in vec])
     exponents = data.get("exponents")
+    if exponents is not None and (
+        not isinstance(exponents, list) or not all(map(_is_int, exponents))
+    ):
+        raise InvalidInput("exponents must be a list of integers, got %r" % (exponents,))
+    flags = [data.get(key, False)
+             for key in ("maximal_order", "assume_proper_exponents_ge4")]
+    if not all(isinstance(flag, bool) for flag in flags):
+        raise InvalidInput(
+            "maximal_order and assume_proper_exponents_ge4 must be true or false"
+        )
     return build_model(
         d,
         g,
         glue=glue,
         mode=mode,
         exponents=exponents,
-        maximal_order=bool(data.get("maximal_order", False)),
-        assume_proper_ge4=bool(data.get("assume_proper_exponents_ge4", False)),
+        maximal_order=flags[0],
+        assume_proper_ge4=flags[1],
     )

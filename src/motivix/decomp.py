@@ -226,17 +226,16 @@ def eval_probe(c, p, m):
     return lam, xi
 
 
-def _images_direct(sigma, in_U, in_V, in_W):
-    """Closed form of eval_probe for membership predicates, doubled.
+def _images_direct(u, v, w):
+    """Closed form of eval_probe, doubled.
 
-    Both images are zero off the entries (sigma(i), i). There the LAMBDA
-    image is c_i / 2 with c_i = 4 [in W_lam] - [in U_lam] - [in V_lam] on
-    the graph cell (i, sigma(i)), and the XI image is (2 - c_i) / 2.
-    Returns the two numerator tuples (c_i) and (2 - c_i). Agreement with
-    the convolution route is covered by the decomp tests."""
-    lam = tuple(
-        4 * in_W(cell) - in_U(cell) - in_V(cell) for cell in enumerate(sigma)
-    )
+    u, v, w hold the LAMBDA bits (0 or 1) of the U, V and W grids on the
+    probe's graph cells (i, sigma(i)); both images are zero off the
+    entries (sigma(i), i). There the LAMBDA image is c_i / 2 with
+    c_i = 4 w_i - u_i - v_i, and the XI image is (2 - c_i) / 2. Returns
+    the two numerator tuples (c_i) and (2 - c_i). Agreement with the
+    convolution route is covered by the decomp tests."""
+    lam = tuple(4 * wi - ui - vi for ui, vi, wi in zip(u, v, w))
     return lam, tuple(2 - c for c in lam)
 
 
@@ -393,6 +392,15 @@ def decide(m, mode):
     argument does not close."""
     if mode not in (EXHAUSTIVE, PROOFTRACE):
         raise InvalidInput("unknown mode %r" % (mode,))
+    if mode == EXHAUSTIVE:
+        # ahead of the hypothesis gate, whose cost grows as 2^g
+        if m.g > 6:
+            raise InvalidInput("exhaustive search is bounded to g <= 6")
+        if m.mode != LATTICE:
+            raise UnsupportedQuery(
+                "exhaustive search needs a lattice model; axiomatic "
+                "integrality does not cover off-diagonal probe images"
+            )
     probes = probes_for(m)
     trace = [_note("trusted-reduction", TRUSTED_REDUCTION)]
     _hypothesis_gate(m, probes, trace)
@@ -410,13 +418,6 @@ def decide(m, mode):
 
 def _decide_exhaustive(m, probes):
     g = m.g
-    if g > 6:
-        raise InvalidInput("exhaustive search is bounded to g <= 6")
-    if m.mode != LATTICE:
-        raise UnsupportedQuery(
-            "exhaustive search needs a lattice model; axiomatic "
-            "integrality does not cover off-diagonal probe images"
-        )
     integral_memo = {}
 
     def ok(sigma, nums):
@@ -429,12 +430,15 @@ def _decide_exhaustive(m, probes):
     full = (1 << g) - 1
     pairs = [(a, b) for a in range(g) for b in range(a + 1, g)]
     pair_memo = {}
+    # the LAMBDA bits of a diagonal mask along the identity's graph
+    diag_bits = [tuple(mask >> i & 1 for i in range(g)) for mask in range(full + 1)]
 
     def pair_survivors(a, b, um, vm, wm):
         """Surviving 6-bit local assignments for the (a, b) transposition,
         given the diagonal masks away from {a, b}.  A local assignment
         lists the LAMBDA bits of cells (a,b),(b,a) in the U, V, W grids,
-        iterated LAMBDA-first."""
+        iterated LAMBDA-first; those cells lie on the probe's graph at
+        positions a and b, the diagonal cells everywhere else."""
         fmask = full & ~((1 << a) | (1 << b))
         key = (a, b, um & fmask, vm & fmask, wm & fmask)
         got = pair_memo.get(key)
@@ -443,25 +447,11 @@ def _decide_exhaustive(m, probes):
         sigma = list(range(g))
         sigma[a], sigma[b] = b, a
         sigma = tuple(sigma)
-
-        def member(mask, ab, ba):
-            def f(cell):
-                i, j = cell
-                if i == j:
-                    return bool(mask >> i & 1)
-                return bool(ab if (i, j) == (a, b) else ba)
-
-            return f
-
+        u, v, w = list(diag_bits[um]), list(diag_bits[vm]), list(diag_bits[wm])
         survivors = []
         for bits in itertools.product((1, 0), repeat=6):
-            uab, uba, vab, vba, wab, wba = bits
-            lam, xi = _images_direct(
-                sigma,
-                member(um, uab, uba),
-                member(vm, vab, vba),
-                member(wm, wab, wba),
-            )
+            u[a], u[b], v[a], v[b], w[a], w[b] = bits
+            lam, xi = _images_direct(u, v, w)
             if ok(sigma, lam) and ok(sigma, xi):
                 survivors.append(bits)
         got = tuple(survivors)
@@ -469,13 +459,6 @@ def _decide_exhaustive(m, probes):
         return got
 
     ident = tuple(range(g))
-
-    def diag_member(mask):
-        def f(cell):
-            return bool(mask >> cell[0] & 1)
-
-        return f
-
     diag_total = 0
     diag_killed_identity = 0
     diag_killed_pairs = 0
@@ -484,9 +467,7 @@ def _decide_exhaustive(m, probes):
         for um in range(full + 1):
             for vm in range(full + 1):
                 diag_total += 1
-                lam, xi = _images_direct(
-                    ident, diag_member(um), diag_member(vm), diag_member(wm)
-                )
+                lam, xi = _images_direct(diag_bits[um], diag_bits[vm], diag_bits[wm])
                 if not (ok(ident, lam) and ok(ident, xi)):
                     diag_killed_identity += 1
                     continue

@@ -472,7 +472,15 @@ def degree(phi, primes=None, trials=6, seed=0, attempts=25):
 # ---------------------------------------------------------------------------
 # the genus-10 instance
 
-DECLARED_EXPONENTS = (6, 6, 6, 6, 6, 6, 24, 24, 24, 4)
+
+def per_morphism(first, second, third):
+    """One value per morphism of the genus-10 instance, in its order: the
+    first for each phi1 twist, the second for each phi2 twist, the third
+    for phi3."""
+    return [first] * len(G1_PERMS) + [second] * len(G2_PERMS) + [third]
+
+
+DECLARED_EXPONENTS = tuple(per_morphism(6, 24, 4))
 
 
 class C6Instance:
@@ -531,7 +539,7 @@ def build_c6_instance(check_degrees=True):
     morphisms.append(phi3)
     forms = [pullback(mor, canonical_form(mor.target)) for mor in morphisms]
     classes = [rep_membership(f) for f in forms]
-    assert classes == [V210] * 6 + [V300] * 3 + [V111]
+    assert classes == per_morphism(V210, V300, V111)
     r1 = span_rank(forms[:6])
     r2 = span_rank(forms[6:9])
     rtot = span_rank(forms)
@@ -539,10 +547,7 @@ def build_c6_instance(check_degrees=True):
     computed = None
     mismatch = None
     if check_degrees:
-        d1 = degree(phi1)
-        d2 = degree(phi2)
-        d3 = degree(phi3)
-        computed = [d1] * 6 + [d2] * 3 + [d3]
+        computed = per_morphism(degree(phi1), degree(phi2), degree(phi3))
         mismatch = computed != list(DECLARED_EXPONENTS)
     model = build_model(
         3,
@@ -585,6 +590,7 @@ __all__ = [
     "G2_PERMS",
     "span_rank",
     "degree",
+    "per_morphism",
     "DECLARED_EXPONENTS",
     "C6Instance",
     "c6_generator_morphisms",

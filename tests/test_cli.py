@@ -91,6 +91,23 @@ def test_exit_one_on_bad_inputs(capsys, tmp_path):
     assert code == 1 and rep["error"]["kind"] == "InvalidInput"
 
 
+def test_exit_one_on_bad_json_numbers(capsys, tmp_path, g3_model):
+    # a zero denominator or a bool where an integer belongs is an
+    # InvalidInput report with exit 1, not a traceback
+    zero = [[0, 1], [0, 1]]
+    endo_path = tmp_path / "endo.json"
+    for bad in ([1, 0], [[1, 1], [1, 0]], [True, 1]):
+        rows = [[bad if i == j == 0 else zero for j in range(3)] for i in range(3)]
+        endo_path.write_text(json.dumps(rows), encoding="utf-8")
+        code, rep = run(capsys, "av", "integrality", g3_model, "--endo", str(endo_path))
+        assert code == 1 and rep["error"]["kind"] == "InvalidInput"
+    model_path = tmp_path / "bool_d.json"
+    model_path.write_text(json.dumps({"d": True, "g": 1, "mode": "lattice"}),
+                          encoding="utf-8")
+    code, rep = run(capsys, "decide", str(model_path))
+    assert code == 1 and rep["error"]["kind"] == "InvalidInput"
+
+
 def test_report_determinism(capsys, g3_model, tmp_path):
     code1 = main(["decide", g3_model, "--mode", "exhaustive"])
     out1 = capsys.readouterr().out

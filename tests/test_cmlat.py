@@ -17,7 +17,9 @@ from motivix.cmlat import (
     EndoQ,
     PermEndoSpec,
     build_model,
+    endo_from_jsonable,
     endo_identity,
+    endo_to_jsonable,
     exponent,
     full_grid,
     is_integral,
@@ -143,9 +145,9 @@ def test_axiomatic_is_integral_rules():
     x = subset_idempotent(m, [0, 1]).scale(2)
     assert not is_integral(m, x)
     # off-diagonal or irrational entries are out of scope
-    with pytest.raises(UnsupportedQuery):
+    with pytest.raises(UnsupportedQuery, match=r"off-diagonal entry at \(1,2\)"):
         is_integral(m, EndoQ.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]], 1))
-    with pytest.raises(UnsupportedQuery):
+    with pytest.raises(UnsupportedQuery, match=r"entry \(1,1\) has a sqrt\(-d\) part"):
         w = QuadInt.sqrt_minus_d(1)
         is_integral(m, EndoQ.from_rows([[w, 0, 0], [0, w, 0], [0, 0, w]], 1))
 
@@ -398,3 +400,38 @@ def test_model_json_validation():
         model_from_dict({"d": 1, "g": 2, "mode": "weird"})
     with pytest.raises(InvalidInput):
         model_from_dict({"d": 1, "g": 2, "mode": "lattice", "glue": [[[1, 0], [0, 1]]]})
+
+
+def test_model_json_rejects_bools():
+    # JSON true/false are not integers, though Python counts bools as ints;
+    # and a flag must be a JSON boolean, not any truthy value
+    good = {"d": 1, "g": 2, "mode": "lattice", "glue": [[[1, 5], [2, 5]]]}
+    assert model_from_dict(good).atom_exponents == (5, 5)
+    for key, value in (
+        ("d", True),
+        ("g", True),
+        ("glue", [[[True, 5], [2, 5]]]),
+        ("glue", [[[[1, 5], [0, True]], [2, 5]]]),
+        ("glue", 5),
+        ("exponents", [5, True]),
+        ("exponents", 5),
+        ("maximal_order", "no"),
+        ("assume_proper_exponents_ge4", "false"),
+    ):
+        with pytest.raises(InvalidInput):
+            model_from_dict(dict(good, **{key: value}))
+
+
+def test_endo_json_codec():
+    m = build_model(2, 2, glue=[(Rat(1, 5), Rat(2, 5))])
+    x = EndoQ.from_rows([[Rat(1, 2), QuadInt(Rat(-3), Rat(1, 7), 2)], [0, 5]], 2)
+    assert endo_from_jsonable(endo_to_jsonable(x), m) == x
+    # the [num, den] shorthand for a rational entry
+    assert endo_from_jsonable([[[1, 2], [[-3, 1], [1, 7]]], [[0, 1], [5, 1]]], m) == x
+    zero = [[0, 1], [0, 1]]
+    for bad in ([1, 0], [[1, 1], [1, 0]], [True, 1], [[1, 1], [False, 1]], [1, 2, 3], 7):
+        with pytest.raises(InvalidInput):
+            endo_from_jsonable([[bad, zero], [zero, zero]], m)
+    for bad in ([[zero, zero]], [[zero], [zero]], "x"):
+        with pytest.raises(InvalidInput):
+            endo_from_jsonable(bad, m)

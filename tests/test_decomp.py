@@ -134,19 +134,23 @@ def monomial_endo(m, sigma, nums):
     return EndoQ.from_rows(rows, m.d)
 
 
+def graph_bits(cells, sigma):
+    """The 0/1 membership of the graph cells (i, sigma(i)) in cells."""
+    return tuple(int(cell in cells) for cell in enumerate(sigma))
+
+
 def test_eval_probe_matches_direct_form():
     rng = random.Random(7)
-    for m in (sym_model(2), sym_model(3), sym_model(4), d7_model(3)):
+    for m in (sym_model(2), sym_model(3), sym_model(4), d7_model(3), sym_model(5)):
         probes = probes_for(m)
-        for _ in range(10):
+        for _ in range(10 if m.g < 5 else 3):
             c = random_candidate(rng, m.g)
             for p in probes:
                 lam, xi = eval_probe(c, p, m)
                 dlam, dxi = _images_direct(
-                    p.sigma,
-                    c.U_lambda.__contains__,
-                    c.V_lambda.__contains__,
-                    c.W_lambda.__contains__,
+                    graph_bits(c.U_lambda, p.sigma),
+                    graph_bits(c.V_lambda, p.sigma),
+                    graph_bits(c.W_lambda, p.sigma),
                 )
                 assert all(isinstance(n, int) for n in dlam + dxi)
                 assert lam == monomial_endo(m, p.sigma, dlam)
@@ -246,6 +250,19 @@ def test_decide_agreement_small_g():
         assert ve.witness is None and vp.witness is None
 
 
+def test_exhaustive_kill_counts_pinned():
+    # the identity leaves two diagonal assignments open; on both, every
+    # transposition choice that survives keeps the transcendental grid on
+    # one side
+    for m, total in ((sym_model(3), 256), (d7_model(4), 2048), (sym_model(5), 16384)):
+        notes = [s["note"] for s in decide(m, EXHAUSTIVE).trace]
+        assert "identity probe refuted %d of %d diagonal assignments " \
+            "(side swap quotiented out)" % (total - 2, total) in notes
+        assert "transposition probes refuted 0 further diagonal assignments; " \
+            "2 admitted only candidates with all transcendental cells on " \
+            "one side" in notes
+
+
 def test_decide_two_generator_lattice():
     m = build_model(2, 3, glue=[(F(1, 5),) * 3, (F(1, 7),) * 3])
     assert m.atom_exponents == (35, 35, 35)
@@ -321,10 +338,11 @@ def test_decide_input_validation(monkeypatch):
         decide(m, "GUESS")
     m7 = sym_model(7)
 
-    def no_enumeration(*args):
-        raise AssertionError("g = 7 reached the candidate enumeration")
+    def unreachable(*args):
+        raise AssertionError("g = 7 reached the hypothesis gate or the enumeration")
 
-    monkeypatch.setattr(decomp, "_images_direct", no_enumeration)
+    monkeypatch.setattr(decomp, "_hypothesis_gate", unreachable)
+    monkeypatch.setattr(decomp, "_images_direct", unreachable)
     with pytest.raises(InvalidInput, match="g <= 6"):
         decide(m7, EXHAUSTIVE)
     ax = build_model(1, 3, mode=AXIOMATIC, exponents=(5, 5, 5), assume_proper_ge4=True)

@@ -139,8 +139,8 @@ def _cases(rng, m, count):
             cells = [(i, j) for i in range(g) for j in range(g)]
             U, V, W = (frozenset(c for c in cells if rng.random() < 0.5)
                        for _ in range(3))
-            lam, xi = _images_direct(p.sigma, U.__contains__, V.__contains__,
-                                     W.__contains__)
+            lam, xi = _images_direct(
+                *(tuple(int(c in S) for c in enumerate(p.sigma)) for S in (U, V, W)))
             rows = [[F(0)] * g for _ in range(g)]
             for i, c in enumerate(lam if kind == 4 else xi):
                 rows[p.sigma[i]][i] = F(c, 2)
