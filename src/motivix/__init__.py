@@ -30,6 +30,7 @@ from .errors import (
     HypothesisError,
     PreconditionError,
     ReductionError,
+    VerificationError,
     OracleError,
 )
 from .exact import Rat, QuadInt, ExactMatrix, ZLattice, solve_field
@@ -103,6 +104,7 @@ __all__ = [
     "HypothesisError",
     "PreconditionError",
     "ReductionError",
+    "VerificationError",
     "OracleError",
     "Rat",
     "QuadInt",

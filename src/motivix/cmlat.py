@@ -277,19 +277,22 @@ def build_model(d, g, glue=(), mode=LATTICE, exponents=None,
         raise InvalidInput("mode must be LATTICE or AXIOMATIC, got %r" % (mode,))
     QuadInt.zero(d)  # validates d
     glue_vecs = tuple(_coerce_glue_vector(v, g, d) for v in glue)
+    if exponents is not None:
+        exponents = tuple(exponents)
+        if not all(map(_is_int, exponents)):
+            raise InvalidInput("exponents must be integers, got %r" % (exponents,))
     if mode == AXIOMATIC:
         if glue_vecs:
             raise InvalidInput("AXIOMATIC mode takes no glue vectors")
         if exponents is None:
             raise InvalidInput("AXIOMATIC mode requires the atom exponents")
-        exps = tuple(int(n) for n in exponents)
-        if len(exps) != g:
-            raise InvalidInput("expected %d exponents, got %d" % (g, len(exps)))
-        if any(n < 1 for n in exps):
-            raise InvalidInput("exponents must be >= 1, got %r" % (exps,))
-        if g == 1 and exps[0] != 1:
-            raise InvalidInput("n_I must be 1, got %d for g=1" % exps[0])
-        return AbelianModel(d, g, glue_vecs, AXIOMATIC, None, None, exps,
+        if len(exponents) != g:
+            raise InvalidInput("expected %d exponents, got %d" % (g, len(exponents)))
+        if any(n < 1 for n in exponents):
+            raise InvalidInput("exponents must be >= 1, got %r" % (exponents,))
+        if g == 1 and exponents[0] != 1:
+            raise InvalidInput("n_I must be 1, got %d for g=1" % exponents[0])
+        return AbelianModel(d, g, glue_vecs, AXIOMATIC, None, None, exponents,
                             maximal_order, assume_proper_ge4)
     rows = _order_rows(d, g, maximal_order)
     rows += [realify_vec(v) for v in glue_vecs]
@@ -299,9 +302,9 @@ def build_model(d, g, glue=(), mode=LATTICE, exponents=None,
                          maximal_order, assume_proper_ge4)
     if exponents is not None:
         got = model.atom_exponents
-        if tuple(int(n) for n in exponents) != got:
+        if exponents != got:
             raise InvalidInput(
-                "supplied exponents %r disagree with computed %r" % (tuple(exponents), got)
+                "supplied exponents %r disagree with computed %r" % (exponents, got)
             )
     return model
 

@@ -46,6 +46,11 @@ class PreconditionError(HypothesisError):
     """
 
 
+class VerificationError(MotivixError):
+    """An internal check of a computed result failed: the result is wrong
+    and must not be reported."""
+
+
 class ReductionError(MotivixError):
     """A differential-form reduction has no solution in the allowed shape."""
 

@@ -50,11 +50,16 @@ def _is_squarefree(n):
     return True
 
 
+_ZERO = Rat(0)
+_ONE = Rat(1)
+
+
 class QuadInt:
     """Element a + b*sqrt(-d) of the imaginary quadratic field Q(sqrt(-d)).
 
     d is a positive squarefree integer fixed per element; mixing elements
-    with different d raises InvalidInput.
+    with different d raises InvalidInput.  The public constructors check
+    d; arithmetic results are built with _make, which does not check again.
     """
 
     __slots__ = ("a", "b", "d")
@@ -66,6 +71,15 @@ class QuadInt:
         object.__setattr__(self, "a", Rat(a))
         object.__setattr__(self, "b", Rat(b))
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _make(cls, a, b, d):
+        """Trusted constructor: a and b Rat, d already validated."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadInt is immutable")
@@ -90,14 +104,14 @@ class QuadInt:
                 )
             return other
         if isinstance(other, (int, Rat)):
-            return QuadInt(other, 0, self.d)
+            return QuadInt._make(Rat(other), _ZERO, self.d)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadInt(self.a + o.a, self.b + o.b, self.d)
+        return QuadInt._make(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
 
@@ -105,23 +119,23 @@ class QuadInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadInt(self.a - o.a, self.b - o.b, self.d)
+        return QuadInt._make(self.a - o.a, self.b - o.b, self.d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadInt(o.a - self.a, o.b - self.b, self.d)
+        return QuadInt._make(o.a - self.a, o.b - self.b, self.d)
 
     def __neg__(self):
-        return QuadInt(-self.a, -self.b, self.d)
+        return QuadInt._make(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         # (a + b w)(a' + b' w) with w^2 = -d
-        return QuadInt(
+        return QuadInt._make(
             self.a * o.a - self.d * self.b * o.b,
             self.a * o.b + self.b * o.a,
             self.d,
@@ -133,7 +147,7 @@ class QuadInt:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt(-%d))" % self.d)
-        return QuadInt(self.a / n, -self.b / n, self.d)
+        return QuadInt._make(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -152,7 +166,7 @@ class QuadInt:
             return NotImplemented
         base = self if k >= 0 else self.inverse()
         k = abs(k)
-        out = QuadInt.one(self.d)
+        out = QuadInt._make(_ONE, _ZERO, self.d)
         while k:
             if k & 1:
                 out = out * base
@@ -161,7 +175,7 @@ class QuadInt:
         return out
 
     def conj(self):
-        return QuadInt(self.a, -self.b, self.d)
+        return QuadInt._make(self.a, -self.b, self.d)
 
     def norm(self):
         # a^2 + d b^2, nonnegative, zero only at zero

@@ -12,7 +12,7 @@ to degree 3 happens only inside rep_membership.
 import random
 
 from .cmlat import AXIOMATIC, build_model
-from .errors import InvalidInput, OracleError, ReductionError
+from .errors import InvalidInput, OracleError, ReductionError, VerificationError
 from .exact import row_echelon, solve_field
 from .motcalc import product_of_curves
 from .polyring import (
@@ -238,7 +238,8 @@ def pullback(phi, form):
                 terms[(i, j)] = sol[pos]
                 pos += 1
         f = BiPoly(terms, spec=spec)
-        assert ((f * B - A).y_reduce(F)).is_zero()
+        if not (f * B - A).y_reduce(F).is_zero():
+            raise VerificationError("pullback solution fails its back-check")
         return OmegaCoefficient(f, src)
     raise ReductionError(
         "no reduced representative up to x-degree %d" % _PULLBACK_XDEG_STEPS[-1]
@@ -539,11 +540,18 @@ def build_c6_instance(check_degrees=True):
     morphisms.append(phi3)
     forms = [pullback(mor, canonical_form(mor.target)) for mor in morphisms]
     classes = [rep_membership(f) for f in forms]
-    assert classes == per_morphism(V210, V300, V111)
+    if classes != per_morphism(V210, V300, V111):
+        raise VerificationError(
+            "pulled-back form classes %r, expected %r"
+            % (classes, per_morphism(V210, V300, V111))
+        )
     r1 = span_rank(forms[:6])
     r2 = span_rank(forms[6:9])
     rtot = span_rank(forms)
-    assert (r1, r2, rtot) == (6, 3, 10)
+    if (r1, r2, rtot) != (6, 3, 10):
+        raise VerificationError(
+            "pulled-back form ranks %r, expected (6, 3, 10)" % ((r1, r2, rtot),)
+        )
     computed = None
     mismatch = None
     if check_degrees:

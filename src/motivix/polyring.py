@@ -12,7 +12,7 @@ rational values stay one-dimensional.
 import itertools
 from fractions import Fraction as Rat
 
-from .errors import InvalidInput, ShapeError
+from .errors import InvalidInput, ShapeError, VerificationError
 from .exact import solve_field
 
 # name -> monic minpoly, ascending coefficients
@@ -48,47 +48,68 @@ def join_specs(a, b):
     return tuple(n for n, _ in KNOWN_GENS if n in names)
 
 
+def _reduce(spec, items):
+    """Coefficient dict of sum(q * gens^exps) over (exps, q) items:
+    every exponent below its generator's degree, no zero values."""
+    degs = tuple(len(_GEN_POLY[n]) - 1 for n in spec)
+    clean = {}
+    work = list(items)
+    while work:
+        exps, q = work.pop()
+        if not q:
+            continue
+        hot = None
+        for k, e in enumerate(exps):
+            if e >= degs[k]:
+                hot = k
+                break
+        if hot is None:
+            clean[exps] = clean.get(exps, 0) + q
+            continue
+        # rewrite gen^d via the minpoly, once, and requeue
+        poly = _GEN_POLY[spec[hot]]
+        d = degs[hot]
+        base = list(exps)
+        base[hot] -= d
+        for k in range(d):
+            if poly[k] == 0:
+                continue
+            e2 = list(base)
+            e2[hot] += k
+            work.append((tuple(e2), -poly[k] * q))
+    return {e: v for e, v in clean.items() if v}
+
+
 class MultiNf:
-    """Element of the product presentation Q[gens]/(minpolys)."""
+    """Element of the product presentation Q[gens]/(minpolys).
+
+    The public constructors validate; arithmetic on valid values builds
+    its results with _make, which does not check again.
+    """
 
     __slots__ = ("spec", "c")
 
     def __init__(self, spec, coeffs):
         spec = check_spec(spec)
-        degs = tuple(len(_GEN_POLY[n]) - 1 for n in spec)
-        clean = {}
-        work = list(coeffs.items())
-        while work:
-            exps, q = work.pop()
+        items = []
+        for exps, q in coeffs.items():
             q = Rat(q)
             if q == 0:
                 continue
             exps = tuple(exps)
             if len(exps) != len(spec):
                 raise ShapeError("exponent tuple %r for spec %r" % (exps, spec))
-            hot = None
-            for k, e in enumerate(exps):
-                if e >= degs[k]:
-                    hot = k
-                    break
-            if hot is None:
-                clean[exps] = clean.get(exps, Rat(0)) + q
-                continue
-            # rewrite gen^d via the minpoly, once, and requeue
-            poly = _GEN_POLY[spec[hot]]
-            d = degs[hot]
-            base = list(exps)
-            base[hot] -= d
-            for k in range(d):
-                if poly[k] == 0:
-                    continue
-                e2 = list(base)
-                e2[hot] += k
-                work.append((tuple(e2), -poly[k] * q))
+            items.append((exps, q))
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(
-            self, "c", {e: v for e, v in clean.items() if v != 0}
-        )
+        object.__setattr__(self, "c", _reduce(spec, items))
+
+    @classmethod
+    def _make(cls, spec, c):
+        """Trusted constructor: spec canonical, c reduced, Rat, no zeros."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "c", c)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiNf is immutable")
@@ -116,6 +137,8 @@ class MultiNf:
     # -- structure
 
     def lift(self, spec):
+        if spec == self.spec:
+            return self
         spec = check_spec(spec)
         pos = []
         for n in self.spec:
@@ -128,17 +151,20 @@ class MultiNf:
             for k, e in enumerate(exps):
                 e2[pos[k]] = e
             out[tuple(e2)] = q
-        return MultiNf(spec, out)
+        return MultiNf._make(spec, out)
 
     def is_zero(self):
         return not self.c
 
     def _pair(self, other):
         if isinstance(other, MultiNf):
+            if other.spec == self.spec:
+                return self, other
             spec = join_specs(self.spec, other.spec)
             return self.lift(spec), other.lift(spec)
         if isinstance(other, (int, Rat)):
-            return self, MultiNf.from_fraction(other, self.spec)
+            c = {(0,) * len(self.spec): Rat(other)} if other else {}
+            return self, MultiNf._make(self.spec, c)
         return None
 
     # -- arithmetic
@@ -150,20 +176,27 @@ class MultiNf:
         a, b = pair
         out = dict(a.c)
         for e, q in b.c.items():
-            out[e] = out.get(e, Rat(0)) + q
-        return MultiNf(a.spec, out)
+            s = out.pop(e, 0) + q
+            if s:
+                out[e] = s
+        return MultiNf._make(a.spec, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiNf(self.spec, {e: -q for e, q in self.c.items()})
+        return MultiNf._make(self.spec, {e: -q for e, q in self.c.items()})
 
     def __sub__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a + (-b)
+        out = dict(a.c)
+        for e, q in b.c.items():
+            s = out.pop(e, 0) - q
+            if s:
+                out[e] = s
+        return MultiNf._make(a.spec, out)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -177,8 +210,8 @@ class MultiNf:
         for e1, q1 in a.c.items():
             for e2, q2 in b.c.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, Rat(0)) + q1 * q2
-        return MultiNf(a.spec, out)
+                out[e] = out.get(e, 0) + q1 * q2
+        return MultiNf._make(a.spec, _reduce(a.spec, out.items()))
 
     __rmul__ = __mul__
 
@@ -193,7 +226,7 @@ class MultiNf:
         index = {e: k for k, e in enumerate(basis)}
         cols = []
         for e in basis:
-            prod = self * MultiNf(self.spec, {e: Rat(1)})
+            prod = self * MultiNf._make(self.spec, {e: Rat(1)})
             col = [Rat(0)] * len(basis)
             for e2, q in prod.c.items():
                 col[index[e2]] = q
@@ -202,8 +235,11 @@ class MultiNf:
         rhs = [Rat(0)] * len(basis)
         rhs[index[(0,) * len(self.spec)]] = Rat(1)
         sol = solve_field(rows, rhs)
-        assert sol is not None, "nonzero field element must be invertible"
-        return MultiNf(self.spec, {basis[k]: sol[k] for k in range(len(basis))})
+        if sol is None:
+            raise VerificationError("nonzero field element must be invertible")
+        return MultiNf._make(
+            self.spec, {e: q for e, q in zip(basis, sol) if q != 0}
+        )
 
     def __truediv__(self, other):
         pair = self._pair(other)
@@ -220,7 +256,7 @@ class MultiNf:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = MultiNf.one(self.spec)
+        out = MultiNf._make(self.spec, {(0,) * len(self.spec): Rat(1)})
         base = self
         while n:
             if n & 1:
@@ -230,6 +266,10 @@ class MultiNf:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, (int, Rat)):
+            if not other:
+                return not self.c
+            return len(self.c) == 1 and self.c.get((0,) * len(self.spec)) == other
         pair = self._pair(other)
         if pair is None:
             return NotImplemented

@@ -99,6 +99,19 @@ def test_build_model_validation():
         build_model(1, 2, glue=[(Rat(1, 5), Rat(2, 5))], exponents=(5, 4))
 
 
+def test_build_model_rejects_non_int_exponents():
+    for bad in [(5.7, "6"), (5.0, 6), (True, 6), (6, "6"), (6, None)]:
+        with pytest.raises(InvalidInput, match="exponents must be integers"):
+            build_model(1, 2, mode=AXIOMATIC, exponents=bad)
+    with pytest.raises(InvalidInput, match="exponents must be integers"):
+        build_model(1, 2, glue=[(Rat(1, 5), Rat(2, 5))], exponents=(5.0, 5.0))
+    m = build_model(1, 2, mode=AXIOMATIC, exponents=[5, 6])
+    assert m.atom_exponents == (5, 6)
+    m = build_model(1, 2, glue=[(Rat(1, 5), Rat(2, 5))])
+    assert build_model(1, 2, glue=[(Rat(1, 5), Rat(2, 5))],
+                       exponents=m.atom_exponents).atom_exponents == m.atom_exponents
+
+
 def test_maximal_order_changes_integrality():
     half = QuadInt(Rat(1, 2), Rat(1, 2), 3)  # (1 + sqrt(-3))/2
     x_rows = [[half, 0], [0, half]]

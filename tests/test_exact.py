@@ -11,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+from motivix import exact
 from motivix.errors import InvalidInput, RankError, ShapeError
 from motivix.exact import (
     ExactMatrix,
@@ -99,6 +100,48 @@ def test_quadint_ring_properties_random():
         assert x * (y + z) == x * y + x * z
         assert (x * y).conj() == x.conj() * y.conj()
         assert (x * y).norm() == x.norm() * y.norm()
+
+
+def test_quadint_checks_d_at_public_constructors_only(monkeypatch):
+    for bad in (lambda: QuadInt(1, 0, 4), lambda: QuadInt.zero(12),
+                lambda: QuadInt.one(0), lambda: QuadInt.sqrt_minus_d(18)):
+        with pytest.raises(InvalidInput):
+            bad()
+    d = 10**8 + 7
+    x = QuadInt(Rat(1, 2), 3, d)
+    y = QuadInt(-2, Rat(1, 5), d)
+    checked = []
+    real = exact._is_squarefree
+    monkeypatch.setattr(
+        exact, "_is_squarefree", lambda n: checked.append(n) or real(n)
+    )
+    results = {
+        "x+y": x + y, "x-y": x - y, "3-x": 3 - x, "x+1": x + 1,
+        "x*y": x * y, "x*2/3": x * Rat(2, 3), "x/y": x / y, "2/x": 2 / x,
+        "x**3": x**3, "x**-2": x**-2, "-x": -x, "conj": x.conj(),
+        "inv": x.inverse(),
+    }
+    assert checked == [], "arithmetic on valid values must not re-check d"
+    for name, r in results.items():
+        assert type(r.a) is Rat and type(r.b) is Rat and r.d == d, name
+        with pytest.raises(AttributeError):
+            r.a = Rat(0)
+    # the values agree with the validating constructor
+    want = {
+        "x+y": (x.a + y.a, x.b + y.b), "x-y": (x.a - y.a, x.b - y.b),
+        "3-x": (3 - x.a, -x.b), "x+1": (x.a + 1, x.b),
+        "x*y": (x.a * y.a - d * x.b * y.b, x.a * y.b + x.b * y.a),
+        "x*2/3": (x.a * Rat(2, 3), x.b * Rat(2, 3)), "-x": (-x.a, -x.b),
+        "conj": (x.a, -x.b),
+    }
+    for name, (a, b) in want.items():
+        assert results[name] == QuadInt(a, b, d), name
+    assert results["x/y"] * y == x
+    assert results["2/x"] * x == 2
+    assert results["x**3"] == x * x * x
+    assert results["x**-2"] * x * x == 1
+    assert results["inv"] * x == QuadInt.one(d)
+    assert checked == [d] * (len(want) + 1)
 
 
 # --- ExactMatrix -----------------------------------------------------------

@@ -1,12 +1,25 @@
 """Plane-curve pullbacks, representation membership, the degree
 oracle, and the assembled genus-10 instance."""
 
+import itertools
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import motivix
+from motivix import polyring
 from motivix.decomp import INDECOMPOSABLE, PROOFTRACE, decide
-from motivix.errors import InvalidInput, OracleError, ReductionError
+from motivix.errors import (
+    InvalidInput,
+    OracleError,
+    ReductionError,
+    ShapeError,
+    VerificationError,
+)
 from motivix.fermat import (
     G1_PERMS,
     G2_PERMS,
@@ -32,9 +45,11 @@ from motivix.fermat import (
     span_rank,
 )
 from motivix.polyring import (
+    KNOWN_GENS,
     BiPoly,
     MultiNf,
     RatFunc,
+    join_specs,
 )
 
 X = BiPoly.var_x()
@@ -55,6 +70,145 @@ def test_constant_tower():
     v = (2 + 3 * eps) * ALPHA / (1 - i)
     assert v * (1 - i) / ALPHA == 2 + 3 * eps
     assert MultiNf.from_fraction(F(3, 7)) + F(4, 7) == 1
+
+
+# --- the constant field's fast paths against the validating constructor
+
+GEN_DEG = {name: len(poly) - 1 for name, poly in KNOWN_GENS}
+SUB_SPECS = [
+    tuple(n for (n, _), kept in zip(KNOWN_GENS, keep) if kept)
+    for keep in itertools.product((False, True), repeat=len(KNOWN_GENS))
+]
+
+
+def raw_lift(x, spec):
+    """x's coefficients re-indexed on the larger spec, by name."""
+    out = {}
+    for exps, q in x.c.items():
+        named = dict(zip(x.spec, exps))
+        out[tuple(named.get(n, 0) for n in spec)] = q
+    return out
+
+
+def raw_sum(*terms):
+    out = {}
+    for sign, c in terms:
+        for e, q in c.items():
+            out[e] = out.get(e, 0) + sign * q
+    return out
+
+
+def raw_product(c1, c2):
+    """Exponents added, nothing rewritten by the minpolys."""
+    out = {}
+    for e1, q1 in c1.items():
+        for e2, q2 in c2.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + q1 * q2
+    return out
+
+
+def random_element(rng, spec):
+    """Exponents up to twice each degree, so the constructor must reduce."""
+    raw = {}
+    for _ in range(rng.randint(0, 5)):
+        e = tuple(rng.randint(0, 2 * GEN_DEG[n]) for n in spec)
+        raw[e] = F(rng.randint(-6, 6), rng.randint(1, 4))
+    return MultiNf(spec, raw)
+
+
+def assert_valid(x):
+    assert list(x.spec) == [n for n, _ in KNOWN_GENS if n in x.spec]
+    for e, q in x.c.items():
+        assert type(q) is F and q != 0
+        assert len(e) == len(x.spec)
+        assert all(0 <= k < GEN_DEG[n] for n, k in zip(x.spec, e))
+    with pytest.raises(AttributeError):
+        x.c = {}
+    with pytest.raises(AttributeError):
+        x.spec = ()
+
+
+def test_multinf_fast_paths_match_validating_constructor():
+    rng = random.Random(606)
+    assert len(set(SUB_SPECS)) == 8
+    for _ in range(150):
+        s1, s2 = rng.choice(SUB_SPECS), rng.choice(SUB_SPECS)
+        a, b = random_element(rng, s1), random_element(rng, s2)
+        spec = join_specs(s1, s2)
+        ca, cb = raw_lift(a, spec), raw_lift(b, spec)
+        r = F(rng.randint(-5, 5), rng.randint(1, 3))
+        cr = {(0,) * len(s1): r}
+        a2 = MultiNf(s1, raw_product(a.c, a.c))
+        cases = [
+            (a + b, raw_sum((1, ca), (1, cb))),
+            (a - b, raw_sum((1, ca), (-1, cb))),
+            (a * b, raw_product(ca, cb)),
+            (-a, raw_sum((-1, a.c))),
+            (a + r, raw_sum((1, a.c), (1, cr))),
+            (r - a, raw_sum((1, cr), (-1, a.c))),
+            (a * r, raw_product(a.c, cr)),
+            (a**0, {(0,) * len(s1): F(1)}),
+            (a**3, raw_product(a2.c, a.c)),
+        ]
+        for got, raw in cases:
+            assert_valid(got)
+            assert got.c == MultiNf(got.spec, raw).c
+        assert (a - a).c == {} and (a + (-a)).c == {}
+        if not b.is_zero():
+            q = a / b
+            assert_valid(q)
+            assert MultiNf(spec, raw_product(raw_lift(q, spec), cb)).c == ca
+            inv = b.inverse()
+            assert_valid(inv)
+            assert MultiNf(s2, raw_product(inv.c, b.c)) == 1
+            inv2 = b**-2
+            assert_valid(inv2)
+            b2 = MultiNf(s2, raw_product(b.c, b.c))
+            assert MultiNf(s2, raw_product(inv2.c, b2.c)) == 1
+            rb = r / b
+            assert_valid(rb)
+            assert MultiNf(s2, raw_product(rb.c, b.c)) == r
+        # equality with numbers, on constant and non-constant elements
+        const = MultiNf(s1, {(0,) * len(s1): r})
+        assert const == r and (const == r + 1) is False
+        assert (const == 0) is (r == 0)
+        assert MultiNf(s1, {}) == 0 and MultiNf.one(s1) == 1
+        assert MultiNf.one(s1) != 0 and MultiNf(s1, {}) != 1
+        if any(any(e) for e in a.c):
+            for n in (0, 1, r, a.c.get((0,) * len(s1), F(0))):
+                assert a != n and not a == n
+        assert (a == b) is (ca == cb)
+        assert a == MultiNf(spec, ca) and MultiNf(spec, ca) == a
+
+
+def test_multinf_public_constructors_still_validate(monkeypatch):
+    i = MultiNf.gen("i")
+    with pytest.raises(ShapeError):
+        i.lift(("eps", "cbrt4"))
+    with pytest.raises(InvalidInput):
+        i.lift(("i", "eps"))
+    with pytest.raises(InvalidInput):
+        MultiNf(("i", "eps"), {(0, 1): 1})
+    with pytest.raises(InvalidInput):
+        MultiNf.from_fraction(1, ("cbrt4", "eps"))
+    with pytest.raises(ShapeError):
+        MultiNf(("i",), {(1, 0): 1})
+    assert i.lift(("i",)) is i
+    with pytest.raises(InvalidInput):
+        MultiNf.zero(()).inverse()
+    # arithmetic within one spec validates nothing again
+    a = MultiNf(("eps", "i"), {(1, 1): 2, (0, 0): F(1, 3)})
+    b = MultiNf(("eps", "i"), {(1, 0): -1, (0, 1): 5})
+    checked = []
+    real = polyring.check_spec
+    monkeypatch.setattr(polyring, "check_spec", lambda s: checked.append(s) or real(s))
+    quotient, inverse = a / b, a**-1
+    rest = (a + b, a - b, a * b, -a, a**2, 3 - a, a * F(1, 2))
+    assert (a == 1, a == b, a - a == 0) == (False, False, True)
+    assert checked == []
+    assert quotient * b == a and inverse * a == 1
+    assert all(r.spec == a.spec for r in rest)
 
 
 def test_bipoly_division_and_calculus():
@@ -214,3 +368,49 @@ def test_c6_instance_without_degree_check():
     assert inst.report["computed_degrees"] is None
     assert inst.report["degree_exponent_mismatch"] is None
     assert inst.report["form_ranks"]["total"] == 10
+
+
+OPTIMIZED_CHECK = """
+import sys
+
+from motivix import fermat, polyring
+from motivix.errors import VerificationError
+
+print("optimize:", sys.flags.optimize)
+
+real = fermat.solve_field
+
+
+def perturbed(rows, rhs):
+    sol = real(rows, rhs)
+    if sol is not None:
+        sol[0] = sol[0] + 1
+    return sol
+
+
+phi1, _, _ = fermat.c6_generator_morphisms()
+fermat.solve_field = perturbed
+try:
+    fermat.pullback(phi1, fermat.canonical_form(phi1.target))
+except VerificationError as exc:
+    print("pullback:", exc)
+polyring.solve_field = lambda rows, rhs: None
+try:
+    polyring.MultiNf.gen("i").inverse()
+except VerificationError as exc:
+    print("inverse:", exc)
+"""
+
+
+def test_checks_fire_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(motivix.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECK],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert out == (
+        "optimize: 1\n"
+        "pullback: pullback solution fails its back-check\n"
+        "inverse: nonzero field element must be invertible\n"
+    )
