@@ -22,15 +22,16 @@ from .polyring import (
     RatFunc,
     _BadPrime,
     _as_ratfunc,
-    fp2_deg_x,
     fp2_deg_y,
     fp2_eval_x,
+    fp2_res_deg_bound,
     fp2_scale,
     fp2_shear,
     fp2_sub,
     fp_distinct_root_count,
     fp_interp,
     fp_resultant,
+    fp_trim,
     join_specs,
 )
 
@@ -162,7 +163,10 @@ class OmegaCoefficient:
     def __init__(self, poly, curve):
         if not isinstance(poly, BiPoly) or not isinstance(curve, PlaneCurve):
             raise InvalidInput("OmegaCoefficient takes a BiPoly and a PlaneCurve")
-        assert poly.deg_y < curve.deg_y or poly.is_zero()
+        if poly.deg_y >= curve.deg_y and not poly.is_zero():
+            raise InvalidInput(
+                "OmegaCoefficient needs y-degree below that of its curve"
+            )
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "curve", curve)
 
@@ -366,7 +370,6 @@ def _route_count(F_fp, A_fp, B_fp, p, rng, trials):
     counted over the algebraic closure by eliminating y with resultants
     after a random shear (the shear separates x-coordinates and feeds
     y-dependence into pure-x components)."""
-    dy = fp2_deg_y(F_fp)
     sheared = []
     for _ in range(8):
         lam = rng.randrange(1, p)
@@ -388,24 +391,32 @@ def _route_count(F_fp, A_fp, B_fp, p, rng, trials):
         raise _BadPrime("no usable shear")
     best = 0
     for Ft, At, Bt in sheared:
-        dxF, dyF = fp2_deg_x(Ft), fp2_deg_y(Ft)
+        # F, A and B at each x0, evaluated once for all trials; A and B
+        # padded to one length so that G(x0) = A(x0) - u0*B(x0) zips
+        width = max(fp2_deg_y(At), fp2_deg_y(Bt)) + 1
+        at_x = {}
         for _ in range(trials):
             u0 = rng.randrange(1, p)
             Gt = fp2_sub(At, fp2_scale(Bt, u0, p), p)
-            if not Gt:
+            if fp2_deg_y(Gt) < 1:  # zero, or free of y
                 continue
-            dxG, dyG = fp2_deg_x(Gt), fp2_deg_y(Gt)
-            if dyG < 1:
-                continue
-            bound = dxF * dyG + dxG * dyF
-            xs = list(range(bound + 1))
-            vals = [
-                fp_resultant(fp2_eval_x(Ft, x0, p), fp2_eval_x(Gt, x0, p), p)
-                for x0 in xs
-            ]
+            vals = []
+            for x0 in range(fp2_res_deg_bound(Ft, Gt) + 1):
+                ev = at_x.get(x0)
+                if ev is None:
+                    a0 = fp2_eval_x(At, x0, p)
+                    b0 = fp2_eval_x(Bt, x0, p)
+                    ev = at_x[x0] = (
+                        fp2_eval_x(Ft, x0, p),
+                        a0 + [0] * (width - len(a0)),
+                        b0 + [0] * (width - len(b0)),
+                    )
+                f0, a0, b0 = ev
+                g0 = fp_trim([(a - u0 * b) % p for a, b in zip(a0, b0)])
+                vals.append(fp_resultant(f0, g0, p))
             if not any(vals):
                 continue
-            R = fp_interp(xs, vals, p)
+            R = fp_interp(range(len(vals)), vals, p)
             best = max(best, fp_distinct_root_count(R, p))
     if best == 0:
         raise _BadPrime("no informative fiber sample")
@@ -424,6 +435,8 @@ def degree(phi, primes=None, trials=6, seed=0, attempts=25):
     """
     if not isinstance(phi, CurveMorphism):
         raise InvalidInput("degree takes a CurveMorphism")
+    if phi.target.F.deg_x < 1 or phi.target.F.deg_y < 1:
+        raise InvalidInput("degree needs a target of positive x- and y-degree")
     rng = random.Random(seed)
     spec = ()
     parts = (
@@ -451,7 +464,6 @@ def degree(phi, primes=None, trials=6, seed=0, attempts=25):
             F_fp = phi.source.F.lift(spec).map_fp(p, assign)
             vals = []
             for comp, target_deg in routes:
-                assert target_deg > 0
                 A_fp = comp.num.lift(spec).map_fp(p, assign)
                 B_fp = comp.den.lift(spec).map_fp(p, assign)
                 if not B_fp or not A_fp:

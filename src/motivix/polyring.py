@@ -650,7 +650,8 @@ class RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# mod-p univariate toolkit (dense lists, low degree first)
+# mod-p univariate toolkit (dense lists of residues in range(p), low degree
+# first)
 
 
 def fp_trim(f):
@@ -659,47 +660,36 @@ def fp_trim(f):
     return f
 
 
-def fp_add(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for k, c in enumerate(f):
-        out[k] = c
-    for k, c in enumerate(g):
-        out[k] = (out[k] + c) % p
-    return fp_trim(out)
-
-
-def fp_sub(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for k, c in enumerate(f):
-        out[k] = c
-    for k, c in enumerate(g):
-        out[k] = (out[k] - c) % p
-    return fp_trim(out)
-
-
 def fp_scale(f, s, p):
     s %= p
     return fp_trim([c * s % p for c in f])
 
 
+def _fp_reduce(r, g, p, q=None):
+    """r mod g, top-down in one pass, overwriting the list r and
+    returning it trimmed; g is trimmed and nonzero.  Quotient
+    coefficients go into q when it is given."""
+    dg = len(g) - 1
+    inv = pow(g[-1], p - 2, p)
+    for k in range(len(r) - 1 - dg, -1, -1):
+        c = r[k + dg] * inv % p
+        if c:
+            if q is not None:
+                q[k] = c
+            for t in range(dg):
+                r[k + t] = (r[k + t] - c * g[t]) % p
+    del r[dg:]
+    return fp_trim(r)
+
+
 def fp_divmod(f, g, p):
-    f = list(f)
     g = fp_trim(list(g))
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    inv = pow(g[-1], p - 2, p)
-    dg = len(g) - 1
-    q = [0] * max(0, len(f) - dg)
-    while fp_trim(f) and len(f) - 1 >= dg:
-        k = len(f) - 1 - dg
-        c = f[-1] * inv % p
-        q[k] = c
-        for t, gc in enumerate(g):
-            f[k + t] = (f[k + t] - c * gc) % p
-        f = fp_trim(f)
-    return fp_trim(q), fp_trim(f)
+    r = fp_trim(list(f))
+    q = [0] * max(0, len(r) - len(g) + 1)
+    r = _fp_reduce(r, g, p, q)
+    return fp_trim(q), r
 
 
 def fp_deriv(f, p):
@@ -709,26 +699,28 @@ def fp_deriv(f, p):
 def fp_gcd(f, g, p):
     f, g = fp_trim(list(f)), fp_trim(list(g))
     while g:
-        f, g = g, fp_divmod(f, g, p)[1]
+        f, g = g, _fp_reduce(f, g, p)
     if f:
         f = fp_scale(f, pow(f[-1], p - 2, p), p)
     return f
 
 
 def fp_interp(xs, ys, p):
-    """Newton interpolation; xs distinct mod p."""
+    """Newton interpolation; xs distinct mod p.  Each distinct
+    difference xs[k] - xs[k - j] is inverted once."""
     n = len(xs)
     co = [y % p for y in ys]
+    inverses = {}
     for j in range(1, n):
-        for k in range(n - 1, j - 1, -1):
-            inv = pow((xs[k] - xs[k - j]) % p, p - 2, p)
-            co[k] = (co[k] - co[k - 1]) * inv % p
+        ds = [(b - a) % p for a, b in zip(xs, xs[j:])]
+        for d in set(ds).difference(inverses):
+            inverses[d] = pow(d, p - 2, p)
+        co[j:] = [(b - a) * inverses[d] % p for a, b, d in zip(co[j - 1 :], co[j:], ds)]
+    # Horner on the Newton form: poly <- poly*(X - xs[k]) + co[k]
     poly = [co[n - 1]]
     for k in range(n - 2, -1, -1):
-        # poly = poly*(X - xs[k]) + co[k]
-        shifted = [0] + poly
-        poly = fp_sub(shifted, fp_scale(poly, xs[k], p), p)
-        poly = fp_add(poly, [co[k]], p)
+        a = xs[k]
+        poly = [(lo - a * hi) % p for lo, hi in zip([co[k]] + poly, poly + [0])]
     return fp_trim(poly)
 
 
@@ -746,7 +738,7 @@ def fp_resultant(f, g, p):
                 res = -res % p
             f, g = g, f
             continue
-        r = fp_divmod(f, g, p)[1]
+        r = _fp_reduce(f, g, p)
         if not r:
             return 0
         dr = len(r) - 1
@@ -823,6 +815,22 @@ def fp2_deg_y(f):
     return max((j for (_, j) in f), default=-1)
 
 
+def fp2_res_deg_bound(f, g):
+    """An upper bound on deg_x Res_y(f, g): the smaller of the classical
+    dx(f)*dy(g) + dx(g)*dy(f) and M*n + m*N - m*n, where M, N are the
+    total and m, n the y-degrees of f, g.  For the second, the Sylvester
+    entry in the row of y^k * f and the column of y^e is the coefficient
+    of y^(e-k) in f, of x-degree at most (M + k) - e; likewise for g.
+    Summing the row weights M + k (k < n) and N + k (k < m) and
+    subtracting every e < m + n gives M*n + m*N - m*n, which is
+    M*N - (M - m)*(N - n)."""
+    m, n = fp2_deg_y(f), fp2_deg_y(g)
+    classical = fp2_deg_x(f) * n + fp2_deg_x(g) * m
+    M = max(i + j for (i, j) in f)
+    N = max(i + j for (i, j) in g)
+    return min(classical, M * n + m * N - m * n)
+
+
 __all__ = [
     "KNOWN_GENS",
     "MultiNf",
@@ -830,8 +838,6 @@ __all__ = [
     "RatFunc",
     "join_specs",
     "fp_trim",
-    "fp_add",
-    "fp_sub",
     "fp_scale",
     "fp_divmod",
     "fp_deriv",
@@ -845,4 +851,5 @@ __all__ = [
     "fp2_eval_x",
     "fp2_deg_x",
     "fp2_deg_y",
+    "fp2_res_deg_bound",
 ]

@@ -341,6 +341,27 @@ def test_degree_oracle():
         degree(phi1, primes=[])
 
 
+def test_degree_rejects_a_flat_target_before_drawing_a_prime():
+    y = BiPoly.var_y()
+    flat = PlaneCurve(y**2 - 1)
+    assert flat.deg_x == 0
+    phi = CurveMorphism(cm_elliptic(), flat, X, 1)
+
+    def primes():
+        raise AssertionError("a prime was drawn")
+        yield
+
+    with pytest.raises(InvalidInput, match="positive x- and y-degree"):
+        degree(phi, primes=primes())
+
+
+def test_omega_coefficient_rejects_unreduced_polynomials():
+    with pytest.raises(InvalidInput, match="y-degree below"):
+        OmegaCoefficient(Y**2, cm_elliptic())
+    assert OmegaCoefficient(Y, cm_elliptic()).poly == Y
+    assert OmegaCoefficient(BiPoly.const(0) * Y**3, cm_elliptic()).poly.is_zero()
+
+
 def test_degree_determinism():
     _, phi2, _ = c6_generator_morphisms()
     assert degree(phi2, seed=1) == degree(phi2, seed=2) == 12
@@ -374,7 +395,7 @@ OPTIMIZED_CHECK = """
 import sys
 
 from motivix import fermat, polyring
-from motivix.errors import VerificationError
+from motivix.errors import InvalidInput, VerificationError
 
 print("optimize:", sys.flags.optimize)
 
@@ -399,6 +420,27 @@ try:
     polyring.MultiNf.gen("i").inverse()
 except VerificationError as exc:
     print("inverse:", exc)
+y = polyring.BiPoly.var_y()
+flat = fermat.CurveMorphism(
+    fermat.cm_elliptic(), fermat.PlaneCurve(y**2 - 1), polyring.BiPoly.var_x(), 1
+)
+drawn = []
+
+
+def primes():
+    while True:
+        drawn.append(1)
+        yield 307
+
+
+try:
+    fermat.degree(flat, primes=primes())
+except InvalidInput as exc:
+    print("degree:", exc, len(drawn))
+try:
+    fermat.OmegaCoefficient(y**2, fermat.cm_elliptic())
+except InvalidInput as exc:
+    print("omega:", exc)
 """
 
 
@@ -413,4 +455,6 @@ def test_checks_fire_under_python_O():
         "optimize: 1\n"
         "pullback: pullback solution fails its back-check\n"
         "inverse: nonzero field element must be invertible\n"
+        "degree: degree needs a target of positive x- and y-degree 0\n"
+        "omega: OmegaCoefficient needs y-degree below that of its curve\n"
     )

@@ -1,0 +1,339 @@
+"""The mod-p toolkit under the degree oracle, against plain-definition
+oracles: resultants against Sylvester determinants, division and
+interpolation by reconstruction, the resultant degree bound, and the
+fiber count against the loop it replaced."""
+
+import random
+
+import pytest
+
+from motivix import fermat
+from motivix.fermat import _route_count, c6_generator_morphisms, degree
+from motivix.polyring import (
+    _BadPrime,
+    fp2_deg_x,
+    fp2_deg_y,
+    fp2_eval_x,
+    fp2_res_deg_bound,
+    fp2_scale,
+    fp2_shear,
+    fp2_sub,
+    fp_distinct_root_count,
+    fp_divmod,
+    fp_interp,
+    fp_resultant,
+    fp_trim,
+    join_specs,
+)
+
+P = 1009
+
+
+def det_mod_p(rows, p):
+    """Determinant by Gaussian elimination mod p."""
+    a = [[c % p for c in row] for row in rows]
+    n = len(a)
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det = det * a[col][col] % p
+        inv = pow(a[col][col], p - 2, p)
+        for r in range(col + 1, n):
+            factor = a[r][col] * inv % p
+            if factor:
+                a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[col])]
+    return det % p
+
+
+def sylvester_resultant(f, g, m, n, p):
+    """det of the Sylvester matrix of f and g read with formal degrees
+    m and n (dense lists, low degree first); row k of each block holds
+    the coefficients from the top degree down, starting at column k."""
+    f = list(f) + [0] * (m + 1 - len(f))
+    g = list(g) + [0] * (n + 1 - len(g))
+    size = m + n
+    rows = []
+    for k in range(n):
+        row = [0] * size
+        for e, c in enumerate(f):
+            row[m - e + k] = c
+        rows.append(row)
+    for k in range(m):
+        row = [0] * size
+        for e, c in enumerate(g):
+            row[n - e + k] = c
+        rows.append(row)
+    return det_mod_p(rows, p)
+
+
+def poly_mul(f, g, p):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+def poly_eval(f, x0, p):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x0 + c) % p
+    return acc
+
+
+def random_poly(rng, deg, p):
+    return [rng.randrange(p) for _ in range(deg + 1)]
+
+
+def test_fp_resultant_matches_sylvester_determinant():
+    rng = random.Random(70101)
+    for _ in range(400):
+        f = random_poly(rng, rng.randrange(0, 7), P)
+        g = random_poly(rng, rng.randrange(0, 7), P)
+        if rng.random() < 0.25:
+            g = g + [0] * rng.randrange(1, 3)  # trailing zeros are trimmed
+        tf, tg = fp_trim(list(f)), fp_trim(list(g))
+        want = (
+            sylvester_resultant(tf, tg, len(tf) - 1, len(tg) - 1, P)
+            if tf and tg
+            else 0
+        )
+        assert fp_resultant(f, g, P) == want
+    # constants, and the zero polynomial on either side
+    assert fp_resultant([3], [5], P) == 1
+    assert fp_resultant([3], [1, 2, 1], P) == 9
+    assert fp_resultant([1, 2, 1], [3], P) == 9
+    assert fp_resultant([], [1, 1], P) == fp_resultant([1, 1], [0, 0], P) == 0
+    # a common root gives 0: (X - 2)(X - 3) against (X - 3)(X + 1)
+    assert fp_resultant(
+        poly_mul([-2 % P, 1], [-3 % P, 1], P), poly_mul([-3 % P, 1], [1, 1], P), P
+    ) == 0
+
+
+def test_fp_resultant_of_monic_f_ignores_degree_drop_in_g():
+    """With f monic, Res(f, g) read at g's formal degree equals the
+    resultant of the trimmed g: the identity the degree oracle relies on
+    when G(x0) loses its leading y-coefficient."""
+    rng = random.Random(70102)
+    for _ in range(200):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+        f = random_poly(rng, m - 1, P) + [1]
+        drop = rng.randrange(1, n + 1)
+        g = random_poly(rng, n - drop, P) + [0] * drop
+        assert fp_resultant(f, g, P) == sylvester_resultant(f, g, m, n, P)
+
+
+def test_fp_divmod_reconstructs_the_dividend():
+    rng = random.Random(70103)
+    for _ in range(300):
+        f = random_poly(rng, rng.randrange(0, 10), P)
+        g = fp_trim(random_poly(rng, rng.randrange(0, 6), P))
+        if not g:
+            continue
+        if rng.random() < 0.2:
+            f = f + [0, 0]
+        q, r = fp_divmod(f, g, P)
+        assert len(r) < len(g)
+        assert q == fp_trim(list(q)) and r == fp_trim(list(r))
+        prod = poly_mul(q, g, P)
+        total = [0] * max(len(prod), len(r))
+        for k, c in enumerate(prod):
+            total[k] = c
+        for k, c in enumerate(r):
+            total[k] = (total[k] + c) % P
+        assert fp_trim(total) == fp_trim(list(f))
+    assert fp_divmod([1, 2], [0, 0, 5], P) == ([], [1, 2])
+    with pytest.raises(ZeroDivisionError):
+        fp_divmod([1, 2], [0, 0], P)
+
+
+def test_fp_interp_round_trip_on_scattered_points():
+    rng = random.Random(70104)
+    for _ in range(100):
+        deg = rng.randrange(0, 15)
+        poly = fp_trim(random_poly(rng, deg, P))
+        xs = rng.sample(range(P), deg + 1 + rng.randrange(0, 4))
+        ys = [poly_eval(poly, x0, P) for x0 in xs]
+        assert fp_interp(xs, ys, P) == poly
+        # arbitrary values: the interpolant has degree < n and hits them
+        ys = [rng.randrange(P) for _ in xs]
+        got = fp_interp(xs, ys, P)
+        assert len(got) <= len(xs)
+        assert [poly_eval(got, x0, P) for x0 in xs] == ys
+    assert fp_interp([5], [7], P) == [7]
+
+
+def random_bivariate(rng, total, ydeg, monic, p):
+    """A dict {(i, j): c} of total degree `total` and y-degree `ydeg`;
+    when monic, y^ydeg has coefficient 1 and no x-dependence."""
+    out = {}
+    for j in range(ydeg + (0 if monic else 1)):
+        for i in range(total - j + 1):
+            if rng.random() < 0.6:
+                out[(i, j)] = rng.randrange(1, p)
+    if monic:
+        out[(0, ydeg)] = 1
+        out[(total, 0)] = rng.randrange(1, p)
+    else:
+        out[(total - ydeg, ydeg)] = rng.randrange(1, p)
+    return out
+
+
+def res_y_at(F, G, x0, p):
+    m, n = fp2_deg_y(F), fp2_deg_y(G)
+    return sylvester_resultant(
+        fp2_eval_x(F, x0, p), fp2_eval_x(G, x0, p), m, n, p
+    )
+
+
+def test_resultant_degree_bound():
+    """deg_x Res_y(F, G) <= M*n + m*N - m*n, on pairs whose y-degree is
+    below their total degree; interpolating from either bound gives the
+    same R."""
+    rng = random.Random(70105)
+    tighter = 0
+    for _ in range(60):
+        monic = rng.random() < 0.7
+        m = rng.randrange(1, 4)
+        M = rng.randrange(m + (1 if monic else 0), m + 3)
+        n = rng.randrange(1, 4)
+        N = rng.randrange(n, n + 3)
+        F = random_bivariate(rng, M, m, monic, P)
+        G = random_bivariate(rng, N, n, False, P)
+        assert fp2_deg_y(F) == m and max(i + j for (i, j) in F) == M
+        assert fp2_deg_y(G) == n and max(i + j for (i, j) in G) == N
+        classical = fp2_deg_x(F) * n + fp2_deg_x(G) * m
+        bound = fp2_res_deg_bound(F, G)
+        assert bound == min(classical, M * n + m * N - m * n)
+        tighter += bound < classical
+        # each Sylvester entry has x-degree <= max(M, N): a bound that
+        # trusts neither lemma
+        xs = range((m + n) * max(M, N) + 1)
+        R = fp_interp(xs, [res_y_at(F, G, x0, P) for x0 in xs], P)
+        assert len(R) - 1 <= bound
+        if monic:
+            # the oracle's evaluation: resultants of the specialized
+            # polynomials, whose y-degree in G may drop
+            vals = [
+                fp_resultant(fp2_eval_x(F, x0, P), fp2_eval_x(G, x0, P), P)
+                for x0 in range(classical + 1)
+            ]
+            assert fp_interp(range(bound + 1), vals[: bound + 1], P) == R
+            assert fp_interp(range(classical + 1), vals, P) == R
+    assert tighter >= 20
+
+
+def old_route_count(F_fp, A_fp, B_fp, p, rng, trials):
+    """The fiber count as it was: the classical point count, and every
+    polynomial evaluated afresh for every trial."""
+    sheared = []
+    for _ in range(8):
+        lam = rng.randrange(1, p)
+        Ft = fp2_shear(F_fp, lam, p)
+        dyt = fp2_deg_y(Ft)
+        if any(i > 0 for (i, j) in Ft if j == dyt):
+            continue
+        lc = Ft.get((0, dyt), 0)
+        if not lc:
+            continue
+        Ft = fp2_scale(Ft, pow(lc, p - 2, p), p)
+        At = fp2_shear(A_fp, lam, p)
+        Bt = fp2_shear(B_fp, lam, p)
+        sheared.append((Ft, At, Bt))
+        if len(sheared) == 2:
+            break
+    if not sheared:
+        raise _BadPrime("no usable shear")
+    best = 0
+    for Ft, At, Bt in sheared:
+        dxF, dyF = fp2_deg_x(Ft), fp2_deg_y(Ft)
+        for _ in range(trials):
+            u0 = rng.randrange(1, p)
+            Gt = fp2_sub(At, fp2_scale(Bt, u0, p), p)
+            if not Gt:
+                continue
+            dxG, dyG = fp2_deg_x(Gt), fp2_deg_y(Gt)
+            if dyG < 1:
+                continue
+            xs = list(range(dxF * dyG + dxG * dyF + 1))
+            vals = [
+                fp_resultant(fp2_eval_x(Ft, x0, p), fp2_eval_x(Gt, x0, p), p)
+                for x0 in xs
+            ]
+            if not any(vals):
+                continue
+            R = fp_interp(xs, vals, p)
+            best = max(best, fp_distinct_root_count(R, p))
+    if best == 0:
+        raise _BadPrime("no informative fiber sample")
+    return best
+
+
+def outcome(fn, args, seed):
+    rng = random.Random(seed)
+    try:
+        result = fn(*args, rng, 6)
+    except _BadPrime:
+        result = "bad prime"
+    return result, rng.getstate()
+
+
+def test_route_count_matches_the_previous_loop():
+    cases = 0
+    for phi in c6_generator_morphisms():
+        spec = ()
+        for part in (
+            phi.source.F, phi.target.F, phi.u.num, phi.u.den, phi.v.num, phi.v.den
+        ):
+            spec = join_specs(spec, part.spec)
+        for p in (307, 313, 337, 349):
+            try:
+                assign = fermat._gen_assignment(spec, p)
+            except _BadPrime:
+                continue
+            F_fp = phi.source.F.lift(spec).map_fp(p, assign)
+            for comp in (phi.u, phi.v):
+                A_fp = comp.num.lift(spec).map_fp(p, assign)
+                B_fp = comp.den.lift(spec).map_fp(p, assign)
+                args = (F_fp, A_fp, B_fp, p)
+                for seed in (1, 2):
+                    assert outcome(_route_count, args, seed) == outcome(
+                        old_route_count, args, seed
+                    )
+                    cases += 1
+    # small random curves and maps, where shears and samples can fail
+    rng = random.Random(70106)
+    p = 331
+    for _ in range(12):
+        F_fp = random_bivariate(rng, rng.randrange(2, 4), rng.randrange(1, 3), False, p)
+        A_fp = random_bivariate(rng, rng.randrange(1, 3), rng.randrange(0, 2), False, p)
+        B_fp = {(0, 0): 1} if rng.random() < 0.5 else {(1, 0): 1}
+        args = (F_fp, A_fp, B_fp, p)
+        assert outcome(_route_count, args, 3) == outcome(old_route_count, args, 3)
+        cases += 1
+    # G = (1 - u0) * 1 never depends on y: no informative sample
+    args = ({(0, 2): 1, (1, 0): 1}, {(0, 0): 1}, {(0, 0): 1}, p)
+    assert outcome(_route_count, args, 4)[0] == "bad prime"
+    assert outcome(_route_count, args, 4) == outcome(old_route_count, args, 4)
+    assert cases >= 30
+
+
+def test_degree_oracle_resultant_count(monkeypatch):
+    """The three generator degrees take 4,320 point resultants (the
+    classical point count took 6,912)."""
+    calls = [0]
+
+    def counting(f, g, p):
+        calls[0] += 1
+        return fp_resultant(f, g, p)
+
+    monkeypatch.setattr(fermat, "fp_resultant", counting)
+    assert tuple(degree(phi) for phi in c6_generator_morphisms()) == (6, 12, 4)
+    assert calls[0] == 4320
