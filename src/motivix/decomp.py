@@ -42,6 +42,7 @@ from .errors import (
     HypothesisError,
     InvalidInput,
     UnsupportedQuery,
+    VerificationError,
 )
 
 EXHAUSTIVE = "EXHAUSTIVE"
@@ -213,8 +214,9 @@ def _grids(m):
 def eval_probe(c, p, m):
     """Convolve both sides of the candidate against the probe.
 
-    Returns (lambda_image, xi_image); their sum is rosati(sigma_J), which
-    is asserted.  Only the cells over the probe's graph contribute."""
+    Returns (lambda_image, xi_image); their sum must be rosati(sigma_J),
+    else VerificationError.  Only the cells over the probe's graph
+    contribute."""
     if not isinstance(c, Candidate):
         raise CandidateError("eval_probe expects a Candidate")
     if c.g != m.g:
@@ -222,7 +224,8 @@ def eval_probe(c, p, m):
     grids = _grids(m)
     lam = conv(p.endo, _side_class(m, (c.U_lambda, c.V_lambda, c.W_lambda), grids))
     xi = conv(p.endo, _side_class(m, (c.U_xi, c.V_xi, c.W_xi), grids))
-    assert lam + xi == rosati(p.endo, m), "side images must sum to rosati(sigma_J)"
+    if lam + xi != rosati(p.endo, m):
+        raise VerificationError("side images must sum to rosati(sigma_J)")
     return lam, xi
 
 
@@ -487,9 +490,11 @@ def _decide_exhaustive(m, probes):
                     diag_trivial_only += 1
                     continue
                 witness = _build_witness(g, um, vm, wm, choice)
-                assert witness.is_nontrivial()
+                if not witness.is_nontrivial():
+                    raise VerificationError("materialized witness must be nontrivial")
                 check = refute(witness, m, probes)
-                assert not check.refuted, "materialized witness must pass"
+                if check.refuted:
+                    raise VerificationError("materialized witness must pass")
                 extra = [
                     _note(
                         "diagonal-case",

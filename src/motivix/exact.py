@@ -324,11 +324,16 @@ class ExactMatrix:
 def row_echelon(rows, ncols):
     """Forward Gaussian elimination over a field, in place.
 
-    rows: list of row lists whose entries support +, -, *, / and == 0
-    (Rat, QuadInt, MultiNf). Pivots are sought in the first ncols
-    columns only. Returns the pivot columns: afterwards row k has its
-    pivot at pivots[k] and zeros below it in that column, and the rows
-    past len(pivots) are zero in the first ncols columns.
+    rows: list of mutable row lists whose entries support +, -, *, /,
+    ** 0 and == 0 (Rat, QuadInt, MultiNf); the list and its rows are
+    overwritten.
+    Pivots are sought in the first ncols columns only. Returns the pivot
+    columns: afterwards row k has its pivot at pivots[k], scaled to
+    exactly 1, and zeros below it in that column, and the rows past
+    len(pivots) are zero in the first ncols columns.
+
+    Each pivot is inverted once, to scale its row; eliminating it from a
+    row below touches only the columns where the pivot row is nonzero.
     """
     m = len(rows)
     pivots = []
@@ -341,11 +346,20 @@ def row_echelon(rows, ncols):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         lead = rows[r]
+        p = lead[c]
+        inv = _ONE / p
+        nonzero = [j for j in range(c + 1, len(lead)) if lead[j] != 0]
+        for j in nonzero:
+            lead[j] = inv * lead[j]
+        lead[c] = p ** 0  # exactly 1, of the pivot's own type
+        zero = p * 0
         for i in range(r + 1, m):
-            f = rows[i][c]
+            row = rows[i]
+            f = row[c]
             if f != 0:
-                f = f / lead[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+                row[c] = zero
+                for j in nonzero:
+                    row[j] = row[j] - f * lead[j]
         pivots.append(c)
     return pivots
 
@@ -355,6 +369,8 @@ def solve_field(mat, rhs):
 
     mat: ExactMatrix or list of rows; rhs: list. Returns a solution list
     (free variables set to 0) or None if the system is inconsistent.
+    The pivots row_echelon leaves are 1, so back substitution divides by
+    nothing.
     """
     if isinstance(mat, ExactMatrix):
         rows = mat.entries
@@ -374,8 +390,9 @@ def solve_field(mat, rhs):
         row = aug[k]
         acc = row[n]
         for c in pivots[k + 1:]:
-            acc = acc - row[c] * x[c]
-        x[pivots[k]] = acc / row[pivots[k]]
+            if row[c] != 0:
+                acc = acc - row[c] * x[c]
+        x[pivots[k]] = acc
     return x
 
 

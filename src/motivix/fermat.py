@@ -400,8 +400,13 @@ def _route_count(F_fp, A_fp, B_fp, p, rng, trials):
             Gt = fp2_sub(At, fp2_scale(Bt, u0, p), p)
             if fp2_deg_y(Gt) < 1:  # zero, or free of y
                 continue
+            bound = fp2_res_deg_bound(Ft, Gt)
+            if bound >= p:
+                raise _BadPrime(
+                    "%d interpolation points do not exist mod %d" % (bound + 1, p)
+                )
             vals = []
-            for x0 in range(fp2_res_deg_bound(Ft, Gt) + 1):
+            for x0 in range(bound + 1):
                 ev = at_x.get(x0)
                 if ev is None:
                     a0 = fp2_eval_x(At, x0, p)

@@ -1,7 +1,7 @@
 """Tests for the exact arithmetic foundation.
 
 Expected values are frozen from independent oracles written here: a
-brute-force lattice membership scan and a naive rational Gaussian
+brute-force lattice membership scan and a cofactor-expansion
 determinant.
 """
 
@@ -21,6 +21,7 @@ from motivix.exact import (
     row_echelon,
     solve_field,
 )
+from motivix.polyring import MultiNf
 
 
 # --- independent oracles ---------------------------------------------------
@@ -43,23 +44,16 @@ def oracle_in_span(gens, v, bound=8):
 
 
 def oracle_det(rows):
-    """Naive rational Gaussian elimination determinant."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    n = len(rows)
-    sign = 1
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        det *= rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c] / rows[c][c]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return sign * det
+    """Cofactor expansion along the first row: ring operations only, no
+    division, so it checks elimination over any field."""
+    if len(rows) == 1:
+        return rows[0][0]
+    det = 0
+    for j, a in enumerate(rows[0]):
+        if a != 0:
+            term = a * oracle_det([r[:j] + r[j + 1:] for r in rows[1:]])
+            det = det + term if j % 2 == 0 else det - term
+    return det
 
 
 # --- QuadInt ---------------------------------------------------------------
@@ -219,18 +213,55 @@ def oracle_rank(rows):
     return 0
 
 
+def _rand_rat(rng):
+    return Rat(rng.randint(-3, 3), rng.randint(1, 2))
+
+
+def _quad(rng):
+    return QuadInt(_rand_rat(rng), _rand_rat(rng), 7)
+
+
+def _cbrt4(rng):
+    return MultiNf(("cbrt4",), {(k,): _rand_rat(rng) for k in range(3)})
+
+
+def _sparse(make, zero):
+    """About 90 % zeros, as in the pullback systems."""
+    return lambda rng: make(rng) if rng.random() < 0.1 else zero
+
+
+# (rows, cols, trials, entry): dense rationals, then sparse systems over
+# Q(sqrt(-7)) and Q(cbrt4)
+RANDOM_SYSTEMS = (
+    (3, 4, 30, _rand_rat),
+    (6, 7, 12, _sparse(_quad, QuadInt.zero(7))),
+    (6, 7, 12, _sparse(_cbrt4, MultiNf.zero(("cbrt4",)))),
+)
+
+
 def test_solve_field_random_against_oracle():
-    rng = random.Random(404)
-    for trial in range(30):
-        rows = [[Rat(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)] for _ in range(3)]
-        if trial % 3 == 0:
-            # force a dependent row
-            rows[2] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
-        x0 = [Rat(rng.randint(-4, 4)) for _ in range(4)]
-        rhs = [sum((a * b for a, b in zip(r, x0)), Rat(0)) for r in rows]
-        x = solve_field(rows, rhs)
-        assert [sum((a * b for a, b in zip(r, x)), Rat(0)) for r in rows] == rhs
-        assert len(row_echelon([list(r) for r in rows], 4)) == oracle_rank(rows)
+    for m, n, trials, entry in RANDOM_SYSTEMS:
+        rng = random.Random(404)
+        for trial in range(trials):
+            rows = [[entry(rng) for _ in range(n)] for _ in range(m)]
+            if trial % 3 == 0:
+                # force a dependent row
+                rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+            zero = rows[0][0] * 0
+            x0 = [entry(rng) for _ in range(n)]
+            rhs = [sum((a * b for a, b in zip(r, x0)), zero) for r in rows]
+            x = solve_field(rows, rhs)
+            assert [sum((a * b for a, b in zip(r, x)), zero) for r in rows] == rhs
+            if trial % 3 == 0:
+                # the dependent row with an inconsistent right-hand side
+                assert solve_field(rows, rhs[:-1] + [rhs[-1] + 1]) is None
+            ech = [list(r) for r in rows]
+            pivots = row_echelon(ech, n)
+            assert len(pivots) == oracle_rank(rows)
+            for k, c in enumerate(pivots):
+                assert ech[k][c] == 1 and type(ech[k][c]) is type(zero)
+                assert all(ech[i][c] == 0 for i in range(k + 1, m))
+            assert all(v == 0 for row in ech[len(pivots):] for v in row)
 
 
 # --- ZLattice ----------------------------------------------------------------

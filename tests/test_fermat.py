@@ -393,8 +393,10 @@ def test_c6_instance_without_degree_check():
 
 OPTIMIZED_CHECK = """
 import sys
+from fractions import Fraction
 
-from motivix import fermat, polyring
+from motivix import decomp, fermat, polyring
+from motivix.cmlat import build_model
 from motivix.errors import InvalidInput, VerificationError
 
 print("optimize:", sys.flags.optimize)
@@ -441,6 +443,20 @@ try:
     fermat.OmegaCoefficient(y**2, fermat.cm_elliptic())
 except InvalidInput as exc:
     print("omega:", exc)
+m = build_model(1, 2, glue=[(Fraction(1, 5),) * 2])
+real_rosati = decomp.rosati
+decomp.rosati = lambda endo, model: real_rosati(endo, model) * 2
+c = decomp.Candidate(2, frozenset({(0, 0)}), frozenset(), frozenset())
+try:
+    decomp.eval_probe(c, decomp.probes_for(m)[0], m)
+except VerificationError as exc:
+    print("side sum:", exc)
+decomp.rosati = real_rosati
+decomp.refute = lambda c, m, probes=None: decomp.RefutationResult(True, ())
+try:
+    decomp.decide(m, decomp.EXHAUSTIVE)
+except VerificationError as exc:
+    print("witness:", exc)
 """
 
 
@@ -457,4 +473,6 @@ def test_checks_fire_under_python_O():
         "inverse: nonzero field element must be invertible\n"
         "degree: degree needs a target of positive x- and y-degree 0\n"
         "omega: OmegaCoefficient needs y-degree below that of its curve\n"
+        "side sum: side images must sum to rosati(sigma_J)\n"
+        "witness: materialized witness must pass\n"
     )

@@ -325,15 +325,49 @@ def test_route_count_matches_the_previous_loop():
     assert cases >= 30
 
 
+def recording_interp(monkeypatch):
+    """Record (point count, p) of every fermat.fp_interp call."""
+    seen = []
+
+    def recording(xs, ys, p):
+        seen.append((len(xs), p))
+        return fp_interp(xs, ys, p)
+
+    monkeypatch.setattr(fermat, "fp_interp", recording)
+    return seen
+
+
 def test_degree_oracle_resultant_count(monkeypatch):
     """The three generator degrees take 4,320 point resultants (the
-    classical point count took 6,912)."""
+    classical point count took 6,912) over 18 primes of the default
+    stream, which starts above every interpolation point count."""
     calls = [0]
+    drawn = []
+    real_primes = fermat._oracle_primes
 
     def counting(f, g, p):
         calls[0] += 1
         return fp_resultant(f, g, p)
 
+    def counting_primes():
+        for p in real_primes():
+            drawn.append(p)
+            yield p
+
     monkeypatch.setattr(fermat, "fp_resultant", counting)
+    monkeypatch.setattr(fermat, "_oracle_primes", counting_primes)
+    seen = recording_interp(monkeypatch)
     assert tuple(degree(phi) for phi in c6_generator_morphisms()) == (6, 12, 4)
     assert calls[0] == 4320
+    assert len(drawn) == 18
+    assert seen and all(n <= p for n, p in seen)
+
+
+def test_degree_oracle_rejects_primes_below_its_point_count(monkeypatch):
+    """Mod 7 there are no 13 distinct interpolation points: such a prime
+    is rejected, not interpolated at (fp_interp([0, 7], [1, 2], 7) would
+    divide by zero mod 7 and return [1])."""
+    seen = recording_interp(monkeypatch)
+    phi1 = c6_generator_morphisms()[0]
+    assert degree(phi1, primes=[7, 13, 19, 31, 37, 43, 61, 67]) == 6
+    assert seen and all(n <= p for n, p in seen)
