@@ -558,26 +558,25 @@ def proper_nonempty_subsets(g):
             yield frozenset(K)
 
 
-def verify_proper_exponents(m, bound=4):
-    """Check n_K >= bound for every proper nonempty K; returns None when the
+def verify_proper_exponents(m):
+    """Check n_K >= 4 for every proper nonempty K; returns None when the
     check holds, else one offending (K, n_K)."""
     if m.mode == AXIOMATIC:
         if m.g == 1:
             return None  # no proper nonempty subsets at all
         for i, n in enumerate(m.atom_exponents):
-            if n < bound:
+            if n < 4:
                 return frozenset([i]), n
         if not m.assume_proper_ge4:
             return None, None  # unions not certified
         return None
-    if m._proper_ge4_verified and bound <= 4:
+    if m._proper_ge4_verified:
         return None
     for K in proper_nonempty_subsets(m.g):
         n = exponent(m, K)
-        if n < bound:
+        if n < 4:
             return K, n
-    if bound >= 4:
-        m._proper_ge4_verified = True
+    m._proper_ge4_verified = True
     return None
 
 

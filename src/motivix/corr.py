@@ -19,7 +19,7 @@ altogether. Storing them atomically with their proven convolution table is
 exact; collapsing them to tensors would silently change conv.
 """
 
-from .errors import InvalidInput, ShapeError, UnsupportedQuery
+from .errors import InvalidInput, ShapeError, UnsupportedQuery, VerificationError
 from .exact import QuadInt, Rat
 from .cmlat import (
     EndoQ,
@@ -384,6 +384,7 @@ def build_grids(m):
             reduced = reduced + Corr2.tensor(
                 m, subset_idempotent(m, [i]), subset_idempotent(m, [j])
             )
-    assert reduced == Corr2.unit(m), "theta reductions must sum to the unit class"
+    if reduced != Corr2.unit(m):
+        raise VerificationError("theta reductions must sum to the unit class")
     return GridProjectors(m, theta, a1, a2)
 

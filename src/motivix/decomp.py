@@ -309,7 +309,7 @@ def _hypothesis_gate(m, probes, trace):
     probe integrality hold in the geometric source of the declared data
     and are recorded as assumptions."""
     if m.mode == LATTICE:
-        bad = verify_proper_exponents(m, bound=4)
+        bad = verify_proper_exponents(m)
         if bad is not None:
             K, n = bad
             raise HypothesisError(

@@ -208,13 +208,12 @@ def pullback(phi, form):
         raise ReductionError(str(exc)) from None
     m = src.deg_y
     f_rat = pulled * RatFunc(BiPoly.monomial(0, m - 1), BiPoly.const(1))
-    spec = join_specs(join_specs(f_rat.num.spec, f_rat.den.spec), F.spec)
-    A = f_rat.num.lift(spec).y_reduce(F)
-    B = f_rat.den.lift(spec).y_reduce(F)
+    A = f_rat.num.y_reduce(F)
+    B = f_rat.den.y_reduce(F)
     if B.is_zero():
         raise ReductionError("denominator vanishes on the curve")
     if A.is_zero():
-        return OmegaCoefficient(BiPoly.zero(spec), src)
+        return OmegaCoefficient(BiPoly.zero(), src)
     # find f with f*B = A modulo F; unique in the reduced window
     shifted = [B.y_reduce(F)]
     for j in range(1, m):
@@ -227,10 +226,8 @@ def pullback(phi, form):
                     {(a + i, b): v for (a, b), v in shifted[j].c.items()}
                 )
         keys = sorted(set(A.c) | {k for col in cols for k in col})
-        zero = MultiNf.zero(spec)
-        rows = [
-            [col.get(k, zero).lift(spec) for col in cols] for k in keys
-        ]
+        zero = MultiNf.zero()
+        rows = [[col.get(k, zero) for col in cols] for k in keys]
         rhs = [A.c.get(k, zero) for k in keys]
         sol = solve_field(rows, rhs)
         if sol is None:
@@ -241,7 +238,7 @@ def pullback(phi, form):
             for j in range(m):
                 terms[(i, j)] = sol[pos]
                 pos += 1
-        f = BiPoly(terms, spec=spec)
+        f = BiPoly(terms)
         if not (f * B - A).y_reduce(F).is_zero():
             raise VerificationError("pullback solution fails its back-check")
         return OmegaCoefficient(f, src)
@@ -309,13 +306,10 @@ def span_rank(forms):
     polys = []
     for f in forms:
         polys.append(f.poly if isinstance(f, OmegaCoefficient) else f)
-    spec = ()
-    for p in polys:
-        spec = join_specs(spec, p.spec)
     keys = sorted({k for p in polys for k in p.c})
     if not keys:
         return 0
-    rows = [[p.lift(spec).coeff(i, j) for (i, j) in keys] for p in polys]
+    rows = [[p.coeff(i, j) for (i, j) in keys] for p in polys]
     return len(row_echelon(rows, len(keys)))
 
 
@@ -443,6 +437,7 @@ def degree(phi, primes=None, trials=6, seed=0, attempts=25):
     if phi.target.F.deg_x < 1 or phi.target.F.deg_y < 1:
         raise InvalidInput("degree needs a target of positive x- and y-degree")
     rng = random.Random(seed)
+    # the generators whose roots mod p the assignment needs
     spec = ()
     parts = (
         phi.source.F,
@@ -453,7 +448,8 @@ def degree(phi, primes=None, trials=6, seed=0, attempts=25):
         phi.v.den,
     )
     for part in parts:
-        spec = join_specs(spec, part.spec)
+        for v in part.c.values():
+            spec = join_specs(spec, v.spec)
     routes = (
         (phi.u, phi.target.F.deg_y),
         (phi.v, phi.target.F.deg_x),
@@ -466,11 +462,11 @@ def degree(phi, primes=None, trials=6, seed=0, attempts=25):
             break
         try:
             assign = _gen_assignment(spec, p)
-            F_fp = phi.source.F.lift(spec).map_fp(p, assign)
+            F_fp = phi.source.F.map_fp(p, assign)
             vals = []
             for comp, target_deg in routes:
-                A_fp = comp.num.lift(spec).map_fp(p, assign)
-                B_fp = comp.den.lift(spec).map_fp(p, assign)
+                A_fp = comp.num.map_fp(p, assign)
+                B_fp = comp.den.map_fp(p, assign)
                 if not B_fp or not A_fp:
                     raise _BadPrime("component degenerates mod %d" % p)
                 count = _route_count(F_fp, A_fp, B_fp, p, rng, trials)

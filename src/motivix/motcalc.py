@@ -8,7 +8,7 @@ polynomial ring Q[gamma]/(gamma^(n+1)) whose diagonal projectors are
 verified orthogonal idempotents at build time.
 """
 
-from .errors import InvalidInput
+from .errors import InvalidInput, VerificationError
 from .exact import Rat
 
 UNIT = "unit"
@@ -461,14 +461,18 @@ class CKProjectorRing:
         total = self.zero()
         for _, p in pieces:
             total = total + p
-        assert total == self.delta(), "projectors must sum to the diagonal"
+        if total != self.delta():
+            raise VerificationError("projectors must sum to the diagonal")
         for wi, p in pieces:
             for wj, q in pieces:
                 prod = p.compose(q)
                 if wi == wj:
-                    assert prod == p, "projector at weight %d not idempotent" % wi
-                else:
-                    assert prod.is_zero(), (
+                    if prod != p:
+                        raise VerificationError(
+                            "projector at weight %d not idempotent" % wi
+                        )
+                elif not prod.is_zero():
+                    raise VerificationError(
                         "projectors at weights %d and %d not orthogonal" % (wi, wj)
                     )
 

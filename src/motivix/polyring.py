@@ -6,7 +6,9 @@ Scalars live in Q(eps, cbrt4, i), presented as a product of univariate
 quotients (eps^2 = eps - 1, cbrt4^3 = 4, i^2 = -1).  Each value carries
 the tuple of generators it actually uses and operations join those
 tuples on the fly, so no primitive element is ever computed and plain
-rational values stay one-dimensional.
+rational values stay one-dimensional.  Only MultiNf arithmetic joins
+generator sets: a BiPoly keeps none of its own, and its coefficients
+meet only when MultiNf combines them.
 """
 
 import itertools
@@ -249,7 +251,11 @@ class MultiNf:
         return a * b.inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        inv = self.inverse()
+        if isinstance(other, (int, Rat)):
+            c = {e: q * other for e, q in inv.c.items()} if other else {}
+            return MultiNf._make(inv.spec, c)
+        return inv * other
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -312,61 +318,67 @@ class MultiNf:
         return " + ".join(parts)
 
 
-def _coerce_scalar(v, spec=()):
+def _coerce_scalar(v):
     if isinstance(v, MultiNf):
         return v
     if isinstance(v, (int, Rat)):
-        return MultiNf.from_fraction(v, spec)
+        return MultiNf.from_fraction(v)
     raise InvalidInput("cannot use %r as a field scalar" % (v,))
 
 
 class BiPoly:
-    """Polynomial in x, y with MultiNf coefficients; immutable."""
+    """Polynomial in x, y with MultiNf coefficients; immutable.
 
-    __slots__ = ("spec", "c")
+    Each coefficient keeps its own spec.  The public constructor
+    validates; arithmetic on valid values builds its results with _make,
+    which does not check again.
+    """
 
-    def __init__(self, coeffs, spec=None):
-        items = []
-        joined = tuple(spec) if spec is not None else ()
-        for key, v in coeffs.items():
-            v = _coerce_scalar(v)
-            joined = join_specs(joined, v.spec)
-            items.append((key, v))
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs):
+        items = [(key, _coerce_scalar(v)) for key, v in coeffs.items()]
         clean = {}
         for (i, j), v in items:
             if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
                 raise InvalidInput("bad monomial (%r, %r)" % (i, j))
-            v = v.lift(joined)
             if (i, j) in clean:
                 v = clean[(i, j)] + v
             clean[(i, j)] = v
-        object.__setattr__(self, "spec", joined)
         object.__setattr__(
             self, "c", {k: v for k, v in clean.items() if not v.is_zero()}
         )
+
+    @classmethod
+    def _make(cls, c):
+        """Trusted constructor: c maps (i, j) pairs of ints >= 0 to
+        nonzero MultiNf values."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "c", c)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
 
     @classmethod
-    def const(cls, v, spec=()):
-        return cls({(0, 0): _coerce_scalar(v, spec)}, spec=spec)
+    def const(cls, v):
+        return cls({(0, 0): v})
 
     @classmethod
-    def zero(cls, spec=()):
-        return cls({}, spec=spec)
+    def zero(cls):
+        return cls({})
 
     @classmethod
-    def var_x(cls, spec=()):
-        return cls({(1, 0): 1}, spec=spec)
+    def var_x(cls):
+        return cls({(1, 0): 1})
 
     @classmethod
-    def var_y(cls, spec=()):
-        return cls({(0, 1): 1}, spec=spec)
+    def var_y(cls):
+        return cls({(0, 1): 1})
 
     @classmethod
-    def monomial(cls, i, j, v=1, spec=()):
-        return cls({(i, j): _coerce_scalar(v, spec)}, spec=spec)
+    def monomial(cls, i, j, v=1):
+        return cls({(i, j): v})
 
     def is_zero(self):
         return not self.c
@@ -380,26 +392,24 @@ class BiPoly:
         return max((j for (_, j) in self.c), default=-1)
 
     def coeff(self, i, j):
-        return self.c.get((i, j), MultiNf.zero(self.spec))
-
-    def lift(self, spec):
-        return BiPoly({k: v.lift(spec) for k, v in self.c.items()}, spec=spec)
+        return self.c.get((i, j), MultiNf.zero())
 
     def __add__(self, other):
         if isinstance(other, (int, Rat, MultiNf)):
             other = BiPoly.const(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        spec = join_specs(self.spec, other.spec)
-        out = {k: v for k, v in self.lift(spec).c.items()}
-        for k, v in other.lift(spec).c.items():
-            out[k] = out.get(k, MultiNf.zero(spec)) + v
-        return BiPoly(out, spec=spec)
+        out = dict(self.c)
+        for k, v in other.c.items():
+            if k in out:
+                v = out[k] + v
+            out[k] = v
+        return BiPoly._make({k: v for k, v in out.items() if not v.is_zero()})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly({k: -v for k, v in self.c.items()}, spec=self.spec)
+        return BiPoly._make({k: -v for k, v in self.c.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Rat, MultiNf)):
@@ -416,24 +426,22 @@ class BiPoly:
             other = BiPoly.const(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        spec = join_specs(self.spec, other.spec)
-        a, b = self.lift(spec), other.lift(spec)
         out = {}
-        for (i1, j1), v1 in a.c.items():
-            for (i2, j2), v2 in b.c.items():
+        for (i1, j1), v1 in self.c.items():
+            for (i2, j2), v2 in other.c.items():
                 k = (i1 + i2, j1 + j2)
                 t = v1 * v2
                 if k in out:
                     t = out[k] + t
                 out[k] = t
-        return BiPoly(out, spec=spec)
+        return BiPoly._make({k: v for k, v in out.items() if not v.is_zero()})
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise InvalidInput("polynomial powers take n >= 0")
-        out = BiPoly.const(1, self.spec)
+        out = BiPoly.const(1)
         base = self
         while n:
             if n & 1:
@@ -451,24 +459,16 @@ class BiPoly:
 
     __hash__ = None
 
+    # a nonzero coefficient times a positive integer stays nonzero
     def diff_x(self):
-        return BiPoly(
-            {(i - 1, j): v * i for (i, j), v in self.c.items() if i},
-            spec=self.spec,
-        )
+        return BiPoly._make({(i - 1, j): v * i for (i, j), v in self.c.items() if i})
 
     def diff_y(self):
-        return BiPoly(
-            {(i, j - 1): v * j for (i, j), v in self.c.items() if j},
-            spec=self.spec,
-        )
+        return BiPoly._make({(i, j - 1): v * j for (i, j), v in self.c.items() if j})
 
     def x_slice(self, j):
         """The coefficient of y^j, as a polynomial in x alone."""
-        return BiPoly(
-            {(i, 0): v for (i, jj), v in self.c.items() if jj == j},
-            spec=self.spec,
-        )
+        return BiPoly._make({(i, 0): v for (i, jj), v in self.c.items() if jj == j})
 
     def y_divmod(self, f):
         """Long division by f in the variable y; f must be monic in y."""
@@ -478,7 +478,7 @@ class BiPoly:
         if not (lead.deg_x == 0 and lead.coeff(0, 0) == 1):
             raise InvalidInput("y_divmod needs a divisor monic in y")
         d = f.deg_y
-        q = BiPoly.zero(self.spec)
+        q = BiPoly.zero()
         r = self
         while r.deg_y >= d:
             dr = r.deg_y
@@ -563,16 +563,16 @@ class RatFunc:
         raise AttributeError("RatFunc is immutable")
 
     @classmethod
-    def const(cls, v, spec=()):
-        return cls(BiPoly.const(v, spec), BiPoly.const(1))
+    def const(cls, v):
+        return cls(BiPoly.const(v), BiPoly.const(1))
 
     @classmethod
-    def var_x(cls, spec=()):
-        return cls(BiPoly.var_x(spec), BiPoly.const(1))
+    def var_x(cls):
+        return cls(BiPoly.var_x(), BiPoly.const(1))
 
     @classmethod
-    def var_y(cls, spec=()):
-        return cls(BiPoly.var_y(spec), BiPoly.const(1))
+    def var_y(cls):
+        return cls(BiPoly.var_y(), BiPoly.const(1))
 
     def is_zero(self):
         return self.num.is_zero()

@@ -169,6 +169,7 @@ def test_multinf_fast_paths_match_validating_constructor():
             rb = r / b
             assert_valid(rb)
             assert MultiNf(s2, raw_product(rb.c, b.c)) == r
+            assert rb.c == (inv * r).c and rb.spec == inv.spec
         # equality with numbers, on constant and non-constant elements
         const = MultiNf(s1, {(0,) * len(s1): r})
         assert const == r and (const == r + 1) is False
@@ -197,18 +198,47 @@ def test_multinf_public_constructors_still_validate(monkeypatch):
     assert i.lift(("i",)) is i
     with pytest.raises(InvalidInput):
         MultiNf.zero(()).inverse()
-    # arithmetic within one spec validates nothing again
+    # arithmetic within one spec validates nothing again, in BiPoly too
     a = MultiNf(("eps", "i"), {(1, 1): 2, (0, 0): F(1, 3)})
     b = MultiNf(("eps", "i"), {(1, 0): -1, (0, 1): 5})
+    P = BiPoly({(2, 1): a, (0, 0): b, (1, 3): a * b})
+    Q = BiPoly({(1, 0): b, (0, 0): -b, (2, 1): -a})
     checked = []
     real = polyring.check_spec
     monkeypatch.setattr(polyring, "check_spec", lambda s: checked.append(s) or real(s))
+    real_init = BiPoly.__init__
+    monkeypatch.setattr(
+        BiPoly, "__init__", lambda self, c: checked.append(c) or real_init(self, c)
+    )
     quotient, inverse = a / b, a**-1
     rest = (a + b, a - b, a * b, -a, a**2, 3 - a, a * F(1, 2))
     assert (a == 1, a == b, a - a == 0) == (False, False, True)
+    polys = (P + Q, P - Q, P * Q, P.diff_x(), P.diff_y(), P.x_slice(1))
     assert checked == []
     assert quotient * b == a and inverse * a == 1
     assert all(r.spec == a.spec for r in rest)
+    assert polys[0].c == {(1, 0): b, (1, 3): a * b}
+    assert polys[1].c == {(2, 1): 2 * a, (0, 0): 2 * b, (1, 3): a * b, (1, 0): -b}
+    assert polys[2].c == {
+        (3, 1): a * b,
+        (2, 1): -2 * a * b,
+        (4, 2): -a * a,
+        (1, 0): b * b,
+        (0, 0): -b * b,
+        (2, 3): a * b * b,
+        (1, 3): -a * b * b,
+        (3, 4): -a * a * b,
+    }
+    assert polys[3].c == {(1, 1): 2 * a, (0, 3): a * b}
+    assert polys[4].c == {(2, 0): a, (1, 2): 3 * a * b}
+    assert polys[5].c == {(2, 0): a}
+    assert all(v.spec == a.spec for p in polys for v in p.c.values())
+    # 1 / x scales the inverse: no product on top of it
+    inv_b = b.inverse()
+    monkeypatch.setattr(MultiNf, "inverse", lambda self: inv_b)
+    monkeypatch.setattr(polyring, "_reduce", lambda *args: pytest.fail("_reduce"))
+    assert (1 / b).c == inv_b.c
+    assert (F(2, 3) / b).c == {e: q * 2 / 3 for e, q in inv_b.c.items()}
 
 
 def test_bipoly_division_and_calculus():
@@ -221,6 +251,37 @@ def test_bipoly_division_and_calculus():
     u, v = RatFunc.var_x(), RatFunc.var_y()
     assert h.dx() == ((2 * u) * (u + v) - (u**2 - 1)) / (u + v) ** 2
     assert h.subst(RatFunc.const(2), RatFunc.const(1)) == 1
+    # coefficients over different specs meet only in MultiNf arithmetic:
+    # the same as lifting every coefficient to the full spec first
+    full = tuple(n for n, _ in KNOWN_GENS)
+    specs = ((), ("cbrt4",), ("eps", "i"))
+
+    def lifted(p):
+        return BiPoly({k: q.lift(full) for k, q in p.c.items()})
+
+    def on_full(p):
+        assert all(not q.is_zero() for q in p.c.values())
+        return {k: q.lift(full).c for k, q in p.c.items()}
+
+    rng = random.Random(909)
+    for _ in range(25):
+        a, b = (
+            BiPoly(
+                {
+                    (rng.randint(0, 2), rng.randint(0, 2)): random_element(
+                        rng, rng.choice(specs)
+                    )
+                    for _ in range(4)
+                }
+            )
+            for _ in range(2)
+        )
+        la, lb = lifted(a), lifted(b)
+        assert on_full(a + b) == on_full(la + lb)
+        assert on_full(a - b) == on_full(la - lb)
+        assert on_full(a * b) == on_full(la * lb)
+        assert on_full(a * b + a) == on_full(la * lb + la)
+        assert on_full(a + b - b) == on_full(a) and (a - a).c == {}
 
 
 def test_curve_normalization_and_validation():
@@ -395,7 +456,7 @@ OPTIMIZED_CHECK = """
 import sys
 from fractions import Fraction
 
-from motivix import decomp, fermat, polyring
+from motivix import corr, decomp, fermat, motcalc, polyring
 from motivix.cmlat import build_model
 from motivix.errors import InvalidInput, VerificationError
 
@@ -457,6 +518,16 @@ try:
     decomp.decide(m, decomp.EXHAUSTIVE)
 except VerificationError as exc:
     print("witness:", exc)
+corr.Corr2.unit = classmethod(lambda cls, model: cls.zero(model))
+try:
+    corr.build_grids(m)
+except VerificationError as exc:
+    print("theta:", exc)
+motcalc.CKProjectorRing.middle = lambda self: self.zero()
+try:
+    motcalc.hypersurface_ck(2, 3)
+except VerificationError as exc:
+    print("projectors:", exc)
 """
 
 
@@ -475,4 +546,6 @@ def test_checks_fire_under_python_O():
         "omega: OmegaCoefficient needs y-degree below that of its curve\n"
         "side sum: side images must sum to rosati(sigma_J)\n"
         "witness: materialized witness must pass\n"
+        "theta: theta reductions must sum to the unit class\n"
+        "projectors: projectors must sum to the diagonal\n"
     )
