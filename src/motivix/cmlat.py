@@ -37,6 +37,12 @@ AXIOMATIC = "AXIOMATIC"
 CONSISTENT = "CONSISTENT"
 VIOLATES = "VIOLATES"
 
+# glue coordinates are limited to this common denominator, which keeps
+# the divisor scans behind exponents short
+MAX_GLUE_DENOMINATOR = 10 ** 6
+
+_ZERO = Rat(0)
+
 __all__ = [
     "LATTICE",
     "AXIOMATIC",
@@ -82,6 +88,8 @@ class EndoQ:
 
     @classmethod
     def from_rows(cls, rows, d):
+        """Entries are QuadInts over d or rationals; d is checked once."""
+        d = QuadInt.check_d(d)
         qrows = []
         for row in rows:
             qrow = []
@@ -91,7 +99,7 @@ class EndoQ:
                         raise InvalidInput("entry in Q(sqrt(-%d)), expected d=%d" % (x.d, d))
                     qrow.append(x)
                 else:
-                    qrow.append(QuadInt(Rat(x), 0, d))
+                    qrow.append(QuadInt._make(Rat(x), _ZERO, d))
             qrows.append(qrow)
         return cls(ExactMatrix(qrows), d)
 
@@ -277,6 +285,12 @@ def build_model(d, g, glue=(), mode=LATTICE, exponents=None,
         raise InvalidInput("mode must be LATTICE or AXIOMATIC, got %r" % (mode,))
     QuadInt.zero(d)  # validates d
     glue_vecs = tuple(_coerce_glue_vector(v, g, d) for v in glue)
+    den = math.lcm(*(q.denominator for v in glue_vecs for x in v for q in (x.a, x.b)))
+    if den > MAX_GLUE_DENOMINATOR:
+        raise InvalidInput(
+            "glue coordinates have common denominator %d > %d"
+            % (den, MAX_GLUE_DENOMINATOR)
+        )
     if exponents is not None:
         exponents = tuple(exponents)
         if not all(map(_is_int, exponents)):

@@ -9,10 +9,10 @@ convolution against the probe sends each side of a candidate to an
 endomorphism of the glued product of CM elliptic curves, and both images
 have to be integral.
 
-EXHAUSTIVE mode enumerates every nontrivial candidate for small g,
-factored through the per-probe restrictions, and refutes them probe by
-probe.  PROOFTRACE mode replays the symbolic two-case argument at any g
-and emits the derivation as a trace.
+EXHAUSTIVE mode enumerates every nontrivial candidate for g <= 10,
+factored through the per-probe restrictions and taken up to relabelling
+the atoms, and refutes them probe by probe.  PROOFTRACE mode replays the
+symbolic two-case argument at any g and emits the derivation as a trace.
 
 The grid shape of the candidate space is a trusted reduction: any
 essential decomposition is matched summand by summand against the
@@ -22,6 +22,7 @@ re-proves refutations, not the reduction itself.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .cmlat import (
@@ -29,6 +30,7 @@ from .cmlat import (
     EndoQ,
     PermEndoSpec,
     endo_to_jsonable,
+    exponent,
     full_grid,
     is_integral,
     monomial_is_integral,
@@ -300,6 +302,19 @@ def refute(c, m, probes=None):
 # hypothesis gate
 
 
+def _probe_is_valid(m, sigma):
+    """Whether the transposition probe for sigma and its Rosati transform
+    are integral on the LATTICE model m, asked without building either.
+    The probe holds n_j / n_sigma(j) at (sigma(j), j); its Rosati
+    transform is the plain swap, with 1 there."""
+    n = m.atom_exponents
+    L = math.lcm(*n)
+    nums = [n[j] * (L // n[sigma[j]]) for j in range(m.g)]
+    return monomial_is_integral(m, sigma, nums, L) and monomial_is_integral(
+        m, sigma, [1] * m.g, 1
+    )
+
+
 def _hypothesis_gate(m, probes, trace):
     """Check what the argument needs before any probing.
 
@@ -307,9 +322,28 @@ def _hypothesis_gate(m, probes, trace):
     transposition probe and its Rosati transform are integral.
     AXIOMATIC: verify the declared atom exponents; union exponents and
     probe integrality hold in the geometric source of the declared data
-    and are recorded as assumptions."""
+    and are recorded as assumptions.
+
+    In LATTICE mode the probes go first. Once every plain swap is
+    integral, S_g acts on the lattice, so n_K depends on |K| alone and
+    K = {1..s} stands for every subset of size s. A failing probe sends
+    the gate through all 2^g - 2 subsets instead, so an exponent failure
+    is still reported first, at its first K in size-then-lex order."""
     if m.mode == LATTICE:
-        bad = verify_proper_exponents(m)
+        bad_probe = next(
+            (p for p in probes if not p.is_identity and not _probe_is_valid(m, p.sigma)),
+            None,
+        )
+        if bad_probe is None:
+            bad = None
+            for s in range(1, m.g):
+                K = frozenset(range(s))
+                n = exponent(m, K)
+                if n < 4:
+                    bad = K, n
+                    break
+        else:
+            bad = verify_proper_exponents(m)
         if bad is not None:
             K, n = bad
             raise HypothesisError(
@@ -324,14 +358,11 @@ def _hypothesis_gate(m, probes, trace):
                 "(verified on the lattice)",
             }
         )
-        for p in probes:
-            if p.is_identity:
-                continue
-            if not (is_integral(m, p.endo) and is_integral(m, rosati(p.endo, m))):
-                raise HypothesisError(
-                    "probe %s is not an integral endomorphism of this model"
-                    % p.name
-                )
+        if bad_probe is not None:
+            raise HypothesisError(
+                "probe %s is not an integral endomorphism of this model"
+                % bad_probe.name
+            )
         trace.append(
             {
                 "probe": None,
@@ -386,9 +417,10 @@ def _note(rule, note, probe=None):
 def decide(m, mode):
     """Decide essential indecomposability for the model.
 
-    EXHAUSTIVE (lattice models, g <= 6): enumerate all nontrivial
+    EXHAUSTIVE (lattice models, g <= 10): enumerate all nontrivial
     candidates up to the side swap, factored through per-probe
-    restrictions, and refute each.  PROOFTRACE (any g): replay the
+    restrictions and taken one S_g orbit of diagonal assignments at a
+    time, and refute each.  PROOFTRACE (any g): replay the
     symbolic argument.  INDECOMPOSABLE means every nontrivial candidate
     is refuted; SURVIVING_CANDIDATE reports one that no probe refutes
     (without asserting decomposability); UNDECIDED means the symbolic
@@ -396,9 +428,10 @@ def decide(m, mode):
     if mode not in (EXHAUSTIVE, PROOFTRACE):
         raise InvalidInput("unknown mode %r" % (mode,))
     if mode == EXHAUSTIVE:
-        # ahead of the hypothesis gate, whose cost grows as 2^g
-        if m.g > 6:
-            raise InvalidInput("exhaustive search is bounded to g <= 6")
+        # ahead of the hypothesis gate, which scans all 2^g - 2 subsets
+        # when a probe fails
+        if m.g > 10:
+            raise InvalidInput("exhaustive search is bounded to g <= 10")
         if m.mode != LATTICE:
             raise UnsupportedQuery(
                 "exhaustive search needs a lattice model; axiomatic "
@@ -419,7 +452,23 @@ def decide(m, mode):
 # EXHAUSTIVE
 
 
+# the (w, u, v) LAMBDA bits of one diagonal coordinate, in descending order
+_TYPES = tuple(itertools.product((1, 0), repeat=3))
+
+
 def _decide_exhaustive(m, probes):
+    """Refute every diagonal assignment, one S_g orbit at a time.
+
+    The gate has proven every plain swap of two atoms integral, so
+    relabelling the atoms changes no integrality answer, and an
+    assignment is decided by the multiset of its coordinate types
+    (w, u, v). A multiset holding a w = 1 type stands for its
+    multinomial * n_{w=1} / g arrangements with W(1,1) on LAMBDA, which
+    keeps the kill counts exact. Its representative lists the types in
+    descending order at positions 1..g; that is also its first
+    arrangement in (wm, um, vm) order, so scanning representatives in
+    that order finds the same first survivor, and witness, as scanning
+    every mask."""
     g = m.g
     integral_memo = {}
 
@@ -430,84 +479,80 @@ def _decide_exhaustive(m, probes):
             got = integral_memo[key] = monomial_is_integral(m, sigma, nums, 2)
         return got
 
-    full = (1 << g) - 1
-    pairs = [(a, b) for a in range(g) for b in range(a + 1, g)]
     pair_memo = {}
-    # the LAMBDA bits of a diagonal mask along the identity's graph
-    diag_bits = [tuple(mask >> i & 1 for i in range(g)) for mask in range(full + 1)]
 
-    def pair_survivors(a, b, um, vm, wm):
-        """Surviving 6-bit local assignments for the (a, b) transposition,
-        given the diagonal masks away from {a, b}.  A local assignment
-        lists the LAMBDA bits of cells (a,b),(b,a) in the U, V, W grids,
-        iterated LAMBDA-first; those cells lie on the probe's graph at
-        positions a and b, the diagonal cells everywhere else."""
-        fmask = full & ~((1 << a) | (1 << b))
-        key = (a, b, um & fmask, vm & fmask, wm & fmask)
-        got = pair_memo.get(key)
-        if got is not None:
-            return got
-        sigma = list(range(g))
-        sigma[a], sigma[b] = b, a
-        sigma = tuple(sigma)
-        u, v, w = list(diag_bits[um]), list(diag_bits[vm]), list(diag_bits[wm])
-        survivors = []
-        for bits in itertools.product((1, 0), repeat=6):
-            u[a], u[b], v[a], v[b], w[a], w[b] = bits
-            lam, xi = _images_direct(u, v, w)
-            if ok(sigma, lam) and ok(sigma, xi):
-                survivors.append(bits)
-        got = tuple(survivors)
-        pair_memo[key] = got
+    def pair_outcome(rest):
+        """(some local assignment survives, one keeps a transcendental
+        cell on XI) for a transposition whose other g - 2 coordinates
+        have the types rest; computed with the pair at positions 1, 2."""
+        got = pair_memo.get(rest)
+        if got is None:
+            surv = _pair_survivors(ok, 0, 1, *_type_bits((0, 0) + rest))
+            got = pair_memo[rest] = (
+                bool(surv),
+                any(bits[4] == 0 or bits[5] == 0 for bits in surv),
+            )
         return got
 
+    full = (1 << g) - 1
     ident = tuple(range(g))
+    orbits = sorted(
+        (_masks(combo), combo)
+        for combo in itertools.combinations_with_replacement(range(len(_TYPES)), g)
+        if _TYPES[combo[0]][0]  # holds a w = 1 type (W(1,1) pinned by the side swap)
+    )
     diag_total = 0
     diag_killed_identity = 0
     diag_killed_pairs = 0
     diag_trivial_only = 0
-    for wm in range(1, full + 1, 2):  # W(1,1) pinned to LAMBDA (side swap)
-        for um in range(full + 1):
-            for vm in range(full + 1):
-                diag_total += 1
-                lam, xi = _images_direct(diag_bits[um], diag_bits[vm], diag_bits[wm])
-                if not (ok(ident, lam) and ok(ident, xi)):
-                    diag_killed_identity += 1
-                    continue
-                per_pair = []
-                dead = False
-                for (a, b) in pairs:
-                    surv = pair_survivors(a, b, um, vm, wm)
-                    if not surv:
-                        dead = True
-                        break
-                    per_pair.append(((a, b), surv))
-                if dead:
-                    diag_killed_pairs += 1
-                    continue
-                choice = _materialize_choice(wm, full, per_pair)
-                if choice is None:
-                    diag_trivial_only += 1
-                    continue
-                witness = _build_witness(g, um, vm, wm, choice)
-                if not witness.is_nontrivial():
-                    raise VerificationError("materialized witness must be nontrivial")
-                check = refute(witness, m, probes)
-                if check.refuted:
-                    raise VerificationError("materialized witness must pass")
-                extra = [
-                    _note(
-                        "diagonal-case",
-                        "identity probe left a diagonal assignment open",
-                        probe="identity",
-                    ),
-                    _note(
-                        "transposition-case",
-                        "a nontrivial candidate survives every probe",
-                    ),
-                ]
-                extra.extend(check.steps)
-                return SURVIVING_CANDIDATE, extra, witness
+    for (wm, um, vm), combo in orbits:
+        weight = _arrangements(combo)
+        diag_total += weight
+        u, v, w = _type_bits(combo)
+        lam, xi = _images_direct(u, v, w)
+        if not (ok(ident, lam) and ok(ident, xi)):
+            diag_killed_identity += weight
+            continue
+        outcomes = []
+        for x, y in itertools.combinations_with_replacement(sorted(set(combo)), 2):
+            rest = list(combo)
+            rest.remove(x)
+            if y in rest:
+                rest.remove(y)
+                outcomes.append(pair_outcome(tuple(rest)))
+        if not all(alive for alive, _ in outcomes):
+            diag_killed_pairs += weight
+            continue
+        if wm == full and not any(donor for _, donor in outcomes):
+            diag_trivial_only += weight
+            continue
+        per_pair = [
+            ((a, b), _pair_survivors(ok, a, b, u, v, w))
+            for a in range(g)
+            for b in range(a + 1, g)
+        ]
+        choice = _materialize_choice(wm, full, per_pair)
+        if choice is None:
+            raise VerificationError("an orbit representative must keep its orbit's outcome")
+        witness = _build_witness(g, um, vm, wm, choice)
+        if not witness.is_nontrivial():
+            raise VerificationError("materialized witness must be nontrivial")
+        check = refute(witness, m, probes)
+        if check.refuted:
+            raise VerificationError("materialized witness must pass")
+        extra = [
+            _note(
+                "diagonal-case",
+                "identity probe left a diagonal assignment open",
+                probe="identity",
+            ),
+            _note(
+                "transposition-case",
+                "a nontrivial candidate survives every probe",
+            ),
+        ]
+        extra.extend(check.steps)
+        return SURVIVING_CANDIDATE, extra, witness
     extra = [
         _note(
             "diagonal-case",
@@ -528,6 +573,47 @@ def _decide_exhaustive(m, probes):
         ),
     ]
     return INDECOMPOSABLE, extra, None
+
+
+def _type_bits(combo):
+    """The U, V and W bit lists of the coordinate types combo lists."""
+    w, u, v = zip(*(_TYPES[t] for t in combo))
+    return list(u), list(v), list(w)
+
+
+def _masks(combo):
+    """(wm, um, vm): the diagonal masks of the types combo lists, the
+    type at position i giving bit i."""
+    u, v, w = _type_bits(combo)
+    return tuple(sum(bit << i for i, bit in enumerate(bits)) for bits in (w, u, v))
+
+
+def _arrangements(combo):
+    """How many diagonal assignments with W(1,1) on LAMBDA have the
+    multiset of types combo: the multinomial times n_{w=1} / g."""
+    count = math.factorial(len(combo))
+    for t in set(combo):
+        count //= math.factorial(combo.count(t))
+    return count * sum(_TYPES[t][0] for t in combo) // len(combo)
+
+
+def _pair_survivors(ok, a, b, u, v, w):
+    """Surviving 6-bit local assignments for the (a, b) transposition,
+    given the diagonal bits u, v, w away from {a, b}.  A local assignment
+    lists the LAMBDA bits of cells (a,b),(b,a) in the U, V, W grids,
+    iterated LAMBDA-first; those cells lie on the probe's graph at
+    positions a and b, the diagonal cells everywhere else."""
+    sigma = list(range(len(u)))
+    sigma[a], sigma[b] = b, a
+    sigma = tuple(sigma)
+    u, v, w = list(u), list(v), list(w)
+    survivors = []
+    for bits in itertools.product((1, 0), repeat=6):
+        u[a], u[b], v[a], v[b], w[a], w[b] = bits
+        lam, xi = _images_direct(u, v, w)
+        if ok(sigma, lam) and ok(sigma, xi):
+            survivors.append(bits)
+    return tuple(survivors)
 
 
 def _materialize_choice(wm, full, per_pair):

@@ -65,12 +65,18 @@ class QuadInt:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d):
-        d = int(d)
-        if d < 1 or not _is_squarefree(d):
-            raise InvalidInput("d must be a positive squarefree integer, got %r" % (d,))
+        d = QuadInt.check_d(d)
         object.__setattr__(self, "a", Rat(a))
         object.__setattr__(self, "b", Rat(b))
         object.__setattr__(self, "d", d)
+
+    @staticmethod
+    def check_d(d):
+        """d as an int; InvalidInput unless it is positive and squarefree."""
+        d = int(d)
+        if d < 1 or not _is_squarefree(d):
+            raise InvalidInput("d must be a positive squarefree integer, got %r" % (d,))
+        return d
 
     @classmethod
     def _make(cls, a, b, d):

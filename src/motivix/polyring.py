@@ -706,9 +706,11 @@ def fp_gcd(f, g, p):
 
 
 def fp_interp(xs, ys, p):
-    """Newton interpolation; xs distinct mod p.  Each distinct
-    difference xs[k] - xs[k - j] is inverted once."""
+    """Newton interpolation; xs distinct mod p, else InvalidInput.  Each
+    distinct difference xs[k] - xs[k - j] is inverted once."""
     n = len(xs)
+    if len({x % p for x in xs}) != n:
+        raise InvalidInput("interpolation points agree mod %d" % p)
     co = [y % p for y in ys]
     inverses = {}
     for j in range(1, n):

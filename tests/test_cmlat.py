@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from motivix import cmlat
 from motivix.cmlat import (
     AXIOMATIC,
     CONSISTENT,
@@ -97,6 +98,52 @@ def test_build_model_validation():
         build_model(1, 2, maximal_order=True)  # 1 != 3 mod 4
     with pytest.raises(InvalidInput):
         build_model(1, 2, glue=[(Rat(1, 5), Rat(2, 5))], exponents=(5, 4))
+
+
+def test_build_model_bounds_the_glue_denominator(monkeypatch):
+    assert cmlat.MAX_GLUE_DENOMINATOR == 10 ** 6
+    m = build_model(1, 2, glue=[(Rat(1, 10 ** 6), Rat(1, 10 ** 6))])
+    assert m.atom_exponents == (10 ** 6, 10 ** 6)
+
+    def unreachable(n):
+        raise AssertionError("the divisor scan ran on a rejected model")
+
+    monkeypatch.setattr(cmlat, "_divisors_sorted", unreachable)
+    for glue in (
+        [(Rat(1, 10 ** 6 + 1), 0)],
+        [((0, Rat(1, 1000003)), 0)],  # a prime denominator in the sqrt(-d) part
+        [(Rat(1, 1000), Rat(1, 1001))],  # each small, common denominator 1001000
+        [(Rat(1, 1000), 0), (0, Rat(1, 1001))],
+    ):
+        with pytest.raises(InvalidInput, match="common denominator"):
+            build_model(1, 2, glue=glue)
+    with pytest.raises(InvalidInput, match="common denominator"):
+        model_from_dict({"d": 1, "g": 1, "mode": "lattice", "glue": [[[1, 10 ** 9 + 7]]]})
+
+
+def test_endo_from_rows_checks_d_once(monkeypatch):
+    with pytest.raises(InvalidInput):
+        EndoQ.from_rows([[1, 0], [0, 1]], 4)
+    with pytest.raises(InvalidInput):
+        EndoQ.from_rows([[QuadInt(1, 0, 2)]], 1)
+    x = EndoQ.from_rows([[Rat(1, 2), 3], [QuadInt(0, 1, 7), 0]], 7)
+    assert x.entry(0, 0) == QuadInt(Rat(1, 2), 0, 7)
+    assert x.entry(0, 1).d == 7 and x.entry(0, 1).a == 3
+    assert x.entry(1, 0) == QuadInt.sqrt_minus_d(7)
+    # the probes of a genus-10 model build their entries without
+    # re-validating d per entry
+    calls = []
+    raw = QuadInt.__init__
+
+    def counting(self, a, b, d):
+        calls.append(d)
+        raw(self, a, b, d)
+
+    c6 = build_model(3, 10, mode=AXIOMATIC, exponents=(6,) * 6 + (24,) * 3 + (4,))
+    monkeypatch.setattr(QuadInt, "__init__", counting)
+    swap = perm_endo(c6, PermEndoSpec((1, 0) + tuple(range(2, 10)), full_grid(10)))
+    assert swap.entry(0, 1) == 1 and swap.entry(9, 9) == 1
+    assert calls == []
 
 
 def test_build_model_rejects_non_int_exponents():

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import random
 import time
@@ -240,7 +241,6 @@ def test_candidate_validation():
 
 
 def test_decide_agreement_small_g():
-    # up to the exhaustive bound g <= 6
     g6 = build_model(2, 6, glue=[(F(1, 7),) * 6])
     for m in (sym_model(1), sym_model(3), sym_model(4), sym_model(5), d7_model(5), g6):
         ve = decide(m, EXHAUSTIVE)
@@ -332,19 +332,49 @@ def test_probe_validity_gate():
         decide(m, PROOFTRACE)
 
 
+def test_hypothesis_gate_messages():
+    # exponent failures name the first bad K in size-then-lex order and win
+    # over a failing probe; a probe-only failure names its transposition
+    glue_3 = [(F(1, 5), F(1, 5), 0)]  # n_3 = 1, probes (1,3), (2,3) fail
+    glue_12 = [(F(1, 5), F(1, 5), 0, 0), (0, 0, F(1, 5), F(1, 5))]
+    sym_12 = sorted(set(itertools.permutations((F(1, 4),) * 3 + (F(3, 4),))))
+    cases = (
+        (build_model(1, 2, glue=[(F(1, 3), F(1, 3))]),
+         "exponent hypothesis fails: n_[1] = 3 < 4"),
+        (build_model(1, 3, glue=glue_3),
+         "exponent hypothesis fails: n_[3] = 1 < 4"),
+        (build_model(1, 4, glue=glue_12),
+         "exponent hypothesis fails: n_[1, 2] = 1 < 4"),
+        (build_model(1, 4, glue=sym_12),
+         "exponent hypothesis fails: n_[1, 2] = 2 < 4"),
+        (build_model(1, 2, glue=[(F(1, 5), F(2, 5))]),
+         "probe transposition(1,2) is not an integral endomorphism of this model"),
+        (build_model(1, 3, glue=[(F(1, 5), F(1, 5), F(2, 5))]),
+         "probe transposition(1,3) is not an integral endomorphism of this model"),
+    )
+    for m, message in cases:
+        for mode in (EXHAUSTIVE, PROOFTRACE):
+            with pytest.raises(HypothesisError) as err:
+                decide(m, mode)
+            assert str(err.value) == message
+        with pytest.raises(HypothesisError) as err:
+            refute(Candidate(m.g, frozenset(), frozenset(), frozenset()), m)
+        assert str(err.value) == message
+
+
 def test_decide_input_validation(monkeypatch):
     m = sym_model(2)
     with pytest.raises(InvalidInput):
         decide(m, "GUESS")
-    m7 = sym_model(7)
+    m11 = sym_model(11)
 
     def unreachable(*args):
-        raise AssertionError("g = 7 reached the hypothesis gate or the enumeration")
+        raise AssertionError("g = 11 reached the hypothesis gate or the enumeration")
 
     monkeypatch.setattr(decomp, "_hypothesis_gate", unreachable)
     monkeypatch.setattr(decomp, "_images_direct", unreachable)
-    with pytest.raises(InvalidInput, match="g <= 6"):
-        decide(m7, EXHAUSTIVE)
+    with pytest.raises(InvalidInput, match="g <= 10"):
+        decide(m11, EXHAUSTIVE)
     ax = build_model(1, 3, mode=AXIOMATIC, exponents=(5, 5, 5), assume_proper_ge4=True)
     with pytest.raises(UnsupportedQuery):
         decide(ax, EXHAUSTIVE)

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from motivix import fermat
+from motivix.errors import InvalidInput
 from motivix.fermat import _route_count, c6_generator_morphisms, degree
 from motivix.polyring import (
     _BadPrime,
@@ -168,6 +169,14 @@ def test_fp_interp_round_trip_on_scattered_points():
         assert len(got) <= len(xs)
         assert [poly_eval(got, x0, P) for x0 in xs] == ys
     assert fp_interp([5], [7], P) == [7]
+
+
+def test_fp_interp_rejects_points_equal_mod_p():
+    with pytest.raises(InvalidInput, match="agree mod 7"):
+        fp_interp([0, 7], [1, 2], 7)
+    with pytest.raises(InvalidInput):
+        fp_interp([3, 1, 2, 3], [0, 0, 0, 0], P)
+    assert fp_interp([0, 6], [1, 2], 7) == [1, 6]
 
 
 def random_bivariate(rng, total, ydeg, monic, p):
@@ -366,8 +375,8 @@ def test_degree_oracle_resultant_count(monkeypatch):
 
 def test_degree_oracle_rejects_primes_below_its_point_count(monkeypatch):
     """Mod 7 there are no 13 distinct interpolation points: such a prime
-    is rejected, not interpolated at (fp_interp([0, 7], [1, 2], 7) would
-    divide by zero mod 7 and return [1])."""
+    is rejected, not interpolated at (fp_interp([0, 7], [1, 2], 7) raises
+    InvalidInput)."""
     seen = recording_interp(monkeypatch)
     phi1 = c6_generator_morphisms()[0]
     assert degree(phi1, primes=[7, 13, 19, 31, 37, 43, 61, 67]) == 6
