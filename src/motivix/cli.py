@@ -8,6 +8,7 @@ integer pairs, and wall-clock timing is only embedded on request.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -327,7 +328,12 @@ def cmd_av(args):
 # parser wiring
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after.
+
+    parse_args returns a fresh Namespace per call, so one parser serves
+    every main call of the process. It is not built at import."""
     parser = argparse.ArgumentParser(
         prog="motivix",
         description="Decide integral indecomposability of product-surface "
@@ -401,8 +407,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.command_echo = list(argv) if argv is not None else sys.argv[1:]
     try:
         report, code = args.func(args)

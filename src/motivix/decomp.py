@@ -21,13 +21,13 @@ pieces), so one side label per cell loses no generality.  The procedure
 re-proves refutations, not the reduction itself.
 """
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cmlat import (
     LATTICE,
-    EndoQ,
     PermEndoSpec,
     endo_to_jsonable,
     exponent,
@@ -153,11 +153,19 @@ class Candidate:
 
 @dataclass(frozen=True)
 class Probe:
-    """A permutation probe: sigma as a tuple, and the full-grid
-    permutation endomorphism it convolves to."""
+    """A permutation probe: sigma as a tuple, on the model it probes.
+
+    `endo`, the full-grid permutation endomorphism the probe convolves
+    to, is built on first access and kept. Prooftrace and the lattice
+    gate read sigma only, so they build none."""
 
     sigma: tuple
-    endo: EndoQ
+    model: object = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def endo(self):
+        spec = PermEndoSpec(self.sigma, full_grid(self.model.g))
+        return perm_endo(self.model, spec)
 
     @property
     def name(self):
@@ -176,17 +184,12 @@ class Probe:
 def probes_for(m):
     """The identity plus all transpositions: 1 + g(g-1)/2 probes."""
     g = m.g
-    out = []
-    ident = tuple(range(g))
-    out.append(Probe(ident, perm_endo(m, PermEndoSpec(ident, full_grid(g)))))
+    out = [Probe(tuple(range(g)), m)]
     for a in range(g):
         for b in range(a + 1, g):
             sigma = list(range(g))
             sigma[a], sigma[b] = b, a
-            sigma = tuple(sigma)
-            out.append(
-                Probe(sigma, perm_endo(m, PermEndoSpec(sigma, full_grid(g))))
-            )
+            out.append(Probe(tuple(sigma), m))
     return out
 
 

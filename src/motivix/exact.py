@@ -53,6 +53,10 @@ def _is_squarefree(n):
 _ZERO = Rat(0)
 _ONE = Rat(1)
 
+# d is limited to this bound, which keeps the squarefree check's trial
+# division to at most sqrt(MAX_D), about 31,623 steps
+MAX_D = 10 ** 9
+
 
 class QuadInt:
     """Element a + b*sqrt(-d) of the imaginary quadratic field Q(sqrt(-d)).
@@ -72,8 +76,11 @@ class QuadInt:
 
     @staticmethod
     def check_d(d):
-        """d as an int; InvalidInput unless it is positive and squarefree."""
+        """d as an int; InvalidInput unless it is positive, squarefree and
+        at most MAX_D."""
         d = int(d)
+        if d > MAX_D:
+            raise InvalidInput("d = %d exceeds the bound MAX_D = %d" % (d, MAX_D))
         if d < 1 or not _is_squarefree(d):
             raise InvalidInput("d must be a positive squarefree integer, got %r" % (d,))
         return d

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from motivix.cli import main
+from motivix.cli import build_parser, main
 from motivix.cmlat import build_model, model_to_dict
 
 
@@ -89,6 +89,13 @@ def test_exit_one_on_bad_inputs(capsys, tmp_path):
     junk.write_text(json.dumps({"d": 1}), encoding="utf-8")
     code, rep = run(capsys, "decide", str(junk))
     assert code == 1 and rep["error"]["kind"] == "InvalidInput"
+    # a d above exact.MAX_D is refused before any squarefree check
+    huge = tmp_path / "huge_d.json"
+    huge.write_text(json.dumps({"d": 10**18 + 9, "g": 1, "mode": "lattice"}),
+                    encoding="utf-8")
+    code, rep = run(capsys, "decide", str(huge))
+    assert code == 1 and rep["error"]["kind"] == "InvalidInput"
+    assert "MAX_D" in rep["error"]["message"]
 
 
 def test_exit_one_on_bad_json_numbers(capsys, tmp_path, g3_model):
@@ -136,6 +143,29 @@ def test_decide_timing(capsys, g3_model):
     assert timed["command"] == ["--timing"] + untimed["command"]
     timed["command"] = untimed["command"]
     assert timed == untimed
+
+
+def test_parser_is_built_once(capsys, g3_model, tmp_path):
+    assert build_parser() is build_parser()
+    argv = ["decide", g3_model, "--mode", "exhaustive"]
+    first = (main(argv), capsys.readouterr().out)
+    assert (main(argv), capsys.readouterr().out) == first
+    # a usage error and a timed call that writes a file leave the shared
+    # parser as it was
+    plain = (main(["decide", g3_model]), capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", g3_model, "--mode", "guess"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    target = tmp_path / "timed.json"
+    code, timed = run(capsys, "--timing", "--json", str(target), "decide", g3_model)
+    assert code == 0 and "timing_seconds" in timed["results"]
+    target.unlink()
+    files = sorted(tmp_path.iterdir())
+    code, again = run(capsys, "decide", g3_model)
+    assert "timing_seconds" not in again["results"]
+    assert sorted(tmp_path.iterdir()) == files
+    assert (code, json.dumps(again, indent=1, sort_keys=True) + "\n") == plain
 
 
 def test_conv_table(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -12,9 +13,12 @@ from motivix import decomp
 from motivix.cmlat import (
     AXIOMATIC,
     EndoQ,
+    PermEndoSpec,
     build_model,
     endo_identity,
+    full_grid,
     is_integral,
+    perm_endo,
     rosati,
     subset_idempotent,
 )
@@ -39,7 +43,9 @@ from motivix.errors import (
     HypothesisError,
     InvalidInput,
     UnsupportedQuery,
+    VerificationError,
 )
+from motivix.fermat import build_c6_instance
 
 
 def sym_model(g, p=5):
@@ -95,6 +101,49 @@ def test_probe_endos():
     assert swap12.endo.entry(1, 0).a == 1
     assert swap12.endo.entry(2, 2).a == 1
     assert swap12.endo.entry(0, 0).a == 0
+    for p in probes:
+        assert p.endo == perm_endo(m, PermEndoSpec(p.sigma, full_grid(3)))
+        assert p.endo is p.endo  # built on first access, then kept
+
+
+def verdict_digest(v):
+    text = json.dumps(verdict_to_dict(v), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_probes_build_their_endo_only_on_use(monkeypatch):
+    # prooftrace and the lattice gate read sigma only; exhaustive search
+    # convolves with a probe only in refute's re-check of its witness
+    builds = []
+    real = decomp.perm_endo
+    monkeypatch.setattr(
+        decomp, "perm_endo", lambda m, spec: builds.append(spec.sigma) or real(m, spec)
+    )
+    c6 = build_c6_instance(check_degrees=False).model
+    runs = (
+        (sym_model(4), PROOFTRACE, INDECOMPOSABLE,
+         "9fc66ead98e9a31c5a4ec33643f54e05e977dfef89e2f377cbb00cba7f955439"),
+        (c6, PROOFTRACE, INDECOMPOSABLE,
+         "101ef579feebd7647778cc81f7516f479eaab14c28a1b447c47806c90e49897f"),
+        (sym_model(3), EXHAUSTIVE, INDECOMPOSABLE,
+         "c096b60dea975b0d752019e6eb5ce300a40b6a7486da86f18e954c7ba0272da2"),
+    )
+    for m, mode, status, digest in runs:
+        v = decide(m, mode)
+        assert v.status == status
+        assert builds == []
+        # the serialized verdict is the one eager probes gave
+        assert verdict_digest(v) == digest
+    v = decide(sym_model(2), EXHAUSTIVE)
+    assert v.status == SURVIVING_CANDIDATE
+    assert builds == [(0, 1), (1, 0)]
+    assert verdict_digest(v) == (
+        "7ed9ba5f594921fc86811967d0e0e857d5228a1193c2971a2bdeb91c5fe14071"
+    )
+    # the witness re-check still checks the side sum
+    monkeypatch.setattr(decomp, "rosati", lambda x, m: rosati(x, m).scale(2))
+    with pytest.raises(VerificationError, match="sum to rosati"):
+        decide(sym_model(2), EXHAUSTIVE)
 
 
 def test_eval_probe_identity_diagonal():

@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 from motivix import exact
+from motivix.cmlat import model_from_dict
 from motivix.errors import InvalidInput, RankError, ShapeError
 from motivix.exact import (
     ExactMatrix,
@@ -94,6 +95,22 @@ def test_quadint_ring_properties_random():
         assert x * (y + z) == x * y + x * z
         assert (x * y).conj() == x.conj() * y.conj()
         assert (x * y).norm() == x.norm() * y.norm()
+
+
+def test_quadint_bounds_d(monkeypatch):
+    assert exact.MAX_D == 10**9
+    for d in (1, 2, 3, 7, 11, 19, 43, 67, 163, 999_999_937):
+        assert QuadInt(0, 1, d).d == d
+
+    def unreachable(n):
+        raise AssertionError("the squarefree check ran on a d above MAX_D")
+
+    monkeypatch.setattr(exact, "_is_squarefree", unreachable)
+    with pytest.raises(InvalidInput, match="MAX_D"):
+        QuadInt(0, 1, 10**18 + 9)
+    model = {"d": 10**18 + 9, "g": 2, "glue": [[[1, 5], [1, 5]]], "mode": "lattice"}
+    with pytest.raises(InvalidInput, match="MAX_D"):
+        model_from_dict(model)
 
 
 def test_quadint_checks_d_at_public_constructors_only(monkeypatch):
