@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
     UnsupportedQuery,
 )
-from .exact import ExactMatrix, QuadInt, Rat, ZLattice
+from .exact import ExactMatrix, QuadInt, Rat, ZLattice, _is_int
 
 LATTICE = "LATTICE"
 AXIOMATIC = "AXIOMATIC"
@@ -40,6 +40,11 @@ VIOLATES = "VIOLATES"
 # glue coordinates are limited to this common denominator, which keeps
 # the divisor scans behind exponents short
 MAX_GLUE_DENOMINATOR = 10 ** 6
+
+# g is limited to this bound: the lattice basis has (2g)^2 entries and
+# prooftrace lists g(g-1)/2 probes; a lattice prooftrace at g = 64 takes
+# a few seconds
+MAX_G = 64
 
 _ZERO = Rat(0)
 
@@ -206,20 +211,18 @@ class AbelianModel:
     Lambda = O^g + glue (LATTICE mode) or as axiomatic exponent data
     (AXIOMATIC mode)."""
 
-    def __init__(self, d, g, glue, mode, lattice, olat, atom_exponents,
+    def __init__(self, d, g, glue, mode, lattice, atom_exponents,
                  maximal_order, assume_proper_ge4):
         self.d = d
         self.g = g
         self.glue = glue
         self.mode = mode
         self.lattice = lattice
-        self._olat = olat
         self._atom_exps = atom_exponents
         self.maximal_order = maximal_order
         self.assume_proper_ge4 = assume_proper_ge4
         self._exp_cache = {}
         self._grids = None  # corr.GridProjectors, built on the first probe
-        self._glue_exp = None
         self._proper_ge4_verified = None
 
     @property
@@ -277,8 +280,12 @@ def build_model(d, g, glue=(), mode=LATTICE, exponents=None,
     glue: vectors in Q(sqrt(-d))^g; coordinates may be rationals, (a, b)
     pairs meaning a + b*sqrt(-d), or QuadInt.
     """
+    if not _is_int(d) or not _is_int(g):
+        raise InvalidInput("d and g must be integers, got d=%r, g=%r" % (d, g))
     if g < 1:
         raise InvalidInput("g must be >= 1, got %r" % (g,))
+    if g > MAX_G:
+        raise InvalidInput("g = %d exceeds the bound MAX_G = %d" % (g, MAX_G))
     if maximal_order and d % 4 != 3:
         raise InvalidInput("maximal order differs from Z[sqrt(-d)] only for d = 3 mod 4")
     if mode not in (LATTICE, AXIOMATIC):
@@ -306,13 +313,12 @@ def build_model(d, g, glue=(), mode=LATTICE, exponents=None,
             raise InvalidInput("exponents must be >= 1, got %r" % (exponents,))
         if g == 1 and exponents[0] != 1:
             raise InvalidInput("n_I must be 1, got %d for g=1" % exponents[0])
-        return AbelianModel(d, g, glue_vecs, AXIOMATIC, None, None, exponents,
+        return AbelianModel(d, g, glue_vecs, AXIOMATIC, None, exponents,
                             maximal_order, assume_proper_ge4)
     rows = _order_rows(d, g, maximal_order)
     rows += [realify_vec(v) for v in glue_vecs]
     lattice = ZLattice.from_rows(rows)
-    olat = ZLattice.from_rows(_order_rows(d, g, maximal_order))
-    model = AbelianModel(d, g, glue_vecs, LATTICE, lattice, olat, None,
+    model = AbelianModel(d, g, glue_vecs, LATTICE, lattice, None,
                          maximal_order, assume_proper_ge4)
     if exponents is not None:
         got = model.atom_exponents
@@ -329,7 +335,9 @@ def build_model(d, g, glue=(), mode=LATTICE, exponents=None,
 
 def _check_subset(m, K):
     K = frozenset(K)
-    if any(not isinstance(i, int) or not 0 <= i < m.g for i in K):
+    if not all(map(_is_int, K)):
+        raise InvalidInput("atom indices must be integers, got %r" % (list(K),))
+    if any(not 0 <= i < m.g for i in K):
         raise InvalidInput("subset %r out of range for g=%d" % (sorted(K), m.g))
     return K
 
@@ -519,7 +527,13 @@ def _axiomatic_is_integral(m, cs):
 
 
 def exponent(m, K):
-    """n_K: the minimal positive integer with n_K * e_K integral."""
+    """n_K: the minimal positive integer with n_K * e_K integral.
+
+    On a lattice model n_K divides den, the denominator of the lattice
+    basis: Lambda = H / den lies in (1/den) Z^{2g}, and Z^{2g} lies in
+    O^g, inside Lambda, so den * e_K maps Lambda into Lambda. The t with
+    t * e_K integral form an ideal of Z, so the first divisor of den that
+    passes is n_K."""
     K = _check_subset(m, K)
     if not K or len(K) == m.g:
         return 1
@@ -533,33 +547,11 @@ def exponent(m, K):
     if K in m._exp_cache:
         return m._exp_cache[K]
     ident = tuple(range(m.g))
-    for t in _divisors_sorted(_glue_group_exponent(m)):
+    for t in _divisors_sorted(m.lattice.den):
         if monomial_is_integral(m, ident, [t if i in K else 0 for i in ident], 1):
             m._exp_cache[K] = t
             return t
-    raise AssertionError("no exponent found; glue group bound is wrong")
-
-
-def _glue_group_exponent(m):
-    """The exponent N of Lambda/O^g; every n_K divides it because
-    N e_K Lambda lies in e_K O^g, inside O^g."""
-    if m._glue_exp is not None:
-        return m._glue_exp
-    N = 1
-    for row in m.lattice.basis_rows():
-        den = 1
-        for x in row:
-            den = math.lcm(den, x.denominator)
-        if m.maximal_order:
-            den *= 2
-        for t in _divisors_sorted(den):
-            if m._olat.contains([t * x for x in row]):
-                N = math.lcm(N, t)
-                break
-        else:
-            raise AssertionError("row %r not commensurable with O^g" % (row,))
-    m._glue_exp = N
-    return N
+    raise AssertionError("no exponent found; den * e_K must be integral")
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +622,6 @@ def subsets_lemma_check(m, A, B):
 
 # ---------------------------------------------------------------------------
 # JSON model description
-
-
-def _is_int(x):
-    # JSON true/false load as bools, which Python counts as ints
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def rat_to_jsonable(x):
@@ -712,10 +699,6 @@ def model_from_dict(data):
     mode = str(data["mode"]).upper()
     if mode not in (LATTICE, AXIOMATIC):
         raise InvalidInput("mode must be 'lattice' or 'axiomatic', got %r" % (data["mode"],))
-    d = data["d"]
-    g = data["g"]
-    if not _is_int(d) or not _is_int(g):
-        raise InvalidInput("d and g must be integers")
     vecs = data.get("glue", [])
     if not isinstance(vecs, list):
         raise InvalidInput("glue must be a list of vectors, got %r" % (vecs,))
@@ -736,8 +719,8 @@ def model_from_dict(data):
             "maximal_order and assume_proper_exponents_ge4 must be true or false"
         )
     return build_model(
-        d,
-        g,
+        data["d"],
+        data["g"],
         glue=glue,
         mode=mode,
         exponents=exponents,

@@ -308,30 +308,31 @@ def refute(c, m, probes=None):
 def _probe_is_valid(m, sigma):
     """Whether the transposition probe for sigma and its Rosati transform
     are integral on the LATTICE model m, asked without building either.
+
     The probe holds n_j / n_sigma(j) at (sigma(j), j); its Rosati
-    transform is the plain swap, with 1 there."""
-    n = m.atom_exponents
-    L = math.lcm(*n)
-    nums = [n[j] * (L // n[sigma[j]]) for j in range(m.g)]
-    return monomial_is_integral(m, sigma, nums, L) and monomial_is_integral(
-        m, sigma, [1] * m.g, 1
-    )
+    transform is the plain swap S, with 1 there. Only S is asked: if S is
+    integral, then S Lambda = Lambda as S is an involution, so S e_a S =
+    e_b gives n_a = n_b, and the probe is S itself."""
+    return monomial_is_integral(m, sigma, [1] * m.g, 1)
 
 
 def _hypothesis_gate(m, probes, trace):
     """Check what the argument needs before any probing.
 
     LATTICE: verify n_K >= 4 on every proper nonempty K, and verify each
-    transposition probe and its Rosati transform are integral.
+    transposition probe and its Rosati transform are integral, which is
+    one query per probe, the plain swap (see _probe_is_valid).
     AXIOMATIC: verify the declared atom exponents; union exponents and
     probe integrality hold in the geometric source of the declared data
     and are recorded as assumptions.
 
     In LATTICE mode the probes go first. Once every plain swap is
     integral, S_g acts on the lattice, so n_K depends on |K| alone and
-    K = {1..s} stands for every subset of size s. A failing probe sends
-    the gate through all 2^g - 2 subsets instead, so an exponent failure
-    is still reported first, at its first K in size-then-lex order."""
+    K = {1..s} stands for every subset of size s; every later diagonal
+    query depends only on its sorted entries (_decide_exhaustive). A
+    failing probe sends the gate through all 2^g - 2 subsets instead, so
+    an exponent failure is still reported first, at its first K in
+    size-then-lex order."""
     if m.mode == LATTICE:
         bad_probe = next(
             (p for p in probes if not p.is_identity and not _probe_is_valid(m, p.sigma)),
@@ -462,9 +463,20 @@ _TYPES = tuple(itertools.product((1, 0), repeat=3))
 def _decide_exhaustive(m, probes):
     """Refute every diagonal assignment, one S_g orbit at a time.
 
-    The gate has proven every plain swap of two atoms integral, so
-    relabelling the atoms changes no integrality answer, and an
-    assignment is decided by the multiset of its coordinate types
+    Precondition: every plain swap of two atoms is integral. The gate
+    proves it before any search; the symmetric lattices of the tests
+    below the gate have it too. Then S_g acts on the lattice, and
+    relabelling the atoms changes no integrality answer:
+    - a probe image with nums[i] / 2 at (sigma(i), i) is S_sigma *
+      diag(nums / 2), and S_sigma is an integral involution, so it is
+      integral iff the diagonal is, and that depends only on
+      sorted(nums): one memo serves every probe;
+    - the survivors of a transposition depend only on the types of the
+      other g - 2 coordinates, so they are computed once per multiset,
+      with the pair at positions 1, 2; the same lists decide an orbit
+      and build its witness.
+
+    An assignment is decided by the multiset of its coordinate types
     (w, u, v). A multiset holding a w = 1 type stands for its
     multinomial * n_{w=1} / g arrangements with W(1,1) on LAMBDA, which
     keeps the kill counts exact. Its representative lists the types in
@@ -473,32 +485,27 @@ def _decide_exhaustive(m, probes):
     that order finds the same first survivor, and witness, as scanning
     every mask."""
     g = m.g
+    ident = tuple(range(g))
     integral_memo = {}
 
-    def ok(sigma, nums):
-        key = (sigma, nums)
+    def ok(nums):
+        key = tuple(sorted(nums))
         got = integral_memo.get(key)
         if got is None:
-            got = integral_memo[key] = monomial_is_integral(m, sigma, nums, 2)
+            got = integral_memo[key] = monomial_is_integral(m, ident, key, 2)
         return got
 
     pair_memo = {}
 
-    def pair_outcome(rest):
-        """(some local assignment survives, one keeps a transcendental
-        cell on XI) for a transposition whose other g - 2 coordinates
-        have the types rest; computed with the pair at positions 1, 2."""
+    def pair_survivors(rest):
+        """The surviving local assignments of a transposition whose other
+        g - 2 coordinates have the sorted types rest."""
         got = pair_memo.get(rest)
         if got is None:
-            surv = _pair_survivors(ok, 0, 1, *_type_bits((0, 0) + rest))
-            got = pair_memo[rest] = (
-                bool(surv),
-                any(bits[4] == 0 or bits[5] == 0 for bits in surv),
-            )
+            got = pair_memo[rest] = _pair_survivors(ok, *_type_bits((0, 0) + rest))
         return got
 
     full = (1 << g) - 1
-    ident = tuple(range(g))
     orbits = sorted(
         (_masks(combo), combo)
         for combo in itertools.combinations_with_replacement(range(len(_TYPES)), g)
@@ -513,30 +520,21 @@ def _decide_exhaustive(m, probes):
         diag_total += weight
         u, v, w = _type_bits(combo)
         lam, xi = _images_direct(u, v, w)
-        if not (ok(ident, lam) and ok(ident, xi)):
+        if not (ok(lam) and ok(xi)):
             diag_killed_identity += weight
             continue
-        outcomes = []
-        for x, y in itertools.combinations_with_replacement(sorted(set(combo)), 2):
-            rest = list(combo)
-            rest.remove(x)
-            if y in rest:
-                rest.remove(y)
-                outcomes.append(pair_outcome(tuple(rest)))
-        if not all(alive for alive, _ in outcomes):
-            diag_killed_pairs += weight
-            continue
-        if wm == full and not any(donor for _, donor in outcomes):
-            diag_trivial_only += weight
-            continue
         per_pair = [
-            ((a, b), _pair_survivors(ok, a, b, u, v, w))
+            ((a, b), pair_survivors(combo[:a] + combo[a + 1:b] + combo[b + 1:]))
             for a in range(g)
             for b in range(a + 1, g)
         ]
+        if not all(surv for _, surv in per_pair):
+            diag_killed_pairs += weight
+            continue
         choice = _materialize_choice(wm, full, per_pair)
         if choice is None:
-            raise VerificationError("an orbit representative must keep its orbit's outcome")
+            diag_trivial_only += weight
+            continue
         witness = _build_witness(g, um, vm, wm, choice)
         if not witness.is_nontrivial():
             raise VerificationError("materialized witness must be nontrivial")
@@ -600,21 +598,18 @@ def _arrangements(combo):
     return count * sum(_TYPES[t][0] for t in combo) // len(combo)
 
 
-def _pair_survivors(ok, a, b, u, v, w):
-    """Surviving 6-bit local assignments for the (a, b) transposition,
-    given the diagonal bits u, v, w away from {a, b}.  A local assignment
-    lists the LAMBDA bits of cells (a,b),(b,a) in the U, V, W grids,
-    iterated LAMBDA-first; those cells lie on the probe's graph at
-    positions a and b, the diagonal cells everywhere else."""
-    sigma = list(range(len(u)))
-    sigma[a], sigma[b] = b, a
-    sigma = tuple(sigma)
-    u, v, w = list(u), list(v), list(w)
+def _pair_survivors(ok, u, v, w):
+    """Surviving 6-bit local assignments for a transposition of two atoms,
+    given the diagonal bits u, v, w of the others, at positions 3..g.  A
+    local assignment lists the LAMBDA bits of cells (a,b),(b,a) in the U,
+    V, W grids, iterated LAMBDA-first; ok(nums) answers for the images
+    on the probe's graph, which holds those cells at positions 1, 2 and
+    the diagonal cells everywhere else."""
     survivors = []
     for bits in itertools.product((1, 0), repeat=6):
-        u[a], u[b], v[a], v[b], w[a], w[b] = bits
+        u[0], u[1], v[0], v[1], w[0], w[1] = bits
         lam, xi = _images_direct(u, v, w)
-        if ok(sigma, lam) and ok(sigma, xi):
+        if ok(lam) and ok(xi):
             survivors.append(bits)
     return tuple(survivors)
 

@@ -50,6 +50,11 @@ def _is_squarefree(n):
     return True
 
 
+def _is_int(x):
+    # JSON true/false load as bools, which Python counts as ints
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 _ZERO = Rat(0)
 _ONE = Rat(1)
 
@@ -76,9 +81,10 @@ class QuadInt:
 
     @staticmethod
     def check_d(d):
-        """d as an int; InvalidInput unless it is positive, squarefree and
-        at most MAX_D."""
-        d = int(d)
+        """d itself; InvalidInput unless it is an int, positive, squarefree
+        and at most MAX_D."""
+        if not _is_int(d):
+            raise InvalidInput("d must be an integer, got %r" % (d,))
         if d > MAX_D:
             raise InvalidInput("d = %d exceeds the bound MAX_D = %d" % (d, MAX_D))
         if d < 1 or not _is_squarefree(d):

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from motivix import cmlat
 from motivix.cli import build_parser, main
 from motivix.cmlat import build_model, model_to_dict
 
@@ -78,7 +79,7 @@ def test_decide_exit_three_on_hypothesis_failure(capsys, tmp_path):
     assert rep["error"]["message"]
 
 
-def test_exit_one_on_bad_inputs(capsys, tmp_path):
+def test_exit_one_on_bad_inputs(capsys, tmp_path, monkeypatch):
     code, rep = run(capsys, "decide", str(tmp_path / "missing.json"))
     assert code == 1 and rep["error"]["kind"] == "FileNotFoundError"
     broken = tmp_path / "broken.json"
@@ -96,6 +97,17 @@ def test_exit_one_on_bad_inputs(capsys, tmp_path):
     code, rep = run(capsys, "decide", str(huge))
     assert code == 1 and rep["error"]["kind"] == "InvalidInput"
     assert "MAX_D" in rep["error"]["message"]
+    # so is a g above cmlat.MAX_G, before any lattice is built
+    def unreachable(*args):
+        raise AssertionError("a model above MAX_G was built")
+
+    monkeypatch.setattr(cmlat, "_order_rows", unreachable)
+    huge_g = tmp_path / "huge_g.json"
+    huge_g.write_text(json.dumps({"d": 1, "g": 1000000, "mode": "lattice"}),
+                      encoding="utf-8")
+    code, rep = run(capsys, "decide", str(huge_g), "--mode", "prooftrace")
+    assert code == 1 and rep["error"]["kind"] == "InvalidInput"
+    assert "MAX_G" in rep["error"]["message"]
 
 
 def test_exit_one_on_bad_json_numbers(capsys, tmp_path, g3_model):

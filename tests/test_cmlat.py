@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from motivix import cmlat
+from motivix import cmlat, decomp
 from motivix.cmlat import (
     AXIOMATIC,
     CONSISTENT,
@@ -32,6 +32,7 @@ from motivix.cmlat import (
     subset_idempotent,
     subsets_lemma_check,
 )
+from motivix.decomp import PROOFTRACE, decide
 from motivix.errors import (
     InvalidInput,
     LatticeError,
@@ -121,6 +122,23 @@ def test_build_model_bounds_the_glue_denominator(monkeypatch):
         model_from_dict({"d": 1, "g": 1, "mode": "lattice", "glue": [[[1, 10 ** 9 + 7]]]})
 
 
+def test_build_model_bounds_g(monkeypatch):
+    assert cmlat.MAX_G == 64
+    assert build_model(1, 64, mode=AXIOMATIC, exponents=(5,) * 64).g == 64
+
+    def unreachable(*args):
+        raise AssertionError("a model above MAX_G was built or probed")
+
+    monkeypatch.setattr(cmlat, "_order_rows", unreachable)
+    monkeypatch.setattr(decomp, "probes_for", unreachable)
+    for g in (65, 10 ** 6):
+        for kwargs in ({}, {"mode": AXIOMATIC, "exponents": (5,) * g}):
+            with pytest.raises(InvalidInput, match="MAX_G"):
+                decide(build_model(1, g, **kwargs), PROOFTRACE)
+    with pytest.raises(InvalidInput, match="MAX_G"):
+        build_model(1, 65, glue=[(Rat(1, 5),) * 65])
+
+
 def test_endo_from_rows_checks_d_once(monkeypatch):
     with pytest.raises(InvalidInput):
         EndoQ.from_rows([[1, 0], [0, 1]], 4)
@@ -157,6 +175,17 @@ def test_build_model_rejects_non_int_exponents():
     m = build_model(1, 2, glue=[(Rat(1, 5), Rat(2, 5))])
     assert build_model(1, 2, glue=[(Rat(1, 5), Rat(2, 5))],
                        exponents=m.atom_exponents).atom_exponents == m.atom_exponents
+    # d, g and atom indices must be ints too; bools and floats are refused
+    for d, g in [(5.5, 2), ("7", 2), (True, 2), (1, True), (1, 2.0), (1, "2")]:
+        with pytest.raises(InvalidInput, match="d and g must be integers"):
+            build_model(d, g, glue=[(Rat(1, 5), Rat(1, 5))])
+        with pytest.raises(InvalidInput, match="d and g must be integers"):
+            build_model(d, g, mode=AXIOMATIC, exponents=(5, 5))
+    for K in ([True], [False], [1.0], ["1"], [0, "1"]):
+        with pytest.raises(InvalidInput, match="atom indices must be integers"):
+            exponent(m, K)
+        with pytest.raises(InvalidInput, match="atom indices must be integers"):
+            subset_idempotent(m, K)
 
 
 def test_maximal_order_changes_integrality():

@@ -108,6 +108,10 @@ def test_quadint_bounds_d(monkeypatch):
     monkeypatch.setattr(exact, "_is_squarefree", unreachable)
     with pytest.raises(InvalidInput, match="MAX_D"):
         QuadInt(0, 1, 10**18 + 9)
+    # a d that is not an int is refused, not truncated, before either bound
+    for bad in (5.5, 7.0, 1e18, "7", True, Fraction(7), None):
+        with pytest.raises(InvalidInput, match="d must be an integer"):
+            QuadInt(1, 0, bad)
     model = {"d": 10**18 + 9, "g": 2, "glue": [[[1, 5], [1, 5]]], "mode": "lattice"}
     with pytest.raises(InvalidInput, match="MAX_D"):
         model_from_dict(model)

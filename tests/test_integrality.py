@@ -5,8 +5,14 @@ the image with ZLattice.contains. The kernel works on the integer HNF
 basis in plain ints. Both ways into it are compared with the oracle:
 is_integral on EndoQs, and monomial_is_integral on the numerators of
 every diagonal or permutation-shaped case.
+
+The shortcuts the decision procedure takes from the atom symmetry (the
+swap-only probe check, exponents among the divisors of the lattice
+denominator, transposition queries as sorted diagonal queries) are
+checked against the EndoQ route on a second seeded family.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -22,7 +28,7 @@ from motivix.cmlat import (
     rosati,
     subset_idempotent,
 )
-from motivix.decomp import _images_direct, probes_for
+from motivix.decomp import _images_direct, _probe_is_valid, probes_for
 from motivix.exact import QuadInt
 
 
@@ -170,3 +176,67 @@ def test_kernel_matches_rational_oracle():
     assert total >= 1000
     assert min(tally.values()) >= total // 5, tally
     assert monomial >= total // 2 and irrational >= total // 5, (monomial, irrational)
+
+
+def _symmetry_models():
+    """d = 1, 2 and the maximal orders of d = 3, 7 at g = 2..5, each with
+    symmetric, asymmetric and two-generator glue."""
+    rng = random.Random(20261019)
+    out = []
+    for g in range(2, 6):
+        for d in (1, 2, 3, 7):
+            n = rng.choice((2, 3, 4, 5, 6, 8))
+            sym = (QuadInt(F(rng.randrange(1, n), n), F(rng.randrange(n), n), d),) * g
+            asym = tuple(QuadInt(F(rng.randrange(n), n), F(rng.randrange(n), n), d)
+                         for _ in range(g))
+            second = (F(1, rng.choice((2, 3, 5))),) * g
+            for glue in ([sym], [asym], [sym, second]):
+                out.append(build_model(d, g, glue=glue, maximal_order=d in (3, 7)))
+    return out
+
+
+def test_probe_check_is_the_swap_query():
+    # the gate asks only the plain swap: an integral swap forces equal
+    # exponents at the two atoms, so the probe is the swap itself
+    tally = {True: 0, False: 0}
+    for m in _symmetry_models():
+        for p in probes_for(m)[1:]:
+            want = is_integral(m, p.endo) and is_integral(m, rosati(p.endo, m))
+            assert _probe_is_valid(m, p.sigma) == want, (m, m.glue, p.name)
+            tally[want] += 1
+    assert min(tally.values()) >= 50, tally
+
+
+def test_exponent_divides_the_lattice_denominator():
+    # exponent scans the divisors of the lattice denominator; the scan
+    # here runs t = 1, 2, ... on EndoQs
+    rng = random.Random(20261020)
+    for m in _symmetry_models():
+        subsets = list(proper_nonempty_subsets(m.g))
+        for K in rng.sample(subsets, min(len(subsets), 6)):
+            e_K = subset_idempotent(m, K)
+            want = next(t for t in range(1, m.lattice.den + 1)
+                        if is_integral(m, e_K.scale(t)))
+            assert exponent(m, K) == want, (m, m.glue, K)
+
+
+def test_probe_queries_are_sorted_diagonal_queries():
+    # once every swap is integral, nums / 2 on a transposition's graph is
+    # integral iff diag(sorted(nums)) / 2 is
+    rng = random.Random(20261021)
+    tally = {True: 0, False: 0}
+    # the Rosati transform of a transposition probe is the plain swap
+    models = [m for m in _symmetry_models()
+              if all(is_integral(m, rosati(p.endo, m)) for p in probes_for(m)[1:])]
+    assert len(models) >= 16
+    for m in models:
+        ident = tuple(range(m.g))
+        space = list(itertools.product(range(-2, 5), repeat=m.g))
+        even = [nums for nums in space if not any(c % 2 for c in nums)]
+        for nums in (rng.sample(space, min(len(space), 100))
+                     + rng.sample(even, min(len(even), 20))):
+            want = monomial_is_integral(m, ident, sorted(nums), 2)
+            for p in probes_for(m):
+                assert monomial_is_integral(m, p.sigma, nums, 2) == want, (m, nums)
+            tally[want] += 1
+    assert min(tally.values()) >= 150, tally
