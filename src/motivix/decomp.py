@@ -9,10 +9,11 @@ convolution against the probe sends each side of a candidate to an
 endomorphism of the glued product of CM elliptic curves, and both images
 have to be integral.
 
-EXHAUSTIVE mode enumerates every nontrivial candidate for g <= 10,
-factored through the per-probe restrictions and taken up to relabelling
-the atoms, and refutes them probe by probe.  PROOFTRACE mode replays the
-symbolic two-case argument at any g and emits the derivation as a trace.
+EXHAUSTIVE mode enumerates every nontrivial candidate for g <= 20,
+factored through the per-probe restrictions and taken one class of
+diagonal c values (c = 4w - u - v per atom, six values) at a time, and
+refutes them probe by probe.  PROOFTRACE mode replays the symbolic
+two-case argument at any g and emits the derivation as a trace.
 
 The grid shape of the candidate space is a trusted reduction: any
 essential decomposition is matched summand by summand against the
@@ -49,6 +50,9 @@ from .errors import (
 
 EXHAUSTIVE = "EXHAUSTIVE"
 PROOFTRACE = "PROOFTRACE"
+
+# C(g + 5, 5) classes of c values: 53,130 at g = 20
+EXHAUSTIVE_MAX_G = 20
 
 INDECOMPOSABLE = "INDECOMPOSABLE"
 SURVIVING_CANDIDATE = "SURVIVING_CANDIDATE"
@@ -181,15 +185,19 @@ class Probe:
         return all(self.sigma[i] == i for i in range(len(self.sigma)))
 
 
+def _transposition(g, a, b):
+    sigma = list(range(g))
+    sigma[a], sigma[b] = b, a
+    return tuple(sigma)
+
+
 def probes_for(m):
     """The identity plus all transpositions: 1 + g(g-1)/2 probes."""
     g = m.g
     out = [Probe(tuple(range(g)), m)]
     for a in range(g):
         for b in range(a + 1, g):
-            sigma = list(range(g))
-            sigma[a], sigma[b] = b, a
-            out.append(Probe(tuple(sigma), m))
+            out.append(Probe(_transposition(g, a, b), m))
     return out
 
 
@@ -316,12 +324,32 @@ def _probe_is_valid(m, sigma):
     return monomial_is_integral(m, sigma, [1] * m.g, 1)
 
 
+# above this g a failing probe is reported without first scanning all
+# 2^g - 2 subsets for an exponent failure
+_SUBSET_SCAN_MAX_G = 10
+
+
+def _first_bad_probe(m, probes):
+    """The first transposition probe of probes, the whole family, that is
+    not integral on the LATTICE model m, or None.
+
+    The g - 1 adjacent swaps generate S_g, and the integral swaps are
+    lattice automorphisms (see _probe_is_valid), which form a group. So
+    when the adjacent swaps pass every swap does, and only a failing one
+    sends the check through every probe in order."""
+    g = m.g
+    if all(_probe_is_valid(m, _transposition(g, a, a + 1)) for a in range(g - 1)):
+        return None
+    return next(p for p in probes if not p.is_identity and not _probe_is_valid(m, p.sigma))
+
+
 def _hypothesis_gate(m, probes, trace):
     """Check what the argument needs before any probing.
 
     LATTICE: verify n_K >= 4 on every proper nonempty K, and verify each
     transposition probe and its Rosati transform are integral, which is
-    one query per probe, the plain swap (see _probe_is_valid).
+    one query per probe, the plain swap (see _probe_is_valid), and g - 1
+    queries in all when the adjacent swaps pass (_first_bad_probe).
     AXIOMATIC: verify the declared atom exponents; union exponents and
     probe integrality hold in the geometric source of the declared data
     and are recorded as assumptions.
@@ -330,29 +358,32 @@ def _hypothesis_gate(m, probes, trace):
     integral, S_g acts on the lattice, so n_K depends on |K| alone and
     K = {1..s} stands for every subset of size s; every later diagonal
     query depends only on its sorted entries (_decide_exhaustive). A
-    failing probe sends the gate through all 2^g - 2 subsets instead, so
-    an exponent failure is still reported first, at its first K in
-    size-then-lex order."""
+    failing probe at g <= 10 sends the gate through all 2^g - 2 subsets
+    instead, so an exponent failure is still reported first, at its first
+    K in size-then-lex order; above g = 10 the failing probe is reported
+    without that scan."""
     if m.mode == LATTICE:
-        bad_probe = next(
-            (p for p in probes if not p.is_identity and not _probe_is_valid(m, p.sigma)),
-            None,
-        )
+        bad_probe = _first_bad_probe(m, probes)
+        bad = None
         if bad_probe is None:
-            bad = None
             for s in range(1, m.g):
                 K = frozenset(range(s))
                 n = exponent(m, K)
                 if n < 4:
                     bad = K, n
                     break
-        else:
+        elif m.g <= _SUBSET_SCAN_MAX_G:
             bad = verify_proper_exponents(m)
         if bad is not None:
             K, n = bad
             raise HypothesisError(
                 "exponent hypothesis fails: n_%r = %d < 4"
                 % (sorted(i + 1 for i in K), n)
+            )
+        if bad_probe is not None:
+            raise HypothesisError(
+                "probe %s is not an integral endomorphism of this model"
+                % bad_probe.name
             )
         trace.append(
             {
@@ -362,11 +393,6 @@ def _hypothesis_gate(m, probes, trace):
                 "(verified on the lattice)",
             }
         )
-        if bad_probe is not None:
-            raise HypothesisError(
-                "probe %s is not an integral endomorphism of this model"
-                % bad_probe.name
-            )
         trace.append(
             {
                 "probe": None,
@@ -421,10 +447,11 @@ def _note(rule, note, probe=None):
 def decide(m, mode):
     """Decide essential indecomposability for the model.
 
-    EXHAUSTIVE (lattice models, g <= 10): enumerate all nontrivial
+    EXHAUSTIVE (lattice models, g <= 20): enumerate all nontrivial
     candidates up to the side swap, factored through per-probe
-    restrictions and taken one S_g orbit of diagonal assignments at a
-    time, and refute each.  PROOFTRACE (any g): replay the
+    restrictions and taken one class of diagonal assignments at a time
+    (those with the same multiset of c = 4w - u - v, C(g + 5, 5)
+    classes), and refute each.  PROOFTRACE (any g): replay the
     symbolic argument.  INDECOMPOSABLE means every nontrivial candidate
     is refuted; SURVIVING_CANDIDATE reports one that no probe refutes
     (without asserting decomposability); UNDECIDED means the symbolic
@@ -432,10 +459,12 @@ def decide(m, mode):
     if mode not in (EXHAUSTIVE, PROOFTRACE):
         raise InvalidInput("unknown mode %r" % (mode,))
     if mode == EXHAUSTIVE:
-        # ahead of the hypothesis gate, which scans all 2^g - 2 subsets
-        # when a probe fails
-        if m.g > 10:
-            raise InvalidInput("exhaustive search is bounded to g <= 10")
+        # ahead of the hypothesis gate, so a request exhaustive search
+        # cannot serve is refused whatever the gate would say
+        if m.g > EXHAUSTIVE_MAX_G:
+            raise InvalidInput(
+                "exhaustive search is bounded to g <= %d" % EXHAUSTIVE_MAX_G
+            )
         if m.mode != LATTICE:
             raise UnsupportedQuery(
                 "exhaustive search needs a lattice model; axiomatic "
@@ -459,9 +488,20 @@ def decide(m, mode):
 # the (w, u, v) LAMBDA bits of one diagonal coordinate, in descending order
 _TYPES = tuple(itertools.product((1, 0), repeat=3))
 
+# c = 4w - u - v, the one number by which a coordinate enters a probe image
+# (_images_direct), in descending order; c >= 2 exactly when w = 1
+_CS = (4, 3, 2, 0, -1, -2)
+
+# the indices into _TYPES of the types with each c: two each for c = 3
+# and c = -1, one for the others
+_TYPES_OF_C = {
+    c: tuple(t for t, (w, u, v) in enumerate(_TYPES) if 4 * w - u - v == c)
+    for c in _CS
+}
+
 
 def _decide_exhaustive(m, probes):
-    """Refute every diagonal assignment, one S_g orbit at a time.
+    """Refute every diagonal assignment, one class of c values at a time.
 
     Precondition: every plain swap of two atoms is integral. The gate
     proves it before any search; the symmetric lattices of the tests
@@ -471,19 +511,17 @@ def _decide_exhaustive(m, probes):
       diag(nums / 2), and S_sigma is an integral involution, so it is
       integral iff the diagonal is, and that depends only on
       sorted(nums): one memo serves every probe;
-    - the survivors of a transposition depend only on the types of the
-      other g - 2 coordinates, so they are computed once per multiset,
-      with the pair at positions 1, 2; the same lists decide an orbit
-      and build its witness.
+    - the survivors of a transposition depend only on the other g - 2
+      coordinates, so they are computed once per multiset of those.
 
-    An assignment is decided by the multiset of its coordinate types
-    (w, u, v). A multiset holding a w = 1 type stands for its
-    multinomial * n_{w=1} / g arrangements with W(1,1) on LAMBDA, which
-    keeps the kill counts exact. Its representative lists the types in
-    descending order at positions 1..g; that is also its first
-    arrangement in (wm, um, vm) order, so scanning representatives in
-    that order finds the same first survivor, and witness, as scanning
-    every mask."""
+    A coordinate enters every image only through c = 4w - u - v, so an
+    assignment is decided by the multiset of its c values, its class:
+    C(g + 5, 5) classes, of which those holding some c >= 2 (w = 1) are
+    walked. A class counts for its multinomial * 2^(n_3 + n_-1) *
+    n_{c>=2} / g assignments with W(1,1) on LAMBDA (_class_weight), which
+    keeps the kill counts exact. The first survivor, and the witness, are
+    those of a scan over every mask in (wm, um, vm) order: the least
+    _masks over the type multisets of the surviving classes."""
     g = m.g
     ident = tuple(range(g))
     integral_memo = {}
@@ -499,42 +537,44 @@ def _decide_exhaustive(m, probes):
 
     def pair_survivors(rest):
         """The surviving local assignments of a transposition whose other
-        g - 2 coordinates have the sorted types rest."""
+        g - 2 coordinates have the c values rest, in descending order."""
         got = pair_memo.get(rest)
         if got is None:
-            got = pair_memo[rest] = _pair_survivors(ok, *_type_bits((0, 0) + rest))
+            got = pair_memo[rest] = _pair_survivors(ok, rest)
         return got
 
-    full = (1 << g) - 1
-    orbits = sorted(
-        (_masks(combo), combo)
-        for combo in itertools.combinations_with_replacement(range(len(_TYPES)), g)
-        if _TYPES[combo[0]][0]  # holds a w = 1 type (W(1,1) pinned by the side swap)
-    )
     diag_total = 0
     diag_killed_identity = 0
     diag_killed_pairs = 0
     diag_trivial_only = 0
-    for (wm, um, vm), combo in orbits:
-        weight = _arrangements(combo)
+    open_classes = []
+    for cs in itertools.combinations_with_replacement(_CS, g):
+        if cs[0] < 2:
+            break  # no w = 1 from here on (W(1,1) pinned by the side swap)
+        weight = _class_weight(cs)
         diag_total += weight
-        u, v, w = _type_bits(combo)
-        lam, xi = _images_direct(u, v, w)
-        if not (ok(lam) and ok(xi)):
+        if not (ok(cs) and ok([2 - c for c in cs])):
             diag_killed_identity += weight
             continue
-        per_pair = [
-            ((a, b), pair_survivors(combo[:a] + combo[a + 1:b] + combo[b + 1:]))
-            for a in range(g)
-            for b in range(a + 1, g)
-        ]
-        if not all(surv for _, surv in per_pair):
+        per_rest = [(rest, pair_survivors(rest)) for rest in _rests(cs)]
+        if not all(surv for _, surv in per_rest):
             diag_killed_pairs += weight
-            continue
-        choice = _materialize_choice(wm, full, per_pair)
-        if choice is None:
+        elif _materialize_choice(cs[-1] >= 2, per_rest) is None:
             diag_trivial_only += weight
-            continue
+        else:
+            open_classes.append(cs)
+    if open_classes:
+        combo = min(
+            (combo for cs in open_classes for combo in _type_splits(cs)),
+            key=_masks,
+        )
+        wm, um, vm = _masks(combo)
+        c_at = [4 * w - u - v for w, u, v in (_TYPES[t] for t in combo)]
+        per_pair = []
+        for a, b in itertools.combinations(range(g), 2):
+            rest = c_at[:a] + c_at[a + 1:b] + c_at[b + 1:]
+            per_pair.append(((a, b), pair_survivors(tuple(sorted(rest, reverse=True)))))
+        choice = _materialize_choice(wm == (1 << g) - 1, per_pair)
         witness = _build_witness(g, um, vm, wm, choice)
         if not witness.is_nontrivial():
             raise VerificationError("materialized witness must be nontrivial")
@@ -576,50 +616,71 @@ def _decide_exhaustive(m, probes):
     return INDECOMPOSABLE, extra, None
 
 
-def _type_bits(combo):
-    """The U, V and W bit lists of the coordinate types combo lists."""
-    w, u, v = zip(*(_TYPES[t] for t in combo))
-    return list(u), list(v), list(w)
+def _class_weight(cs):
+    """How many diagonal assignments with W(1,1) on LAMBDA have the c
+    values cs: the multinomial of the c counts, times 2^(n_3 + n_-1) for
+    the two types behind each c = 3 and c = -1, times n_{c>=2} / g."""
+    counts = [cs.count(c) for c in _CS]
+    n4, n3, n2, _, n_1, _ = counts
+    count = math.factorial(len(cs))
+    for n in counts:
+        count //= math.factorial(n)
+    return (count << n3 + n_1) * (n4 + n3 + n2) // len(cs)
+
+
+def _rests(cs):
+    """The c values left by removing two coordinates from the descending
+    cs, once per distinct result, each in descending order."""
+    out = []
+    for x, y in itertools.combinations_with_replacement(sorted(set(cs), reverse=True), 2):
+        rest = list(cs)
+        rest.remove(x)
+        if y in rest:
+            rest.remove(y)
+            out.append(tuple(rest))
+    return out
+
+
+def _type_splits(cs):
+    """The type multisets, as sorted _TYPES indices, whose c values are
+    cs: (n_3 + 1)(n_-1 + 1) of them."""
+    choices = [
+        itertools.combinations_with_replacement(_TYPES_OF_C[c], cs.count(c))
+        for c in sorted(set(cs))
+    ]
+    for parts in itertools.product(*choices):
+        yield tuple(sorted(itertools.chain(*parts)))
 
 
 def _masks(combo):
     """(wm, um, vm): the diagonal masks of the types combo lists, the
     type at position i giving bit i."""
-    u, v, w = _type_bits(combo)
+    w, u, v = zip(*(_TYPES[t] for t in combo))
     return tuple(sum(bit << i for i, bit in enumerate(bits)) for bits in (w, u, v))
 
 
-def _arrangements(combo):
-    """How many diagonal assignments with W(1,1) on LAMBDA have the
-    multiset of types combo: the multinomial times n_{w=1} / g."""
-    count = math.factorial(len(combo))
-    for t in set(combo):
-        count //= math.factorial(combo.count(t))
-    return count * sum(_TYPES[t][0] for t in combo) // len(combo)
-
-
-def _pair_survivors(ok, u, v, w):
+def _pair_survivors(ok, rest):
     """Surviving 6-bit local assignments for a transposition of two atoms,
-    given the diagonal bits u, v, w of the others, at positions 3..g.  A
-    local assignment lists the LAMBDA bits of cells (a,b),(b,a) in the U,
-    V, W grids, iterated LAMBDA-first; ok(nums) answers for the images
-    on the probe's graph, which holds those cells at positions 1, 2 and
-    the diagonal cells everywhere else."""
+    given the c values rest of the others.  A local assignment lists the
+    LAMBDA bits of cells (a,b),(b,a) in the U, V, W grids, iterated
+    LAMBDA-first; ok(nums) answers for the images on the probe's graph,
+    which holds those cells at its first two places and the diagonal
+    cells of the others after them."""
+    rest_xi = tuple(2 - c for c in rest)
     survivors = []
     for bits in itertools.product((1, 0), repeat=6):
-        u[0], u[1], v[0], v[1], w[0], w[1] = bits
-        lam, xi = _images_direct(u, v, w)
-        if ok(lam) and ok(xi):
+        lam, xi = _images_direct(bits[0:2], bits[2:4], bits[4:6])
+        if ok(lam + rest) and ok(xi + rest_xi):
             survivors.append(bits)
     return tuple(survivors)
 
 
-def _materialize_choice(wm, full, per_pair):
+def _materialize_choice(need_xi_w, per_pair):
     """Pick one surviving local assignment per transposition pair so the
     XI side keeps a transcendental cell, or None if only all-LAMBDA
-    transcendental grids survive.  First-fit in the fixed iteration
-    order, so witnesses are reproducible."""
-    need_xi_w = wm == full
+    transcendental grids survive.  need_xi_w says the diagonal holds no
+    XI transcendental cell.  First-fit in the fixed iteration order, so
+    witnesses are reproducible."""
     choice = {}
     if not need_xi_w:
         for (pair, surv) in per_pair:

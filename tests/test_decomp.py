@@ -411,19 +411,85 @@ def test_hypothesis_gate_messages():
         assert str(err.value) == message
 
 
+def count_probe_queries(monkeypatch):
+    calls = []
+    real = decomp._probe_is_valid
+
+    def counted(m, sigma):
+        calls.append(sigma)
+        return real(m, sigma)
+
+    monkeypatch.setattr(decomp, "_probe_is_valid", counted)
+    return calls
+
+
+def test_gate_asks_adjacent_swaps_only_when_they_pass(monkeypatch):
+    # the g - 1 adjacent swaps generate S_g, so a passing model needs no
+    # other swap query
+    calls = count_probe_queries(monkeypatch)
+    m = sym_model(8)
+    assert decide(m, PROOFTRACE).status == INDECOMPOSABLE
+    assert len(calls) == 7
+    assert calls == [decomp._transposition(8, a, a + 1) for a in range(7)]
+
+
+def test_gate_names_the_first_failing_probe_of_the_full_scan():
+    rng = random.Random(20261019)
+    models = [
+        build_model(1, 3, glue=[(F(1, 5), F(1, 5), F(2, 5))]),
+        build_model(2, 5, glue=[(F(1, 5),) * 4 + (F(2, 5),)]),
+        build_model(1, 6, glue=[(F(2, 5),) + (F(1, 5),) * 5]),
+    ]
+    for g in (3, 4, 5, 6, 7, 8):
+        n = rng.choice((5, 7, 11))
+        models.append(build_model(rng.choice((1, 2, 3)), g,
+                                  glue=[[F(rng.randrange(1, n), n) for _ in range(g)]]))
+    named = 0
+    for m in models:
+        bad = [p.name for p in probes_for(m) if not p.is_identity
+               and not (is_integral(m, p.endo) and is_integral(m, rosati(p.endo, m)))]
+        assert bad, m
+        with pytest.raises(HypothesisError) as err:
+            decide(m, PROOFTRACE)
+        if "probe" in str(err.value):
+            named += 1
+            assert str(err.value) == (
+                "probe %s is not an integral endomorphism of this model" % bad[0])
+    assert named >= 5
+
+
+def test_gate_skips_the_subset_scan_above_g_10(monkeypatch):
+    # a failing probe at g <= 10 scans all 2^g - 2 subsets so that an
+    # exponent failure is reported first; above g = 10 the probe is named
+    # without that scan
+    def no_scan(m):
+        raise AssertionError("the gate scanned every subset")
+
+    monkeypatch.setattr(decomp, "verify_proper_exponents", no_scan)
+    m = build_model(1, 24, glue=[(F(1, 5),) * 23 + (F(2, 5),)])
+    with pytest.raises(HypothesisError) as err:
+        decide(m, PROOFTRACE)
+    assert str(err.value) == (
+        "probe transposition(1,24) is not an integral endomorphism of this model")
+    m = build_model(1, 12, glue=[(F(1, 5),) * 11 + (F(2, 5),)])
+    for mode in (PROOFTRACE, EXHAUSTIVE):
+        with pytest.raises(HypothesisError, match=r"probe transposition\(1,12\)"):
+            decide(m, mode)
+
+
 def test_decide_input_validation(monkeypatch):
     m = sym_model(2)
     with pytest.raises(InvalidInput):
         decide(m, "GUESS")
-    m11 = sym_model(11)
+    m21 = sym_model(21)
 
     def unreachable(*args):
-        raise AssertionError("g = 11 reached the hypothesis gate or the enumeration")
+        raise AssertionError("g = 21 reached the hypothesis gate or the enumeration")
 
     monkeypatch.setattr(decomp, "_hypothesis_gate", unreachable)
     monkeypatch.setattr(decomp, "_images_direct", unreachable)
-    with pytest.raises(InvalidInput, match="g <= 10"):
-        decide(m11, EXHAUSTIVE)
+    with pytest.raises(InvalidInput, match="g <= 20"):
+        decide(m21, EXHAUSTIVE)
     ax = build_model(1, 3, mode=AXIOMATIC, exponents=(5, 5, 5), assume_proper_ge4=True)
     with pytest.raises(UnsupportedQuery):
         decide(ax, EXHAUSTIVE)

@@ -1,13 +1,17 @@
-"""The orbit search of decide(EXHAUSTIVE) against the ordered enumerator.
+"""The class search of decide(EXHAUSTIVE) against two slower oracles.
 
 `ordered_decide` walks all 2^(3g-1) diagonal masks in (wm, um, vm) order
 behind the full hypothesis gate (every proper subset exponent, then each
 transposition probe and its Rosati transform as EndoQs). It is the
-oracle for g <= 6; beyond that, exhaustive is checked against prooftrace.
+oracle for g <= 6. `type_orbit_exhaustive` walks one S_g orbit of
+(w, u, v) type multisets at a time, C(g + 7, 7) of them, and serves as
+the oracle up to g = 8. Beyond that, exhaustive is checked against
+prooftrace.
 """
 
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -23,19 +27,22 @@ from motivix.cmlat import (
 )
 from motivix.decomp import (
     EXHAUSTIVE,
+    EXHAUSTIVE_MAX_G,
     INDECOMPOSABLE,
     PROOFTRACE,
     SURVIVING_CANDIDATE,
     TRUSTED_REDUCTION,
     Verdict,
     _build_witness,
+    _class_weight,
+    _CS,
     _images_direct,
     _materialize_choice,
     _TYPES,
-    _arrangements,
     _decide_exhaustive,
     _masks,
     _note,
+    _type_splits,
     decide,
     probes_for,
     refute,
@@ -130,7 +137,7 @@ def ordered_exhaustive(m, probes):
                         break
                     per_pair.append(((a, b), surv))
                 else:
-                    choice = _materialize_choice(wm, full, per_pair)
+                    choice = _materialize_choice(wm == full, per_pair)
                     if choice is None:
                         trivial_only += 1
                         continue
@@ -138,20 +145,114 @@ def ordered_exhaustive(m, probes):
                     check = refute(witness, m, probes)
                     if check.refuted or not witness.is_nontrivial():
                         raise VerificationError("ordered witness must pass")
-                    extra = [
-                        _note(
-                            "diagonal-case",
-                            "identity probe left a diagonal assignment open",
-                            probe="identity",
-                        ),
-                        _note(
-                            "transposition-case",
-                            "a nontrivial candidate survives every probe",
-                        ),
-                    ]
-                    return SURVIVING_CANDIDATE, extra + list(check.steps), witness
+                    return SURVIVING_CANDIDATE, survivor_notes() + list(check.steps), witness
                 killed_pairs += 1
-    extra = [
+    return INDECOMPOSABLE, refuted_notes(killed_identity, total, killed_pairs,
+                                         trivial_only), None
+
+
+def type_bits(combo):
+    """The U, V and W bit lists of the coordinate types combo lists."""
+    w, u, v = zip(*(_TYPES[t] for t in combo))
+    return list(u), list(v), list(w)
+
+
+def arrangements(combo):
+    """How many diagonal assignments with W(1,1) on LAMBDA have the
+    multiset of types combo: the multinomial times n_{w=1} / g."""
+    count = math.factorial(len(combo))
+    for t in set(combo):
+        count //= math.factorial(combo.count(t))
+    return count * sum(_TYPES[t][0] for t in combo) // len(combo)
+
+
+def type_pair_survivors(ok, u, v, w):
+    """Surviving local assignments of a transposition at positions 1, 2,
+    given the diagonal bits u, v, w of the others at positions 3..g."""
+    survivors = []
+    for bits in itertools.product((1, 0), repeat=6):
+        u[0], u[1], v[0], v[1], w[0], w[1] = bits
+        lam, xi = _images_direct(u, v, w)
+        if ok(lam) and ok(xi):
+            survivors.append(bits)
+    return tuple(survivors)
+
+
+def type_orbit_exhaustive(m, probes):
+    """The search one S_g orbit of type multisets at a time: each multiset
+    holding a w = 1 type stands for arrangements(combo) masks, and its
+    types in descending order are its first mask in (wm, um, vm) order,
+    so the orbits are scanned sorted by that mask."""
+    g = m.g
+    ident = tuple(range(g))
+    integral_memo = {}
+
+    def ok(nums):
+        key = tuple(sorted(nums))
+        got = integral_memo.get(key)
+        if got is None:
+            got = integral_memo[key] = monomial_is_integral(m, ident, key, 2)
+        return got
+
+    pair_memo = {}
+
+    def pair_survivors(rest):
+        got = pair_memo.get(rest)
+        if got is None:
+            got = pair_memo[rest] = type_pair_survivors(ok, *type_bits((0, 0) + rest))
+        return got
+
+    full = (1 << g) - 1
+    orbits = sorted(
+        (_masks(combo), combo)
+        for combo in itertools.combinations_with_replacement(range(len(_TYPES)), g)
+        if _TYPES[combo[0]][0]
+    )
+    total = killed_identity = killed_pairs = trivial_only = 0
+    for (wm, um, vm), combo in orbits:
+        weight = arrangements(combo)
+        total += weight
+        lam, xi = _images_direct(*type_bits(combo))
+        if not (ok(lam) and ok(xi)):
+            killed_identity += weight
+            continue
+        per_pair = [
+            ((a, b), pair_survivors(combo[:a] + combo[a + 1:b] + combo[b + 1:]))
+            for a in range(g)
+            for b in range(a + 1, g)
+        ]
+        if not all(surv for _, surv in per_pair):
+            killed_pairs += weight
+            continue
+        choice = _materialize_choice(wm == full, per_pair)
+        if choice is None:
+            trivial_only += weight
+            continue
+        witness = _build_witness(g, um, vm, wm, choice)
+        check = refute(witness, m, probes)
+        if check.refuted or not witness.is_nontrivial():
+            raise VerificationError("orbit witness must pass")
+        return SURVIVING_CANDIDATE, survivor_notes() + list(check.steps), witness
+    return INDECOMPOSABLE, refuted_notes(killed_identity, total, killed_pairs,
+                                         trivial_only), None
+
+
+def survivor_notes():
+    return [
+        _note(
+            "diagonal-case",
+            "identity probe left a diagonal assignment open",
+            probe="identity",
+        ),
+        _note(
+            "transposition-case",
+            "a nontrivial candidate survives every probe",
+        ),
+    ]
+
+
+def refuted_notes(killed_identity, total, killed_pairs, trivial_only):
+    return [
         _note(
             "diagonal-case",
             "identity probe refuted %d of %d diagonal assignments "
@@ -170,17 +271,20 @@ def ordered_exhaustive(m, probes):
             "transcendental part is essentially indecomposable",
         ),
     ]
-    return INDECOMPOSABLE, extra, None
 
 
-def ordered_decide(m):
-    """decide(m, EXHAUSTIVE) by the full gate and the ordered enumerator."""
-    probes = probes_for(m)
-    trace = [_note("trusted-reduction", TRUSTED_REDUCTION)]
-    full_gate(m, probes, trace)
-    status, extra, witness = ordered_exhaustive(m, probes)
-    trace.extend(extra)
-    return Verdict(status, EXHAUSTIVE, m.g, tuple(probes), tuple(trace), witness)
+def oracle_decide(search):
+    """decide(m, EXHAUSTIVE) by the full gate and the given search."""
+
+    def run(m):
+        probes = probes_for(m)
+        trace = [_note("trusted-reduction", TRUSTED_REDUCTION)]
+        full_gate(m, probes, trace)
+        status, extra, witness = search(m, probes)
+        trace.extend(extra)
+        return Verdict(status, EXHAUSTIVE, m.g, tuple(probes), tuple(trace), witness)
+
+    return run
 
 
 def outcome(run, m):
@@ -226,6 +330,22 @@ def corpus(seed):
     return models
 
 
+ordered_decide = oracle_decide(ordered_exhaustive)
+type_orbit_decide = oracle_decide(type_orbit_exhaustive)
+
+
+def below_gate_models():
+    """Symmetric lattices with exponents below 4: they fail the gate but
+    keep every swap integral, so the search still applies; they leave
+    survivors at g >= 3 with witnesses other than the g = 2 one."""
+    models = [build_model(1, g, glue=[(F(1, n),) * g]) for g in (3, 4) for n in (2, 3)]
+    models.append(build_model(3, 4, glue=[(F(1, 2),) * 4], maximal_order=True))
+    models.append(build_model(2, 5, glue=[((F(1, 2), F(1, 2)),) * 5]))
+    models.append(build_model(1, 4, glue=sorted(set(itertools.permutations(
+        (F(1, 2),) * 3 + (F(0),))))))
+    return models
+
+
 def test_orbit_weights_cover_every_mask():
     # each type multiset holding a w = 1 type is one orbit; its weight
     # counts its masks with W(1,1) on LAMBDA, and its representative is
@@ -233,7 +353,7 @@ def test_orbit_weights_cover_every_mask():
     for g in range(1, 7):
         orbits = [c for c in itertools.combinations_with_replacement(range(8), g)
                   if _TYPES[c[0]][0]]
-        assert sum(map(_arrangements, orbits)) == 2 ** (3 * g - 1)
+        assert sum(map(arrangements, orbits)) == 2 ** (3 * g - 1)
         if g > 4:
             continue
         masks = {}
@@ -245,9 +365,38 @@ def test_orbit_weights_cover_every_mask():
                     masks.setdefault(tuple(sorted(types)), []).append((wm, um, vm))
         assert sorted(masks) == orbits
         for combo in orbits:
-            assert len(masks[combo]) == _arrangements(combo)
+            assert len(masks[combo]) == arrangements(combo)
             assert masks[combo][0] == _masks(combo)
     assert len(orbits) == 1632  # C(13, 7) - C(9, 3) at g = 6
+
+
+def classes(g):
+    """The classes of c values the search walks: those holding a c >= 2."""
+    return [cs for cs in itertools.combinations_with_replacement(_CS, g) if cs[0] >= 2]
+
+
+def test_class_weights_sum_their_type_orbits():
+    # a class stands for the type multisets with its c values; its weight
+    # is the sum of their arrangements, and the classes partition the orbits
+    for g in range(1, 7):
+        seen = []
+        for cs in classes(g):
+            splits = list(_type_splits(cs))
+            assert len(splits) == (cs.count(3) + 1) * (cs.count(-1) + 1)
+            for combo in splits:
+                c_of = sorted((4 * w - u - v for w, u, v in (_TYPES[t] for t in combo)),
+                              reverse=True)
+                assert tuple(c_of) == cs
+            assert _class_weight(cs) == sum(map(arrangements, splits))
+            seen.extend(splits)
+        orbits = [c for c in itertools.combinations_with_replacement(range(8), g)
+                  if _TYPES[c[0]][0]]
+        assert sorted(seen) == orbits
+    for g in range(1, EXHAUSTIVE_MAX_G + 1):
+        walked = classes(g)
+        assert len(walked) == math.comb(g + 5, 5) - math.comb(g + 2, 2)
+        assert sum(map(_class_weight, walked)) == 2 ** (3 * g - 1)
+    assert len(walked) == 52899  # C(25, 5) - C(22, 2) at g = 20
 
 
 def test_orbit_search_matches_ordered_oracle():
@@ -261,18 +410,36 @@ def test_orbit_search_matches_ordered_oracle():
 
 
 def test_orbit_search_matches_ordered_oracle_below_the_gate():
-    # symmetric lattices with exponents below 4 fail the gate but keep
-    # every swap integral, so the orbit search still applies; they leave
-    # survivors at g >= 3 with witnesses other than the g = 2 one
-    models = [build_model(1, g, glue=[(F(1, n),) * g]) for g in (3, 4) for n in (2, 3)]
-    models.append(build_model(3, 4, glue=[(F(1, 2),) * 4], maximal_order=True))
-    models.append(build_model(2, 5, glue=[((F(1, 2), F(1, 2)),) * 5]))
-    models.append(build_model(1, 4, glue=sorted(set(itertools.permutations(
-        (F(1, 2),) * 3 + (F(0),))))))
-    for m in models:
+    for m in below_gate_models():
         probes = probes_for(m)
         got = _decide_exhaustive(m, probes)
         assert got == ordered_exhaustive(m, probes), m
+        assert got[0] == SURVIVING_CANDIDATE
+
+
+def test_class_search_matches_type_orbit_oracle():
+    statuses = set()
+    models = corpus(20261019)
+    models += [
+        build_model(1, 7, glue=[(F(1, 5),) * 7]),
+        build_model(7, 7, glue=[((F(1, 5), F(2, 5)),) * 7, (F(1, 7),) * 7],
+                    maximal_order=True),
+        build_model(2, 8, glue=[(F(2, 11),) * 8]),
+        build_model(1, 8, glue=[(F(1, 5),) * 7 + (F(2, 5),)]),  # probe (1,8) fails
+    ]
+    for m in models:
+        want = outcome(type_orbit_decide, m)
+        assert outcome(lambda m: decide(m, EXHAUSTIVE), m) == want, m
+        statuses.add(want[0])
+    assert statuses == {SURVIVING_CANDIDATE, INDECOMPOSABLE, "gate"}
+    below = below_gate_models() + [
+        build_model(1, 6, glue=[(F(1, 2),) * 6]),
+        build_model(1, 7, glue=[(F(1, 3),) * 7]),
+    ]
+    for m in below:
+        probes = probes_for(m)
+        got = _decide_exhaustive(m, probes)
+        assert got == type_orbit_exhaustive(m, probes), m
         assert got[0] == SURVIVING_CANDIDATE
 
 
@@ -286,16 +453,25 @@ def test_orbit_search_matches_ordered_oracle_below_the_gate():
     ],
 )
 def test_exhaustive_matches_prooftrace_beyond_the_oracle(d, glue, maximal):
-    for g in range(7, 11):
-        if g != 10 and (d, maximal) != (1, False):
-            continue  # one g = 10 run per field keeps the test short
-        m = build_model(d, g, glue=[(glue,) * g], maximal_order=maximal)
-        t0 = time.perf_counter()
-        ve = decide(m, EXHAUSTIVE)
-        elapsed = time.perf_counter() - t0
-        vp = decide(m, PROOFTRACE)
-        assert ve.status == vp.status == INDECOMPOSABLE
-        assert ve.witness is None
-        notes = [s["note"] for s in ve.trace]
-        assert any("of %d diagonal assignments" % 2 ** (3 * g - 1) in n for n in notes)
-        assert elapsed < 5.0
+    for g in range(7, 13):
+        if g < 10 and (d, maximal) != (1, False):
+            continue  # g = 10 to 12 per field keeps the test short
+        check_against_prooftrace(build_model(d, g, glue=[(glue,) * g],
+                                             maximal_order=maximal))
+
+
+@pytest.mark.parametrize("g", [16, EXHAUSTIVE_MAX_G])
+def test_exhaustive_matches_prooftrace_up_to_the_bound(g):
+    check_against_prooftrace(build_model(1, g, glue=[(F(1, 5),) * g]))
+
+
+def check_against_prooftrace(m):
+    t0 = time.perf_counter()
+    ve = decide(m, EXHAUSTIVE)
+    elapsed = time.perf_counter() - t0
+    vp = decide(m, PROOFTRACE)
+    assert ve.status == vp.status == INDECOMPOSABLE
+    assert ve.witness is None
+    notes = [s["note"] for s in ve.trace]
+    assert any("of %d diagonal assignments" % 2 ** (3 * m.g - 1) in n for n in notes)
+    assert elapsed < 5.0
