@@ -33,7 +33,7 @@ from .errors import (
     VerificationError,
     OracleError,
 )
-from .exact import Rat, QuadInt, ExactMatrix, ZLattice, solve_field
+from .exact import Rat, QuadInt, ZLattice, solve_field
 from .cmlat import (
     LATTICE,
     AXIOMATIC,
@@ -108,7 +108,6 @@ __all__ = [
     "OracleError",
     "Rat",
     "QuadInt",
-    "ExactMatrix",
     "ZLattice",
     "solve_field",
     "LATTICE",

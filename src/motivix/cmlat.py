@@ -21,6 +21,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     InvalidInput,
@@ -29,7 +30,7 @@ from .errors import (
     ShapeError,
     UnsupportedQuery,
 )
-from .exact import ExactMatrix, QuadInt, Rat, ZLattice, _is_int
+from .exact import QuadInt, Rat, ZLattice, _is_int
 
 LATTICE = "LATTICE"
 AXIOMATIC = "AXIOMATIC"
@@ -43,7 +44,7 @@ MAX_GLUE_DENOMINATOR = 10 ** 6
 
 # g is limited to this bound: the lattice basis has (2g)^2 entries and
 # prooftrace lists g(g-1)/2 probes; a lattice prooftrace at g = 64 takes
-# a few seconds
+# about 0.4 s on a 2-vCPU host, build_model included
 MAX_G = 64
 
 _ZERO = Rat(0)
@@ -74,18 +75,21 @@ __all__ = [
     "endo_identity",
     "endo_zero",
     "verify_proper_exponents",
+    "swaps_are_integral",
 ]
 
 
 class EndoQ:
-    """An element of End_Q(J): a g x g matrix over Q(sqrt(-d))."""
+    """An element of End_Q(J): a g x g matrix over Q(sqrt(-d)), held as
+    rows, a tuple of g tuples of QuadInts over d."""
 
-    __slots__ = ("mat", "d")
+    __slots__ = ("rows", "d")
 
-    def __init__(self, mat, d):
-        if not isinstance(mat, ExactMatrix) or mat.rows != mat.cols:
-            raise ShapeError("EndoQ needs a square ExactMatrix")
-        object.__setattr__(self, "mat", mat)
+    def __init__(self, rows, d):
+        rows = tuple(tuple(row) for row in rows)
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise ShapeError("EndoQ needs a nonempty square matrix")
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):
@@ -106,33 +110,52 @@ class EndoQ:
                 else:
                     qrow.append(QuadInt._make(Rat(x), _ZERO, d))
             qrows.append(qrow)
-        return cls(ExactMatrix(qrows), d)
+        return cls(qrows, d)
 
     @property
     def g(self):
-        return self.mat.rows
+        return len(self.rows)
 
     def entry(self, i, j):
-        return self.mat.entry(i, j)
+        return self.rows[i][j]
+
+    def _check_same(self, other, shape_msg):
+        """ShapeError unless other has the same g, InvalidInput unless
+        the same d."""
+        if self.g != other.g:
+            raise ShapeError(shape_msg % (self.g, self.g, other.g, other.g))
+        if self.d != other.d:
+            raise InvalidInput("mixed quadratic fields: d=%d vs d=%d" % (self.d, other.d))
+
+    def _map(self, fn):
+        return EndoQ([[fn(x) for x in row] for row in self.rows], self.d)
 
     def __add__(self, other):
         if not isinstance(other, EndoQ):
             return NotImplemented
-        return EndoQ(self.mat + other.mat, self.d)
+        self._check_same(other, "add: %dx%d vs %dx%d")
+        return EndoQ([map(operator.add, r, s) for r, s in zip(self.rows, other.rows)], self.d)
 
     def __sub__(self, other):
         if not isinstance(other, EndoQ):
             return NotImplemented
-        return EndoQ(self.mat - other.mat, self.d)
+        self._check_same(other, "sub: %dx%d vs %dx%d")
+        return EndoQ([map(operator.sub, r, s) for r, s in zip(self.rows, other.rows)], self.d)
 
     def __neg__(self):
-        return EndoQ(-self.mat, self.d)
+        return self._map(operator.neg)
 
     def __mul__(self, other):
         # composition when other is an EndoQ, otherwise scalar scaling
-        if isinstance(other, EndoQ):
-            return EndoQ(self.mat * other.mat, self.d)
-        return self.scale(other)
+        if not isinstance(other, EndoQ):
+            return self.scale(other)
+        self._check_same(other, "mul: %dx%d times %dx%d")
+        cols = list(zip(*other.rows))
+        return EndoQ(
+            [[reduce(operator.add, map(operator.mul, row, col)) for col in cols]
+             for row in self.rows],
+            self.d,
+        )
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -140,24 +163,24 @@ class EndoQ:
     def scale(self, c):
         if not isinstance(c, QuadInt):
             c = QuadInt(Rat(c), 0, self.d)
-        return EndoQ(self.mat.scale(c), self.d)
+        return self._map(lambda x: c * x)
 
     def conj(self):
-        return EndoQ(self.mat.map_entries(lambda x: x.conj()), self.d)
+        return self._map(QuadInt.conj)
 
     def is_zero(self):
-        return all(x.is_zero() for row in self.mat.entries for x in row)
+        return all(x.is_zero() for row in self.rows for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, EndoQ):
             return NotImplemented
-        return self.d == other.d and self.mat == other.mat
+        return self.d == other.d and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.d, self.mat))
+        return hash((self.d, self.rows))
 
     def __repr__(self):
-        return "EndoQ(d=%d, %r)" % (self.d, [list(r) for r in self.mat.entries])
+        return "EndoQ(d=%d, %r)" % (self.d, [list(r) for r in self.rows])
 
 
 @dataclass(frozen=True)
@@ -224,6 +247,7 @@ class AbelianModel:
         self._exp_cache = {}
         self._grids = None  # corr.GridProjectors, built on the first probe
         self._proper_ge4_verified = None
+        self._swaps_integral = None  # see swaps_are_integral
 
     @property
     def atom_exponents(self):
@@ -381,7 +405,7 @@ def rosati(x, m):
         [x.entry(j, i).conj() * Rat(n[j], n[i]) for j in range(m.g)]
         for i in range(m.g)
     ]
-    return EndoQ(ExactMatrix(rows), m.d)
+    return EndoQ(rows, m.d)
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +474,12 @@ def _realify_endo(x):
     """(L, X): L the lcm of the denominators of x, X the integer 2g x 2g
     matrix of L x acting on realified column vectors."""
     L = 1
-    for row in x.mat.entries:
+    for row in x.rows:
         for e in row:
             L = math.lcm(L, e.a.denominator, e.b.denominator)
     d = x.d
     X = []
-    for row in x.mat.entries:
+    for row in x.rows:
         re_row, im_row = [], []
         for e in row:
             # (a + b w)(u + v w) = (a u - d b v) + (b u + a v) w, w^2 = -d
@@ -564,9 +588,38 @@ def proper_nonempty_subsets(g):
             yield frozenset(K)
 
 
+def swaps_are_integral(m):
+    """Whether every plain swap of two atoms, the permutation matrix with
+    1 at (sigma(i), i) for a transposition sigma, is integral on the
+    LATTICE model m. Asked once per model.
+
+    The g - 1 adjacent swaps generate S_g, and the integral swaps form a
+    group: a swap S is an involution, so S Lambda in Lambda gives
+    S Lambda = Lambda. So the adjacent swaps decide for every swap, and
+    when they pass S_g acts on the lattice by permuting the atoms."""
+    if m._swaps_integral is None:
+        g = m.g
+        ones = [1] * g
+        m._swaps_integral = all(
+            monomial_is_integral(m, _adjacent_swap(g, a), ones, 1)
+            for a in range(g - 1)
+        )
+    return m._swaps_integral
+
+
+def _adjacent_swap(g, a):
+    sigma = list(range(g))
+    sigma[a], sigma[a + 1] = a + 1, a
+    return sigma
+
+
 def verify_proper_exponents(m):
     """Check n_K >= 4 for every proper nonempty K; returns None when the
-    check holds, else one offending (K, n_K)."""
+    check holds, else the first offending (K, n_K) in size-then-lex order.
+
+    On a lattice model whose swaps are integral, S_g permutes the atoms,
+    so n_K depends on |K| alone and K = {0..s-1} stands for every K of
+    size s: g - 1 exponents instead of 2^g - 2, with the same answer."""
     if m.mode == AXIOMATIC:
         if m.g == 1:
             return None  # no proper nonempty subsets at all
@@ -578,7 +631,11 @@ def verify_proper_exponents(m):
         return None
     if m._proper_ge4_verified:
         return None
-    for K in proper_nonempty_subsets(m.g):
+    if swaps_are_integral(m):
+        subsets = (frozenset(range(s)) for s in range(1, m.g))
+    else:
+        subsets = proper_nonempty_subsets(m.g)
+    for K in subsets:
         n = exponent(m, K)
         if n < 4:
             return K, n
@@ -653,7 +710,7 @@ def endo_to_jsonable(x):
     """Row-major nested list with each entry as [[an, ad], [bn, bd]]."""
     return [
         [[rat_to_jsonable(q.a), rat_to_jsonable(q.b)] for q in row]
-        for row in x.mat.entries
+        for row in x.rows
     ]
 
 

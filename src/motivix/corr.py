@@ -73,41 +73,39 @@ class Corr2:
         return cls(model, {})
 
     @classmethod
-    def tensor(cls, model, a, b, coeff=1):
+    def tensor(cls, model, a, b):
         if not isinstance(a, EndoQ) or not isinstance(b, EndoQ):
             raise InvalidInput("tensor legs must be EndoQ")
         if a.g != model.g or b.g != model.g or a.d != model.d or b.d != model.d:
             raise ShapeError(
                 "tensor legs do not match the model (g=%d, d=%d)" % (model.g, model.d)
             )
-        coeff = Rat(coeff)
         terms = {}
-        if coeff != 0:
-            g = model.g
-            left = []
-            for i in range(g):
-                for j in range(g):
-                    q = a.entry(i, j)
-                    if q.a:
-                        left.append((i, j, 0, q.a))
-                    if q.b:
-                        left.append((i, j, 1, q.b))
-            for k in range(g):
-                for l in range(g):
-                    r = b.entry(k, l)
-                    parts = []
-                    if r.a:
-                        parts.append((0, r.a))
-                    if r.b:
-                        parts.append((1, r.b))
-                    for (i, j, u, ca) in left:
-                        for (v, cb) in parts:
-                            key = (TENSOR, i, j, u, k, l, v)
-                            c = terms.get(key, Rat(0)) + coeff * ca * cb
-                            if c == 0:
-                                terms.pop(key, None)
-                            else:
-                                terms[key] = c
+        g = model.g
+        left = []
+        for i in range(g):
+            for j in range(g):
+                q = a.entry(i, j)
+                if q.a:
+                    left.append((i, j, 0, q.a))
+                if q.b:
+                    left.append((i, j, 1, q.b))
+        for k in range(g):
+            for l in range(g):
+                r = b.entry(k, l)
+                parts = []
+                if r.a:
+                    parts.append((0, r.a))
+                if r.b:
+                    parts.append((1, r.b))
+                for (i, j, u, ca) in left:
+                    for (v, cb) in parts:
+                        key = (TENSOR, i, j, u, k, l, v)
+                        c = terms.get(key, Rat(0)) + ca * cb
+                        if c == 0:
+                            terms.pop(key, None)
+                        else:
+                            terms[key] = c
         return cls(model, terms)
 
     @classmethod
@@ -117,15 +115,12 @@ class Corr2:
         return cls.tensor(model, ident, ident)
 
     @classmethod
-    def grid_atom(cls, model, kind, i, j, coeff=1):
+    def grid_atom(cls, model, kind, i, j):
         if kind not in _GRID_KINDS:
             raise InvalidInput("unknown grid kind %r" % (kind,))
         if not (0 <= i < model.g and 0 <= j < model.g):
             raise InvalidInput("grid cell (%d,%d) out of range" % (i, j))
-        coeff = Rat(coeff)
-        if coeff == 0:
-            return cls.zero(model)
-        return cls(model, {(kind, i, j): coeff})
+        return cls(model, {(kind, i, j): Rat(1)})
 
     def _compat(self, other):
         if not isinstance(other, Corr2):

@@ -31,12 +31,12 @@ from .cmlat import (
     LATTICE,
     PermEndoSpec,
     endo_to_jsonable,
-    exponent,
     full_grid,
     is_integral,
     monomial_is_integral,
     perm_endo,
     rosati,
+    swaps_are_integral,
     verify_proper_exponents,
 )
 from .corr import Corr2, build_grids, conv
@@ -333,12 +333,10 @@ def _first_bad_probe(m, probes):
     """The first transposition probe of probes, the whole family, that is
     not integral on the LATTICE model m, or None.
 
-    The g - 1 adjacent swaps generate S_g, and the integral swaps are
-    lattice automorphisms (see _probe_is_valid), which form a group. So
-    when the adjacent swaps pass every swap does, and only a failing one
-    sends the check through every probe in order."""
-    g = m.g
-    if all(_probe_is_valid(m, _transposition(g, a, a + 1)) for a in range(g - 1)):
+    When the adjacent swaps pass every swap does (swaps_are_integral),
+    and only a failing one sends the check through every probe in
+    order."""
+    if swaps_are_integral(m):
         return None
     return next(p for p in probes if not p.is_identity and not _probe_is_valid(m, p.sigma))
 
@@ -349,7 +347,9 @@ def _hypothesis_gate(m, probes, trace):
     LATTICE: verify n_K >= 4 on every proper nonempty K, and verify each
     transposition probe and its Rosati transform are integral, which is
     one query per probe, the plain swap (see _probe_is_valid), and g - 1
-    queries in all when the adjacent swaps pass (_first_bad_probe).
+    queries in all when the adjacent swaps pass (_first_bad_probe). The
+    exponent check is verify_proper_exponents, which reuses that swap
+    answer.
     AXIOMATIC: verify the declared atom exponents; union exponents and
     probe integrality hold in the geometric source of the declared data
     and are recorded as assumptions.
@@ -365,14 +365,7 @@ def _hypothesis_gate(m, probes, trace):
     if m.mode == LATTICE:
         bad_probe = _first_bad_probe(m, probes)
         bad = None
-        if bad_probe is None:
-            for s in range(1, m.g):
-                K = frozenset(range(s))
-                n = exponent(m, K)
-                if n < 4:
-                    bad = K, n
-                    break
-        elif m.g <= _SUBSET_SCAN_MAX_G:
+        if bad_probe is None or m.g <= _SUBSET_SCAN_MAX_G:
             bad = verify_proper_exponents(m)
         if bad is not None:
             K, n = bad

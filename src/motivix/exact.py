@@ -1,9 +1,8 @@
 """Exact arithmetic foundation.
 
 Arbitrary-precision rationals (stdlib Fraction, re-exported as Rat),
-imaginary-quadratic-field elements, dense exact matrices and Gaussian
-elimination over any exact field, and integer-lattice linear algebra via
-row Hermite normal form.
+imaginary-quadratic-field elements, Gaussian elimination over any exact
+field, and integer-lattice linear algebra via row Hermite normal form.
 
 No floating point anywhere in this module.
 """
@@ -16,7 +15,6 @@ from .errors import InvalidInput, RankError, ShapeError
 __all__ = [
     "Rat",
     "QuadInt",
-    "ExactMatrix",
     "row_echelon",
     "solve_field",
     "ZLattice",
@@ -219,127 +217,6 @@ class QuadInt:
         return "QuadInt(%s, %s, d=%d)" % (self.a, self.b, self.d)
 
 
-# ---------------------------------------------------------------------------
-# dense exact matrices over a generic coefficient ring
-
-
-class ExactMatrix:
-    """Dense matrix with exact entries (Rat, QuadInt, or anything with
-    ring operations and equality to 0)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows_of_entries):
-        ents = tuple(tuple(row) for row in rows_of_entries)
-        if not ents or not ents[0]:
-            raise ShapeError("matrix needs at least one row and column")
-        ncols = len(ents[0])
-        if any(len(r) != ncols for r in ents):
-            raise ShapeError("ragged rows in matrix input")
-        object.__setattr__(self, "rows", len(ents))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", ents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n, one, zero):
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    def entry(self, i, j):
-        return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
-
-    def __add__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("add: %dx%d vs %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("sub: %dx%d vs %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __neg__(self):
-        return self.map_entries(lambda x: -x)
-
-    def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise ShapeError(
-                    "mul: %dx%d times %dx%d" % (self.rows, self.cols, other.rows, other.cols)
-                )
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = self.entries[i][0] * other.entries[0][j]
-                    for k in range(1, self.cols):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                out.append(row)
-            return ExactMatrix(out)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        # scalar * matrix
-        return self.scale(other)
-
-    def scale(self, c):
-        return self.map_entries(lambda x: c * x)
-
-    def map_entries(self, fn):
-        return ExactMatrix([[fn(x) for x in row] for row in self.entries])
-
-    def transpose(self):
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise ShapeError("trace of non-square %dx%d" % (self.rows, self.cols))
-        acc = self.entries[0][0]
-        for i in range(1, self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
-
-    def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return "ExactMatrix(%r)" % ([list(r) for r in self.entries],)
-
-
 def row_echelon(rows, ncols):
     """Forward Gaussian elimination over a field, in place.
 
@@ -383,18 +260,14 @@ def row_echelon(rows, ncols):
     return pivots
 
 
-def solve_field(mat, rhs):
-    """Solve mat*x = rhs over a field: row_echelon, then back substitution.
+def solve_field(rows, rhs):
+    """Solve rows*x = rhs over a field: row_echelon, then back substitution.
 
-    mat: ExactMatrix or list of rows; rhs: list. Returns a solution list
-    (free variables set to 0) or None if the system is inconsistent.
+    rows: list of rows; rhs: list. Returns a solution list (free
+    variables set to 0) or None if the system is inconsistent.
     The pivots row_echelon leaves are 1, so back substitution divides by
     nothing.
     """
-    if isinstance(mat, ExactMatrix):
-        rows = mat.entries
-    else:
-        rows = mat
     m = len(rows)
     n = len(rows[0]) if m else 0
     if len(rhs) != m:
@@ -538,13 +411,6 @@ class ZLattice:
                 for k in range(i + 1, n):
                     w[k] -= q * row[k]
         return True
-
-    def det(self):
-        """Covolume: absolute determinant of the basis matrix."""
-        prod = 1
-        for i in range(self.ambient_rank):
-            prod *= self.hbasis[i][i]
-        return Rat(prod, self.den ** self.ambient_rank)
 
     def __eq__(self, other):
         if not isinstance(other, ZLattice):

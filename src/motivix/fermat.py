@@ -317,6 +317,9 @@ def span_rank(forms):
 # finite-field degree oracle
 
 _PRIME_FLOOR = 300
+# random fiber samples per shear, and primes drawn before degree gives up
+_FIBER_TRIALS = 6
+_DEGREE_ATTEMPTS = 25
 _GEN_MINPOLY = {name: poly for name, poly in KNOWN_GENS}
 
 
@@ -359,7 +362,7 @@ def _gen_assignment(spec, p):
     return assign
 
 
-def _route_count(F_fp, A_fp, B_fp, p, rng, trials):
+def _route_count(F_fp, A_fp, B_fp, p, rng):
     """Largest generic fiber size of the map A/B : curve -> line mod p,
     counted over the algebraic closure by eliminating y with resultants
     after a random shear (the shear separates x-coordinates and feeds
@@ -389,7 +392,7 @@ def _route_count(F_fp, A_fp, B_fp, p, rng, trials):
         # padded to one length so that G(x0) = A(x0) - u0*B(x0) zips
         width = max(fp2_deg_y(At), fp2_deg_y(Bt)) + 1
         at_x = {}
-        for _ in range(trials):
+        for _ in range(_FIBER_TRIALS):
             u0 = rng.randrange(1, p)
             Gt = fp2_sub(At, fp2_scale(Bt, u0, p), p)
             if fp2_deg_y(Gt) < 1:  # zero, or free of y
@@ -422,7 +425,7 @@ def _route_count(F_fp, A_fp, B_fp, p, rng, trials):
     return best
 
 
-def degree(phi, primes=None, trials=6, seed=0, attempts=25):
+def degree(phi, primes=None, seed=0):
     """Degree of the function-field extension induced by phi,
     by generic-fiber counting modulo several good primes.
 
@@ -456,7 +459,7 @@ def degree(phi, primes=None, trials=6, seed=0, attempts=25):
     )
     prime_source = iter(primes) if primes is not None else _oracle_primes()
     agreed = []
-    for _ in range(attempts):
+    for _ in range(_DEGREE_ATTEMPTS):
         p = next(prime_source, None)
         if p is None:
             break
@@ -469,7 +472,7 @@ def degree(phi, primes=None, trials=6, seed=0, attempts=25):
                 B_fp = comp.den.map_fp(p, assign)
                 if not B_fp or not A_fp:
                     raise _BadPrime("component degenerates mod %d" % p)
-                count = _route_count(F_fp, A_fp, B_fp, p, rng, trials)
+                count = _route_count(F_fp, A_fp, B_fp, p, rng)
                 if count % target_deg:
                     raise _BadPrime("fiber count %d not divisible" % count)
                 vals.append(count // target_deg)

@@ -521,20 +521,24 @@ def blowup_rows(centers, ambient_dim=4):
     }
 
 
-def cubic_rationality_ledger(surfaces, curves, points, b4=23, rho2=1):
+# a very general cubic fourfold: b4 = 23, and the square of the
+# hyperplane class spans its algebraic classes in H^4
+_CUBIC_B4 = 23
+_CUBIC_RHO2 = 1
+
+
+def cubic_rationality_ledger(surfaces, curves, points):
     """Dimension bookkeeping for a hypothetical resolution of a map from
     projective 4-space to a very general cubic fourfold.
 
-    The middle transcendental part has dimension b4 - rho2; a blown-up
+    The middle transcendental part has dimension b4 - rho2 = 22; a blown-up
     surface could receive it only if its own transcendental dimension
     strictly exceeds that, because the complementary summand of the
     induced splitting is nonzero. Equality is reported as a violation of
     that nontriviality; smaller surfaces cannot host at all.
     """
-    _check_count(b4, "b4", 1)
-    _check_count(rho2, "rho2", 1)
     _check_count(points, "point count")
-    target = b4 - rho2
+    target = _CUBIC_B4 - _CUBIC_RHO2
     rows = []
     for (b2, rho, q) in surfaces:
         ck_surface(b2, rho, q)  # validates the triple
@@ -555,9 +559,9 @@ def cubic_rationality_ledger(surfaces, curves, points, b4=23, rho2=1):
     else:
         summary = "hosting forces equality, violating nontriviality of both summands"
     return {
-        "b4": b4,
-        "rho2": rho2,
-        "dim_m4_prim": b4 - 1,
+        "b4": _CUBIC_B4,
+        "rho2": _CUBIC_RHO2,
+        "dim_m4_prim": _CUBIC_B4 - 1,
         "dim_m4_tr": target,
         "surfaces": rows,
         "curve_count": len(list(curves)),

@@ -412,10 +412,10 @@ def test_criterion_7_property_suites():
 
     failures = []
     suites = (
-        ("rosati", props.test_rosati_involution_and_antihomomorphism),
-        ("tensor-associativity", props.test_tensor_composition_associativity),
-        ("probe-image-sum", props.test_probe_image_sum_soundness),
-        ("refutation-swap", props.test_refutation_swap_symmetry),
+        ("rosati", props.check_rosati_involution_and_antihomomorphism),
+        ("tensor-associativity", props.check_tensor_composition_associativity),
+        ("probe-image-sum", props.check_probe_image_sum_soundness),
+        ("refutation-swap", props.check_refutation_swap_symmetry),
     )
     for name, fn in suites:
         try:

@@ -7,6 +7,7 @@ the module.
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -409,6 +410,58 @@ def test_subsets_lemma_precondition_fires():
     ax_bad = build_model(1, 2, mode=AXIOMATIC, exponents=(3, 6), assume_proper_ge4=True)
     with pytest.raises(PreconditionError):
         subsets_lemma_check(ax_bad, [0], [1])
+
+
+def full_exponent_scan(m):
+    """The first K in size-then-lex order with n_K < 4, scanning all
+    2^g - 2 proper nonempty subsets, or None."""
+    for size in range(1, m.g):
+        for K in itertools.combinations(range(m.g), size):
+            n = exponent(m, K)
+            if n < 4:
+                return frozenset(K), n
+    return None
+
+
+def symmetric_glue(g, n, x, y):
+    """A constant glue vector x/n and the S_g orbit of (y/n, (n - y)/n)
+    on two atoms: every swap of two atoms is integral."""
+    pair = (Rat(y, n), Rat(n - y, n)) + (Rat(0),) * (g - 2)
+    return [(Rat(x, n),) * g] + sorted(set(itertools.permutations(pair)))
+
+
+def test_verify_proper_exponents_matches_the_full_scan():
+    # symmetric glue takes the g - 1 subset route, random glue mostly
+    # does not; (1, 4, 12, 7, 10) first fails on a union of two atoms
+    rng = random.Random(20261019)
+    cases = [(1, 4, symmetric_glue(4, 12, 7, 10))]
+    for k in range(40):
+        g = rng.randint(2, 8)
+        d = rng.choice((1, 2, 3, 7))
+        n = rng.choice((2, 3, 4, 5, 6, 7, 9, 10, 12))
+        if k % 2:
+            glue = symmetric_glue(g, n, rng.randrange(1, n), rng.randrange(n))
+        else:
+            glue = [[(Rat(rng.randrange(n), n), Rat(rng.randrange(n), n)) for _ in range(g)]
+                    for _ in range(rng.randint(1, 2))]
+        cases.append((d, g, glue))
+    routes = {True: 0, False: 0}
+    union_failures = 0
+    for d, g, glue in cases:
+        m = build_model(d, g, glue=glue)
+        got = cmlat.verify_proper_exponents(m)
+        assert got == full_exponent_scan(build_model(d, g, glue=glue)), (d, g, glue)
+        routes[cmlat.swaps_are_integral(m)] += 1
+        union_failures += got is not None and len(got[0]) > 1
+    assert routes[True] >= 20 and routes[False] >= 10
+    assert union_failures >= 1
+
+
+def test_subsets_lemma_check_is_fast_on_a_symmetric_g64_model():
+    m = build_model(1, 64, glue=[(Rat(1, 5),) * 64])
+    t0 = time.perf_counter()
+    assert subsets_lemma_check(m, [0], [1]) == CONSISTENT
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_subsets_lemma_axiomatic_c6_exhaustive(subtests=None):

@@ -152,7 +152,7 @@ def test_conv_tensor_rule():
         a = random_endo(m, rng)
         b = random_endo(m, rng)
         sigma = random_endo(m, rng)
-        x = Corr2.tensor(m, a, b, Rat(3, 2))
+        x = Corr2.tensor(m, a, b).scale(Rat(3, 2))
         assert conv(sigma, x) == (b * rosati(sigma, m) * a).scale(Rat(3, 2))
 
 
@@ -192,7 +192,7 @@ def test_unit_laws():
     x = (
         grids.theta[1][2].scale(Rat(4, 7))
         + grids.a2[0][0]
-        + Corr2.tensor(m, random_endo(m, rng), random_endo(m, rng), Rat(-2))
+        + Corr2.tensor(m, random_endo(m, rng), random_endo(m, rng)).scale(Rat(-2))
     )
     assert compose(one, x) == x
     assert compose(x, one) == x
@@ -202,9 +202,9 @@ def test_compose_tensor_rule_and_mixed_failure():
     m = model_555()
     rng = random.Random(25)
     a, b, c, d = (random_endo(m, rng) for _ in range(4))
-    x = Corr2.tensor(m, a, b, Rat(2))
-    y = Corr2.tensor(m, c, d, Rat(1, 3))
-    assert compose(x, y) == Corr2.tensor(m, a * c, b * d, Rat(2, 3))
+    x = Corr2.tensor(m, a, b).scale(Rat(2))
+    y = Corr2.tensor(m, c, d).scale(Rat(1, 3))
+    assert compose(x, y) == Corr2.tensor(m, a * c, b * d).scale(Rat(2, 3))
     grids = build_grids(m)
     with pytest.raises(UnsupportedQuery):
         compose(x, grids.theta[0][0])
@@ -221,7 +221,7 @@ def test_transpose_involution_and_antihom():
     rng = random.Random(26)
     for _ in range(10):
         a, b = random_endo(m, rng), random_endo(m, rng)
-        x = Corr2.tensor(m, a, b, Rat(3)) + grids.theta[0][2] + grids.a1[1][1].scale(Rat(-1, 2))
+        x = Corr2.tensor(m, a, b).scale(Rat(3)) + grids.theta[0][2] + grids.a1[1][1].scale(Rat(-1, 2))
         assert transpose(transpose(x)) == x
         assert transpose(Corr2.tensor(m, a, b)) == Corr2.tensor(
             m, rosati(a, m), rosati(b, m)
@@ -238,8 +238,8 @@ def test_tensor_canonical_merge():
     rng = random.Random(27)
     a, b = random_endo(m, rng), random_endo(m, rng)
     assert Corr2.tensor(m, a.scale(2), b) == Corr2.tensor(m, a, b.scale(2))
-    assert Corr2.tensor(m, a.scale(Rat(2, 3)), b, Rat(3)) == Corr2.tensor(m, a, b, Rat(2))
-    z = Corr2.tensor(m, a, b) - Corr2.tensor(m, a.scale(3), b, Rat(1, 3))
+    assert Corr2.tensor(m, a.scale(Rat(2, 3)), b).scale(Rat(3)) == Corr2.tensor(m, a, b).scale(Rat(2))
+    z = Corr2.tensor(m, a, b) - Corr2.tensor(m, a.scale(3), b).scale(Rat(1, 3))
     assert z.is_zero()
     assert Corr2.tensor(m, endo_zero(m), b).is_zero()
 

@@ -9,9 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from motivix import decomp
+from motivix import cmlat, decomp
 from motivix.cmlat import (
     AXIOMATIC,
+    CONSISTENT,
     EndoQ,
     PermEndoSpec,
     build_model,
@@ -21,6 +22,8 @@ from motivix.cmlat import (
     perm_endo,
     rosati,
     subset_idempotent,
+    subsets_lemma_check,
+    verify_proper_exponents,
 )
 from motivix.decomp import (
     B_CELLS,
@@ -412,25 +415,35 @@ def test_hypothesis_gate_messages():
 
 
 def count_probe_queries(monkeypatch):
+    """Record the sigma of every swap query, the permutation matrix of a
+    transposition asked through monomial_is_integral from cmlat or
+    decomp."""
     calls = []
-    real = decomp._probe_is_valid
+    real = cmlat.monomial_is_integral
 
-    def counted(m, sigma):
-        calls.append(sigma)
-        return real(m, sigma)
+    def counted(m, sigma, nums, den):
+        if den == 1 and list(sigma) != list(range(m.g)) and all(c == 1 for c in nums):
+            calls.append(tuple(sigma))
+        return real(m, sigma, nums, den)
 
-    monkeypatch.setattr(decomp, "_probe_is_valid", counted)
+    monkeypatch.setattr(cmlat, "monomial_is_integral", counted)
+    monkeypatch.setattr(decomp, "monomial_is_integral", counted)
     return calls
 
 
 def test_gate_asks_adjacent_swaps_only_when_they_pass(monkeypatch):
     # the g - 1 adjacent swaps generate S_g, so a passing model needs no
-    # other swap query
+    # other swap query, and the exponent check reuses their answer
     calls = count_probe_queries(monkeypatch)
     m = sym_model(8)
     assert decide(m, PROOFTRACE).status == INDECOMPOSABLE
     assert len(calls) == 7
     assert calls == [decomp._transposition(8, a, a + 1) for a in range(7)]
+    # later checks on the same model ask none of them again
+    assert verify_proper_exponents(m) is None
+    assert subsets_lemma_check(m, [0], [1]) == CONSISTENT
+    assert decide(m, EXHAUSTIVE).status == INDECOMPOSABLE
+    assert len(calls) == 7
 
 
 def test_gate_names_the_first_failing_probe_of_the_full_scan():

@@ -170,7 +170,7 @@ def test_kernel_matches_rational_oracle():
             if form is not None:
                 assert monomial_is_integral(m, *form) == want, (m, m.glue, x)
                 monomial += 1
-            irrational += any(e.b != 0 for row in x.mat.entries for e in row)
+            irrational += any(e.b != 0 for row in x.rows for e in row)
             tally[want] += 1
     total = tally[True] + tally[False]
     assert total >= 1000

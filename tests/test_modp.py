@@ -239,9 +239,9 @@ def test_resultant_degree_bound():
     assert tighter >= 20
 
 
-def old_route_count(F_fp, A_fp, B_fp, p, rng, trials):
+def old_route_count(F_fp, A_fp, B_fp, p, rng, trials=6):
     """The fiber count as it was: the classical point count, and every
-    polynomial evaluated afresh for every trial."""
+    polynomial evaluated afresh for every trial, six trials per shear."""
     sheared = []
     for _ in range(8):
         lam = rng.randrange(1, p)
@@ -288,7 +288,7 @@ def old_route_count(F_fp, A_fp, B_fp, p, rng, trials):
 def outcome(fn, args, seed):
     rng = random.Random(seed)
     try:
-        result = fn(*args, rng, 6)
+        result = fn(*args, rng)
     except _BadPrime:
         result = "bad prime"
     return result, rng.getstate()

@@ -1,7 +1,10 @@
 """Randomized algebra suites, one thousand cases each with fixed
 seeds: Rosati involution and anti-homomorphism, tensor composition
 associativity, probe-image sum soundness, and refutation symmetry
-under swapping the two sides."""
+under swapping the two sides.
+
+The suites are named check_* so that pytest does not collect them:
+acceptance criterion 7 (test_acceptance.py) runs each of them once."""
 
 import random
 from fractions import Fraction as F
@@ -51,7 +54,7 @@ def _rand_candidate(rng, g):
     )
 
 
-def test_rosati_involution_and_antihomomorphism():
+def check_rosati_involution_and_antihomomorphism():
     rng = random.Random(20260823)
     for k in range(CASES):
         m = MODELS[k % len(MODELS)]
@@ -77,12 +80,12 @@ def _rand_tensor_combo(rng, m, terms=2):
     for _ in range(terms):
         coeff = F(rng.randint(-3, 3), rng.randint(1, 2))
         out = out + Corr2.tensor(
-            m, _rand_sparse_endo(rng, m), _rand_sparse_endo(rng, m), coeff
-        )
+            m, _rand_sparse_endo(rng, m), _rand_sparse_endo(rng, m)
+        ).scale(coeff)
     return out
 
 
-def test_tensor_composition_associativity():
+def check_tensor_composition_associativity():
     rng = random.Random(977)
     small = [m for m in MODELS if m.g <= 3]
     for k in range(CASES):
@@ -93,7 +96,7 @@ def test_tensor_composition_associativity():
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
-def test_probe_image_sum_soundness():
+def check_probe_image_sum_soundness():
     rng = random.Random(31337)
     for k in range(CASES):
         idx = k % len(MODELS)
@@ -104,7 +107,7 @@ def test_probe_image_sum_soundness():
         assert lam + xi == rosati(p.endo, m)
 
 
-def test_refutation_swap_symmetry():
+def check_refutation_swap_symmetry():
     rng = random.Random(4242)
     small = [i for i, m in enumerate(MODELS) if m.g <= 3]
     for k in range(CASES):
