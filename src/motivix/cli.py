@@ -188,25 +188,20 @@ def cmd_motive(args):
             "verified": True,
         }
     elif args.shape == "blowup":
+        genera = _parse_int_list(args.curves)
+        triples = _parse_triples(args.surfaces)
         centers = ["point"] * args.points
-        for g in _parse_int_list(args.curves):
-            centers.append(("curve", g))
-        for triple in _parse_triples(args.surfaces):
-            centers.append(("surface",) + triple)
-        rows = blowup_rows(centers, ambient_dim=4)
+        centers += [("curve", g) for g in genera]
+        centers += [("surface",) + t for t in triples]
         results = {
             "shape": "blowup",
             "points": args.points,
-            "curve_genera": _parse_int_list(args.curves),
-            "surfaces": [list(t) for t in _parse_triples(args.surfaces)],
-            "rows": rows,
+            "curve_genera": genera,
+            "surfaces": [list(t) for t in triples],
+            "rows": blowup_rows(centers),
         }
         if args.ledger:
-            results["ledger"] = cubic_rationality_ledger(
-                _parse_triples(args.surfaces),
-                _parse_int_list(args.curves),
-                args.points,
-            )
+            results["ledger"] = cubic_rationality_ledger(triples, genera, args.points)
     else:
         raise InvalidInput("unknown motive shape %r" % args.shape)
     return _report(args, [], results), 0

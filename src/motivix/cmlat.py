@@ -29,6 +29,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
     UnsupportedQuery,
+    VerificationError,
 )
 from .exact import QuadInt, Rat, ZLattice, _is_int
 
@@ -575,7 +576,7 @@ def exponent(m, K):
         if monomial_is_integral(m, ident, [t if i in K else 0 for i in ident], 1):
             m._exp_cache[K] = t
             return t
-    raise AssertionError("no exponent found; den * e_K must be integral")
+    raise VerificationError("no exponent found; den * e_K must be integral")
 
 
 # ---------------------------------------------------------------------------

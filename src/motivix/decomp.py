@@ -177,7 +177,10 @@ class Probe:
         moved = [i for i in range(g) if self.sigma[i] != i]
         if not moved:
             return "identity"
-        assert len(moved) == 2, "probes are transpositions"
+        if len(moved) != 2:
+            raise InvalidInput(
+                "probe %r is neither the identity nor a transposition" % (self.sigma,)
+            )
         return "transposition(%d,%d)" % (moved[0] + 1, moved[1] + 1)
 
     @property

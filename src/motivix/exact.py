@@ -37,7 +37,8 @@ def _xgcd(a, b):
 
 
 def _is_squarefree(n):
-    assert n >= 1
+    if n < 1:
+        raise InvalidInput("squarefree test needs n >= 1, got %r" % (n,))
     p = 2
     while p * p <= n:
         if n % (p * p) == 0:

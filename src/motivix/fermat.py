@@ -134,14 +134,14 @@ class CurveMorphism:
 
 
 class DiffForm:
-    """P du + Q dv with rational-function coefficients in the target
-    coordinates (x, y standing for u, v)."""
+    """P du with a rational-function coefficient in the target
+    coordinates (x, y standing for u, v). On a curve dv is a multiple
+    of du, so every differential has this form."""
 
-    __slots__ = ("P", "Q")
+    __slots__ = ("P",)
 
-    def __init__(self, P, Q):
+    def __init__(self, P):
         object.__setattr__(self, "P", _as_ratfunc(P))
-        object.__setattr__(self, "Q", _as_ratfunc(Q))
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffForm is immutable")
@@ -151,7 +151,7 @@ def canonical_form(curve):
     """du/v^(m-1) for a curve monic of y-degree m: du/v on the elliptic
     targets, du/v^2 on the cubic, dx/y^5 on the sextic itself."""
     m = curve.deg_y
-    return DiffForm(RatFunc(BiPoly.const(1), BiPoly.monomial(0, m - 1)), 0)
+    return DiffForm(RatFunc(BiPoly.const(1), BiPoly.monomial(0, m - 1)))
 
 
 class OmegaCoefficient:
@@ -191,7 +191,7 @@ _PULLBACK_XDEG_STEPS = (2, 6, 12, 20, 32)
 
 
 def pullback(phi, form):
-    """Pull a differential P du + Q dv on the target back along phi and
+    """Pull a differential P du on the target back along phi and
     express it as f times the canonical form of the source."""
     if not isinstance(phi, CurveMorphism) or not isinstance(form, DiffForm):
         raise InvalidInput("pullback takes a CurveMorphism and a DiffForm")
@@ -200,10 +200,8 @@ def pullback(phi, form):
     yprime = RatFunc(-F.diff_x(), F.diff_y())
     try:
         P = form.P.subst(phi.u, phi.v)
-        Q = form.Q.subst(phi.u, phi.v)
         dU = phi.u.dx() + phi.u.dy() * yprime
-        dV = phi.v.dx() + phi.v.dy() * yprime
-        pulled = P * dU + Q * dV
+        pulled = P * dU
     except InvalidInput as exc:
         raise ReductionError(str(exc)) from None
     m = src.deg_y

@@ -1,23 +1,16 @@
-"""Chow-Kunneth motive expressions with exact dimension accounting.
+"""Chow-Kunneth motive accounting on weight-graded dimension vectors.
 
-Expression trees over the unit motive, Lefschetz powers, the odd part of
-a curve, the four non-Tate surface summands, hypersurface middles, direct
-sums and tensor products. Every node has a weight-graded dimension vector;
-sums add them and tensors convolve them. Hypersurfaces get a truncated
-polynomial ring Q[gamma]/(gamma^(n+1)) whose diagonal projectors are
-verified orthogonal idempotents at build time.
+A motive is kept as its dimension per cohomological weight: the unit
+motive, Lefschetz powers, the odd part of a curve and the four non-Tate
+surface summands each have a fixed vector; direct sums add vectors and
+tensor products convolve them. Hypersurfaces get a truncated polynomial
+ring Q[gamma]/(gamma^(n+1)) whose diagonal projectors are verified
+orthogonal idempotents at build time. Blow-up centers are those of a
+resolution of a rational map from projective 4-space.
 """
 
 from .errors import InvalidInput, VerificationError
 from .exact import Rat
-
-UNIT = "unit"
-LEFSCHETZ = "lefschetz"
-CURVE_H1 = "curve_h1"
-SURFACE_PART = "surface_part"
-DIRECT_SUM = "direct_sum"
-TENSOR_PROD = "tensor"
-HYPERSURFACE_MIDDLE = "hypersurface_middle"
 
 M1 = "M1"
 M2ALG = "M2alg"
@@ -35,7 +28,6 @@ __all__ = [
     "surface_part",
     "direct_sum",
     "tensor",
-    "hypersurface_middle",
     "ck_curve",
     "ck_surface",
     "product_of_curves",
@@ -57,13 +49,18 @@ def _check_count(value, name, minimum=0):
 
 
 class MotiveExpr:
-    """A formal motive expression; immutable, structurally comparable."""
+    """A motive up to its dimension vector: the dimension per
+    cohomological weight, trailing zeros trimmed. Immutable; two values
+    are equal when their vectors are."""
 
-    __slots__ = ("kind", "data")
+    __slots__ = ("_dims",)
 
-    def __init__(self, kind, data):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "data", data)
+    def __init__(self, dims):
+        dims = tuple(dims)
+        n = len(dims)
+        while n and dims[n - 1] == 0:
+            n -= 1
+        object.__setattr__(self, "_dims", dims[:n])
 
     def __setattr__(self, name, value):
         raise AttributeError("MotiveExpr is immutable")
@@ -71,45 +68,34 @@ class MotiveExpr:
     def __eq__(self, other):
         if not isinstance(other, MotiveExpr):
             return NotImplemented
-        return self.kind == other.kind and self.data == other.data
+        return self._dims == other._dims
 
     def __hash__(self):
-        return hash((self.kind, self.data))
+        return hash(self._dims)
 
     def dims(self):
         """Dimension per cohomological weight, trailing zeros trimmed."""
-        return _dims(self)
+        return self._dims
 
     def total_dim(self):
-        return sum(self.dims())
-
-    def canonical(self):
-        """Direct sum of sorted atomic tensor products; tensor distributed
-        over direct sums, unit factors dropped, Lefschetz powers merged."""
-        terms = sorted(_product_terms(self), key=_product_key)
-        parts = [_rebuild_product(t) for t in terms]
-        if len(parts) == 1:
-            return parts[0]
-        return MotiveExpr(DIRECT_SUM, tuple(parts))
+        return sum(self._dims)
 
     def __repr__(self):
-        return "MotiveExpr(%s, %r)" % (self.kind, self.data)
+        return "MotiveExpr(%r)" % (self._dims,)
 
 
 def unit():
-    return MotiveExpr(UNIT, ())
+    return MotiveExpr((1,))
 
 
 def lefschetz(k):
     _check_count(k, "Lefschetz power")
-    if k == 0:
-        return unit()
-    return MotiveExpr(LEFSCHETZ, k)
+    return MotiveExpr((0,) * (2 * k) + (1,))
 
 
 def curve_h1(g):
     _check_count(g, "genus")
-    return MotiveExpr(CURVE_H1, g)
+    return MotiveExpr((0, 2 * g))
 
 
 def surface_part(tag, b2, rho, q):
@@ -120,133 +106,36 @@ def surface_part(tag, b2, rho, q):
     _check_count(q, "q")
     if rho > b2:
         raise InvalidInput("rho=%d exceeds b2=%d" % (rho, b2))
-    return MotiveExpr(SURFACE_PART, (tag, b2, rho, q))
+    if tag == M1:
+        return MotiveExpr((0, 2 * q))
+    if tag == M2ALG:
+        return MotiveExpr((0, 0, rho))
+    if tag == M2TR:
+        return MotiveExpr((0, 0, b2 - rho))
+    return MotiveExpr((0, 0, 0, 2 * q))
 
 
 def direct_sum(parts):
-    parts = tuple(parts)
+    out = []
     for p in parts:
         if not isinstance(p, MotiveExpr):
             raise InvalidInput("direct sum over MotiveExpr values")
-    return MotiveExpr(DIRECT_SUM, parts)
+        out.extend([0] * (len(p._dims) - len(out)))
+        for w, c in enumerate(p._dims):
+            out[w] += c
+    return MotiveExpr(out)
 
 
 def tensor(x, y):
     if not isinstance(x, MotiveExpr) or not isinstance(y, MotiveExpr):
         raise InvalidInput("tensor of MotiveExpr values")
-    return MotiveExpr(TENSOR_PROD, (x, y))
-
-
-def hypersurface_middle(n, d, rho_mid):
-    _check_count(n, "dimension", 1)
-    _check_count(d, "degree", 1)
-    _check_count(rho_mid, "rho_mid")
-    if rho_mid > middle_betti(n, d):
-        raise InvalidInput(
-            "rho_mid=%d exceeds the middle Betti number %d" % (rho_mid, middle_betti(n, d))
-        )
-    return MotiveExpr(HYPERSURFACE_MIDDLE, (n, d, rho_mid))
-
-
-def _dims(e):
-    if e.kind == UNIT:
-        return (1,)
-    if e.kind == LEFSCHETZ:
-        return (0,) * (2 * e.data) + (1,)
-    if e.kind == CURVE_H1:
-        return _trim((0, 2 * e.data))
-    if e.kind == SURFACE_PART:
-        tag, b2, rho, q = e.data
-        if tag == M1:
-            return _trim((0, 2 * q))
-        if tag == M2ALG:
-            return _trim((0, 0, rho))
-        if tag == M2TR:
-            return _trim((0, 0, b2 - rho))
-        return _trim((0, 0, 0, 2 * q))
-    if e.kind == HYPERSURFACE_MIDDLE:
-        n, d, _ = e.data
-        return _trim((0,) * n + (middle_betti(n, d),))
-    if e.kind == DIRECT_SUM:
-        out = []
-        for p in e.data:
-            dv = _dims(p)
-            if len(dv) > len(out):
-                out.extend([0] * (len(dv) - len(out)))
-            for w, c in enumerate(dv):
-                out[w] += c
-        return _trim(tuple(out))
-    if e.kind == TENSOR_PROD:
-        a = _dims(e.data[0])
-        b = _dims(e.data[1])
-        if not a or not b:
-            return ()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return _trim(tuple(out))
-    raise InvalidInput("unknown expression kind %r" % (e.kind,))
-
-
-def _trim(dv):
-    n = len(dv)
-    while n and dv[n - 1] == 0:
-        n -= 1
-    return dv[:n]
-
-
-_ATOM_ORDER = {UNIT: 0, CURVE_H1: 1, SURFACE_PART: 2, HYPERSURFACE_MIDDLE: 3, LEFSCHETZ: 4}
-
-
-def _atom_key(a):
-    return (_ATOM_ORDER[a.kind], a.data if a.kind != UNIT else ())
-
-
-def _product_terms(e):
-    """e as a list of products, each product a tuple of non-sum atoms."""
-    if e.kind == DIRECT_SUM:
-        out = []
-        for p in e.data:
-            out.extend(_product_terms(p))
-        return out
-    if e.kind == TENSOR_PROD:
-        left = _product_terms(e.data[0])
-        right = _product_terms(e.data[1])
-        out = []
-        for s in left:
-            for t in right:
-                out.append(_merge_product(s + t))
-        return out
-    return [_merge_product((e,))]
-
-
-def _merge_product(atoms):
-    lef = 0
-    rest = []
-    for a in atoms:
-        if a.kind == LEFSCHETZ:
-            lef += a.data
-        elif a.kind != UNIT:
-            rest.append(a)
-    rest.sort(key=_atom_key)
-    if lef:
-        rest.append(MotiveExpr(LEFSCHETZ, lef))
-    if not rest:
-        rest.append(unit())
-    return tuple(rest)
-
-
-def _product_key(t):
-    return tuple(_atom_key(a) for a in t)
-
-
-def _rebuild_product(atoms):
-    out = atoms[0]
-    for a in atoms[1:]:
-        out = tensor(out, a)
-    return out
+    a, b = x._dims, y._dims
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return MotiveExpr(out)
 
 
 def ck_curve(g):
@@ -280,7 +169,7 @@ def product_of_curves(g, elliptically_split=False):
     quadratic field, the transcendental dimension 2g of E x C as well.
     """
     _check_count(g, "genus")
-    expr = tensor(ck_curve(g), ck_curve(g)).canonical()
+    expr = tensor(ck_curve(g), ck_curve(g))
     dv = expr.dims()
     report = {
         "g": g,
@@ -293,8 +182,10 @@ def product_of_curves(g, elliptically_split=False):
         "e_times_c_m2_tr": 2 * g,
         "elliptically_split": bool(elliptically_split),
     }
-    assert sum(dv) == report["total_dim"]
-    assert report["m2_tr"] + report["m2_alg"] == report["b2"]
+    if sum(dv) != report["total_dim"]:
+        raise VerificationError("C x C must have total dimension (2g + 2)^2")
+    if dv[2:3] != (report["m2_tr"] + report["m2_alg"],):
+        raise VerificationError("weight 2 of C x C must have dimension m2_tr + m2_alg")
     if elliptically_split:
         # grid refinement: g^2 transcendental cells of dimension 2 and
         # two g^2 algebraic grids of rank-1 cells plus the two product
@@ -315,7 +206,8 @@ def middle_betti(n, d):
     _check_count(n, "dimension", 1)
     _check_count(d, "degree", 1)
     num = (d - 1) ** (n + 2) + (-1) ** n * (d - 1)
-    assert num % d == 0
+    if num % d:
+        raise VerificationError("primitive middle Betti number must be an integer")
     prim = num // d
     return prim + (1 if n % 2 == 0 else 0)
 
@@ -481,44 +373,32 @@ def hypersurface_ck(n, d):
     return CKProjectorRing(n, d)
 
 
-def _center_parts(center, ambient_dim):
+def _center_row(center):
+    """The ledger row a blow-up center in projective 4-space feeds, and
+    its contribution there."""
     if center == "point" or center == ("point",):
-        if ambient_dim == 4:
-            return direct_sum([lefschetz(1), lefschetz(2), lefschetz(3)])
-        return lefschetz(1)
-    if isinstance(center, tuple) and center and center[0] == "curve":
-        if ambient_dim != 4:
-            raise InvalidInput("curve centers need ambient dimension 4")
+        return "m0", direct_sum([lefschetz(1), lefschetz(2), lefschetz(3)])
+    kind = center[0] if isinstance(center, tuple) and center else None
+    if kind == "curve":
         if len(center) != 2:
             raise InvalidInput("curve center must be ('curve', g)")
-        return tensor(ck_curve(center[1]), direct_sum([lefschetz(1), lefschetz(2)]))
-    if isinstance(center, tuple) and center and center[0] == "surface":
-        if ambient_dim != 4:
-            raise InvalidInput("surface centers need ambient dimension 4")
+        return "m1", tensor(ck_curve(center[1]), direct_sum([lefschetz(1), lefschetz(2)]))
+    if kind == "surface":
         if len(center) != 4:
             raise InvalidInput("surface center must be ('surface', b2, rho, q)")
-        return tensor(ck_surface(center[1], center[2], center[3]), lefschetz(1))
+        return "m2", tensor(ck_surface(center[1], center[2], center[3]), lefschetz(1))
     raise InvalidInput("unsupported blow-up center %r" % (center,))
 
 
-def blowup_rows(centers, ambient_dim=4):
-    """The three ledger rows: dimension vectors contributed by point,
-    curve and surface centers respectively."""
-    if ambient_dim not in (2, 4):
-        raise InvalidInput("ambient dimension must be 2 or 4, got %r" % (ambient_dim,))
+def blowup_rows(centers):
+    """The three ledger rows of a blow-up of projective 4-space:
+    dimension vectors contributed by point, curve and surface centers
+    respectively."""
     rows = {"m0": [], "m1": [], "m2": []}
     for center in centers:
-        expr = _center_parts(center, ambient_dim)
-        if center == "point" or center == ("point",):
-            rows["m0"].append(expr)
-        elif center[0] == "curve":
-            rows["m1"].append(expr)
-        else:
-            rows["m2"].append(expr)
-    return {
-        key: list(direct_sum(parts).dims()) if parts else []
-        for key, parts in rows.items()
-    }
+        key, expr = _center_row(center)
+        rows[key].append(expr)
+    return {key: list(direct_sum(parts).dims()) for key, parts in rows.items()}
 
 
 # a very general cubic fourfold: b4 = 23, and the square of the

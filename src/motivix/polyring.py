@@ -665,31 +665,18 @@ def fp_scale(f, s, p):
     return fp_trim([c * s % p for c in f])
 
 
-def _fp_reduce(r, g, p, q=None):
+def _fp_reduce(r, g, p):
     """r mod g, top-down in one pass, overwriting the list r and
-    returning it trimmed; g is trimmed and nonzero.  Quotient
-    coefficients go into q when it is given."""
+    returning it trimmed; g is trimmed and nonzero."""
     dg = len(g) - 1
     inv = pow(g[-1], p - 2, p)
     for k in range(len(r) - 1 - dg, -1, -1):
         c = r[k + dg] * inv % p
         if c:
-            if q is not None:
-                q[k] = c
             for t in range(dg):
                 r[k + t] = (r[k + t] - c * g[t]) % p
     del r[dg:]
     return fp_trim(r)
-
-
-def fp_divmod(f, g, p):
-    g = fp_trim(list(g))
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    r = fp_trim(list(f))
-    q = [0] * max(0, len(r) - len(g) + 1)
-    r = _fp_reduce(r, g, p, q)
-    return fp_trim(q), r
 
 
 def fp_deriv(f, p):
@@ -841,7 +828,6 @@ __all__ = [
     "join_specs",
     "fp_trim",
     "fp_scale",
-    "fp_divmod",
     "fp_deriv",
     "fp_gcd",
     "fp_interp",

@@ -328,9 +328,7 @@ def test_pullback_functoriality():
     for phi in (phi1, phi3):
         tau = canonical_form(phi.target)
         inner = pullback(phi, tau)
-        lifted = DiffForm(
-            RatFunc(inner.poly, BiPoly.monomial(0, w6.deg_y - 1)), 0
-        )
+        lifted = DiffForm(RatFunc(inner.poly, BiPoly.monomial(0, w6.deg_y - 1)))
         for pi in G1_PERMS:
             left = pullback(compose_with_perm(phi, pi), tau)
             right = pullback(perm_morphism(w6, pi), lifted)
@@ -382,8 +380,7 @@ def test_pullback_reduction_error():
     phi1, _, _ = c6_generator_morphisms()
     # this denominator is identically zero on the elliptic target
     bad = DiffForm(
-        RatFunc(BiPoly.const(1), BiPoly.var_x() ** 3 - BiPoly.var_y() ** 2 - 1),
-        0,
+        RatFunc(BiPoly.const(1), BiPoly.var_x() ** 3 - BiPoly.var_y() ** 2 - 1)
     )
     with pytest.raises(ReductionError):
         pullback(phi1, bad)
@@ -528,6 +525,16 @@ try:
     motcalc.hypersurface_ck(2, 3)
 except VerificationError as exc:
     print("projectors:", exc)
+real_tensor = motcalc.tensor
+motcalc.tensor = lambda x, y: motcalc.MotiveExpr(real_tensor(x, y).dims()[1:])
+try:
+    motcalc.product_of_curves(2)
+except VerificationError as exc:
+    print("product:", exc)
+try:
+    decomp.Probe((1, 2, 0), m).name
+except InvalidInput as exc:
+    print("probe:", exc)
 """
 
 
@@ -548,4 +555,6 @@ def test_checks_fire_under_python_O():
         "witness: materialized witness must pass\n"
         "theta: theta reductions must sum to the unit class\n"
         "projectors: projectors must sum to the diagonal\n"
+        "product: C x C must have total dimension (2g + 2)^2\n"
+        "probe: probe (1, 2, 0) is neither the identity nor a transposition\n"
     )

@@ -1,5 +1,6 @@
-"""Tests for motive accounting: curve/surface decompositions, the
-truncated projector ring, blow-up rows, and the cubic ledger."""
+"""Tests for motive accounting: curve/surface decompositions, sums and
+tensors against a dimension-vector oracle, the truncated projector ring,
+blow-up rows, and the cubic ledger."""
 
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from motivix.errors import InvalidInput
 from motivix.exact import Rat
 from motivix.motcalc import (
+    MotiveExpr,
     blowup_rows,
     ck_curve,
     ck_surface,
@@ -15,7 +17,6 @@ from motivix.motcalc import (
     curve_h1,
     direct_sum,
     hypersurface_ck,
-    hypersurface_middle,
     lefschetz,
     middle_betti,
     product_of_curves,
@@ -35,6 +36,11 @@ def oracle_convolve(a, b):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def oracle_add(a, b):
+    n = max(len(a), len(b))
+    return [x + y for x, y in zip(list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b)))]
 
 
 def test_ck_curve_dims():
@@ -152,16 +158,9 @@ def test_hypersurface_ck_projective_line():
 
 
 def test_blowup_validation():
-    with pytest.raises(InvalidInput):
-        blowup_rows([("curve", 1)], ambient_dim=2)
-    with pytest.raises(InvalidInput):
-        blowup_rows(["line"])
-    with pytest.raises(InvalidInput):
-        blowup_rows(["point"], ambient_dim=3)
-    with pytest.raises(InvalidInput):
-        blowup_rows([("surface", 4, 9, 0)])
-    # on a surface a point center contributes one Lefschetz class
-    assert blowup_rows(["point"] * 3, ambient_dim=2)["m0"] == [0, 0, 3]
+    for centers in (["line"], [("surface", 4, 9, 0)], [("curve",)], [("surface", 6, 4)]):
+        with pytest.raises(InvalidInput):
+            blowup_rows(centers)
 
 
 def test_blowup_rows():
@@ -201,40 +200,80 @@ def test_cubic_ledger():
 
 
 def random_expr(rng, depth=0):
+    """A random expression tree: nested tuples, evaluated by `evaluate`
+    through motcalc and by `oracle_dims` from the definitions."""
     pick = rng.randint(0, 8 if depth < 2 else 5)
     if pick == 0:
-        return unit()
+        return ("unit",)
     if pick == 1:
-        return lefschetz(rng.randint(0, 3))
+        return ("lefschetz", rng.randint(0, 3))
     if pick == 2:
-        return curve_h1(rng.randint(0, 4))
+        return ("curve_h1", rng.randint(0, 4))
     if pick == 3:
         b2 = rng.randint(0, 10)
-        return surface_part(
-            rng.choice(["M1", "M2alg", "M2tr", "M3"]), b2, rng.randint(0, b2), rng.randint(0, 3)
-        )
+        tag = rng.choice(["M1", "M2alg", "M2tr", "M3"])
+        return ("surface_part", tag, b2, rng.randint(0, b2), rng.randint(0, 3))
     if pick == 4:
-        return hypersurface_middle(rng.randint(1, 4), rng.randint(1, 4), 0)
+        # the middle cohomology of a hypersurface, given by its vector
+        return ("middle", rng.randint(1, 4), rng.randint(1, 4))
     if pick == 5:
-        return ck_curve(rng.randint(0, 3))
+        return ("ck_curve", rng.randint(0, 3))
     if pick <= 7:
-        return direct_sum(random_expr(rng, depth + 1) for _ in range(rng.randint(0, 3)))
-    return tensor(random_expr(rng, depth + 1), random_expr(rng, depth + 1))
+        return ("sum", [random_expr(rng, depth + 1) for _ in range(rng.randint(0, 3))])
+    return ("tensor", random_expr(rng, depth + 1), random_expr(rng, depth + 1))
 
 
-def test_canonical_preserves_dims():
+def evaluate(tree):
+    kind, args = tree[0], tree[1:]
+    if kind == "middle":
+        n, d = args
+        return MotiveExpr((0,) * n + (middle_betti(n, d),))
+    if kind == "sum":
+        return direct_sum(evaluate(t) for t in args[0])
+    if kind == "tensor":
+        return tensor(evaluate(args[0]), evaluate(args[1]))
+    build = {"unit": unit, "lefschetz": lefschetz, "curve_h1": curve_h1,
+             "surface_part": surface_part, "ck_curve": ck_curve}[kind]
+    return build(*args)
+
+
+def oracle_dims(tree):
+    kind, args = tree[0], tree[1:]
+    if kind == "unit":
+        out = [1]
+    elif kind == "lefschetz":
+        out = [0] * (2 * args[0]) + [1]
+    elif kind == "curve_h1":
+        out = [0, 2 * args[0]]
+    elif kind == "surface_part":
+        tag, b2, rho, q = args
+        weight, dim = {
+            "M1": (1, 2 * q), "M2alg": (2, rho), "M2tr": (2, b2 - rho), "M3": (3, 2 * q)
+        }[tag]
+        out = [0] * weight + [dim]
+    elif kind == "middle":
+        out = [0] * args[0] + [middle_betti(*args)]
+    elif kind == "ck_curve":
+        out = [1, 2 * args[0], 1]
+    elif kind == "sum":
+        out = []
+        for t in args[0]:
+            out = oracle_add(out, oracle_dims(t))
+    else:
+        return oracle_convolve(oracle_dims(args[0]), oracle_dims(args[1]))
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def test_sums_and_tensors_match_the_dims_oracle():
     rng = random.Random(32)
     for _ in range(60):
-        e = random_expr(rng)
-        c = e.canonical()
-        assert c.dims() == e.dims()
-        assert c.canonical() == c
-
-
-def test_canonical_distributes():
-    e = tensor(direct_sum([unit(), lefschetz(1)]), direct_sum([curve_h1(2), lefschetz(2)]))
-    c = e.canonical()
-    assert c.kind == "direct_sum"
-    assert all(p.kind != "direct_sum" for p in c.data)
+        tree = random_expr(rng)
+        e = evaluate(tree)
+        want = oracle_dims(tree)
+        assert e.dims() == want, tree
+        assert e.total_dim() == sum(want)
+        assert e == MotiveExpr(want + (0, 0)) and hash(e) == hash(MotiveExpr(want))
     assert lefschetz(0) == unit()
-
+    assert tensor(direct_sum([]), ck_curve(2)).dims() == ()

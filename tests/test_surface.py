@@ -1,7 +1,9 @@
 """The public surface: every exported name resolves, and so does every
 callable the benchmark tracer wraps, so a deletion cannot silently break
-the traced benchmark run."""
+the traced benchmark run. The package holds no bare assert, so every
+check still runs under python -O."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -35,3 +37,14 @@ def test_traced_spans_resolve():
     assert pairs
     for mod, attr in pairs:
         assert callable(_resolve(importlib.import_module("motivix." + mod), attr)), (mod, attr)
+
+
+def test_no_bare_assert_in_the_package():
+    src = Path(motivix.__file__).resolve().parent
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
