@@ -48,6 +48,7 @@ from .fermat import (
     rep_membership,
 )
 from .motcalc import (
+    _check_count,
     blowup_rows,
     ck_curve,
     ck_surface,
@@ -190,7 +191,7 @@ def cmd_motive(args):
     elif args.shape == "blowup":
         genera = _parse_int_list(args.curves)
         triples = _parse_triples(args.surfaces)
-        centers = ["point"] * args.points
+        centers = ["point"] * _check_count(args.points, "point count")
         centers += [("curve", g) for g in genera]
         centers += [("surface",) + t for t in triples]
         results = {

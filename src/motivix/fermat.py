@@ -18,10 +18,12 @@ from .motcalc import product_of_curves
 from .polyring import (
     KNOWN_GENS,
     BiPoly,
+    FpTables,
     MultiNf,
     RatFunc,
     _BadPrime,
     _as_ratfunc,
+    fp2_deg_x,
     fp2_deg_y,
     fp2_eval_x,
     fp2_res_deg_bound,
@@ -29,8 +31,9 @@ from .polyring import (
     fp2_shear,
     fp2_sub,
     fp_distinct_root_count,
-    fp_interp,
+    fp_powers,
     fp_resultant,
+    fp_roots,
     fp_trim,
     join_specs,
 )
@@ -341,22 +344,15 @@ def _oracle_primes():
 
 
 def _gen_assignment(spec, p):
-    """Roots mod p for every named constant in spec, or _BadPrime."""
+    """Roots mod p for every named constant in spec, or _BadPrime: the
+    smallest root of each minimal polynomial, found through gcds
+    (polyring.fp_roots) without scanning F_p."""
     assign = {}
     for name in spec:
-        poly = _GEN_MINPOLY[name]
-        coeffs = [int(c) for c in poly]
-        root = None
-        for t in range(p):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * t + c) % p
-            if acc == 0:
-                root = t
-                break
-        if root is None:
+        roots = fp_roots([int(c) for c in _GEN_MINPOLY[name]], p)
+        if not roots:
             raise _BadPrime("no root of the minimal polynomial of %s" % name)
-        assign[name] = root
+        assign[name] = roots[0]
     return assign
 
 
@@ -365,6 +361,9 @@ def _route_count(F_fp, A_fp, B_fp, p, rng):
     counted over the algebraic closure by eliminating y with resultants
     after a random shear (the shear separates x-coordinates and feeds
     y-dependence into pure-x components)."""
+    # inverses and interpolation bases, shared by both shears and all
+    # trials
+    tables = FpTables(p)
     sheared = []
     for _ in range(8):
         lam = rng.randrange(1, p)
@@ -376,7 +375,7 @@ def _route_count(F_fp, A_fp, B_fp, p, rng):
         lc = Ft.get((0, dyt), 0)
         if not lc:
             continue
-        Ft = fp2_scale(Ft, pow(lc, p - 2, p), p)
+        Ft = fp2_scale(Ft, tables[lc], p)
         At = fp2_shear(A_fp, lam, p)
         Bt = fp2_shear(B_fp, lam, p)
         sheared.append((Ft, At, Bt))
@@ -386,9 +385,11 @@ def _route_count(F_fp, A_fp, B_fp, p, rng):
         raise _BadPrime("no usable shear")
     best = 0
     for Ft, At, Bt in sheared:
-        # F, A and B at each x0, evaluated once for all trials; A and B
-        # padded to one length so that G(x0) = A(x0) - u0*B(x0) zips
+        # F, A and B at each x0, evaluated once for all trials on one
+        # list of powers of x0; A and B padded to one length so that
+        # G(x0) = A(x0) - u0*B(x0) zips
         width = max(fp2_deg_y(At), fp2_deg_y(Bt)) + 1
+        npow = max(fp2_deg_x(Ft), fp2_deg_x(At), fp2_deg_x(Bt)) + 1
         at_x = {}
         for _ in range(_FIBER_TRIALS):
             u0 = rng.randrange(1, p)
@@ -404,20 +405,21 @@ def _route_count(F_fp, A_fp, B_fp, p, rng):
             for x0 in range(bound + 1):
                 ev = at_x.get(x0)
                 if ev is None:
-                    a0 = fp2_eval_x(At, x0, p)
-                    b0 = fp2_eval_x(Bt, x0, p)
+                    xpow = fp_powers(x0, npow, p)
+                    a0 = fp2_eval_x(At, xpow, p)
+                    b0 = fp2_eval_x(Bt, xpow, p)
                     ev = at_x[x0] = (
-                        fp2_eval_x(Ft, x0, p),
+                        fp2_eval_x(Ft, xpow, p),
                         a0 + [0] * (width - len(a0)),
                         b0 + [0] * (width - len(b0)),
                     )
                 f0, a0, b0 = ev
                 g0 = fp_trim([(a - u0 * b) % p for a, b in zip(a0, b0)])
-                vals.append(fp_resultant(f0, g0, p))
+                vals.append(fp_resultant(f0, g0, p, tables))
             if not any(vals):
                 continue
-            R = fp_interp(range(len(vals)), vals, p)
-            best = max(best, fp_distinct_root_count(R, p))
+            R = tables.interp(vals)
+            best = max(best, fp_distinct_root_count(R, p, tables))
     if best == 0:
         raise _BadPrime("no informative fiber sample")
     return best

@@ -418,6 +418,7 @@ def cubic_rationality_ledger(surfaces, curves, points):
     that nontriviality; smaller surfaces cannot host at all.
     """
     _check_count(points, "point count")
+    curves = list(curves)
     target = _CUBIC_B4 - _CUBIC_RHO2
     rows = []
     for (b2, rho, q) in surfaces:
@@ -444,7 +445,7 @@ def cubic_rationality_ledger(surfaces, curves, points):
         "dim_m4_prim": _CUBIC_B4 - 1,
         "dim_m4_tr": target,
         "surfaces": rows,
-        "curve_count": len(list(curves)),
+        "curve_count": len(curves),
         "point_count": points,
         "note": (
             "blown-up points and curves contribute only Tate and curve "

@@ -12,6 +12,7 @@ meet only when MultiNf combines them.
 """
 
 import itertools
+import operator
 from fractions import Fraction as Rat
 
 from .errors import InvalidInput, ShapeError, VerificationError
@@ -224,6 +225,14 @@ class MultiNf:
     def inverse(self):
         if self.is_zero():
             raise InvalidInput("division by zero in the constant field")
+        const = (0,) * len(self.spec)
+        if len(self.c) == 1 and const in self.c:
+            return MultiNf._make(self.spec, {const: 1 / self.c[const]})
+        return self._inverse_by_solve()
+
+    def _inverse_by_solve(self):
+        """The inverse as the solution x of self * x = 1, one linear
+        system over Q in the coordinates of the basis monomials."""
         basis = self._basis()
         index = {e: k for k, e in enumerate(basis)}
         cols = []
@@ -494,15 +503,18 @@ class BiPoly:
         """Substitute rational functions for x and y; returns a RatFunc."""
         u = _as_ratfunc(u)
         v = _as_ratfunc(v)
-        upow = {0: RatFunc.const(1)}
-        vpow = {0: RatFunc.const(1)}
-        out = RatFunc.const(0)
+        one = BiPoly._make({(0, 0): MultiNf._make((), {(): Rat(1)})})
+        upow = {0: RatFunc._make(one, one)}
+        vpow = {0: RatFunc._make(one, one)}
+        out = RatFunc._make(BiPoly._make({}), one)
         for (i, j), cv in sorted(self.c.items()):
             for cache, base, k in ((upow, u, i), (vpow, v, j)):
                 while max(cache) < k:
                     m = max(cache)
                     cache[m + 1] = cache[m] * base
-            out = out + RatFunc.const(cv) * upow[i] * vpow[j]
+            # cv is a nonzero coefficient, so a valid constant polynomial
+            term = RatFunc._make(BiPoly._make({(0, 0): cv}), one)
+            out = out + term * upow[i] * vpow[j]
         return out
 
     def map_fp(self, p, assign):
@@ -558,6 +570,15 @@ class RatFunc:
             den = BiPoly.const(1)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _make(cls, num, den):
+        """Trusted constructor: num and den are BiPoly values, den is
+        nonzero, and den is the constant 1 when num is zero."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -654,6 +675,65 @@ class RatFunc:
 # first)
 
 
+class FpTables(dict):
+    """Work the mod-p kernels share at one prime p: maps each residue
+    looked up to its inverse mod p, computed on first lookup, and keeps
+    the Lagrange bases built so far.  A caller keeps one for as long as
+    it works mod p; it grows with the work done, never with p."""
+
+    __slots__ = ("p", "_bases")
+
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+        self._bases = {}
+
+    def __missing__(self, a):
+        inv = self[a] = pow(a, self.p - 2, self.p)
+        return inv
+
+    def basis(self, n):
+        """The Lagrange basis for the nodes x = 0, 1, ..., n - 1 mod p,
+        built once per n in O(n^2): row j lists the coefficient of X^j in
+        each basis polynomial L_k = P(X) / ((X - k) * P'(k)), where
+        P = (X - 0)...(X - (n - 1)), P / (X - k) comes by synthetic
+        division and P'(k) = k! * (-1)^(n-1-k) * (n-1-k)!.  The nodes
+        must be distinct mod p, so n > p raises InvalidInput."""
+        rows = self._bases.get(n)
+        if rows is not None:
+            return rows
+        p = self.p
+        if n > p:
+            raise InvalidInput("interpolation nodes 0..%d agree mod %d" % (n - 1, p))
+        P = [1]
+        for k in range(n):
+            P = [(lo - k * hi) % p for lo, hi in zip([0] + P, P + [0])]
+        fact = [1] * n
+        for k in range(1, n):
+            fact[k] = fact[k - 1] * k % p
+        cols = []
+        for k in range(n):
+            w = self[fact[k] * fact[n - 1 - k] % p]
+            if (n - 1 - k) % 2:
+                w = p - w
+            q = [0] * n
+            q[n - 1] = 1
+            for i in range(n - 1, 0, -1):
+                q[i - 1] = (P[i] + k * q[i]) % p
+            cols.append([c * w % p for c in q])
+        rows = self._bases[n] = list(zip(*cols))
+        return rows
+
+    def interp(self, ys):
+        """The polynomial of degree below n = len(ys) taking the value
+        ys[k] at x = k for every k < n, as n dot products with the
+        Lagrange basis for those nodes."""
+        p = self.p
+        return fp_trim(
+            [sum(map(operator.mul, row, ys)) % p for row in self.basis(len(ys))]
+        )
+
+
 def fp_trim(f):
     while f and f[-1] == 0:
         f.pop()
@@ -665,13 +745,14 @@ def fp_scale(f, s, p):
     return fp_trim([c * s % p for c in f])
 
 
-def _fp_reduce(r, g, p):
+def _fp_reduce(r, g, p, inv):
     """r mod g, top-down in one pass, overwriting the list r and
-    returning it trimmed; g is trimmed and nonzero."""
+    returning it trimmed; g is trimmed and nonzero, and inv is the
+    FpTables of p."""
     dg = len(g) - 1
-    inv = pow(g[-1], p - 2, p)
+    lead_inv = inv[g[-1]]
     for k in range(len(r) - 1 - dg, -1, -1):
-        c = r[k + dg] * inv % p
+        c = r[k + dg] * lead_inv % p
         if c:
             for t in range(dg):
                 r[k + t] = (r[k + t] - c * g[t]) % p
@@ -679,41 +760,47 @@ def _fp_reduce(r, g, p):
     return fp_trim(r)
 
 
+def _fp_mulmod(f, g, m, p, inv):
+    """f * g mod m."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return _fp_reduce([c % p for c in out], m, p, inv)
+
+
+def _fp_powmod(f, e, m, p, inv):
+    """f^e mod m, for e >= 0 and m of positive degree."""
+    out = [1]
+    base = _fp_reduce(list(f), m, p, inv)
+    while e:
+        if e & 1:
+            out = _fp_mulmod(out, base, m, p, inv)
+        base = _fp_mulmod(base, base, m, p, inv)
+        e >>= 1
+    return out
+
+
 def fp_deriv(f, p):
     return fp_trim([c * k % p for k, c in enumerate(f)][1:])
 
 
-def fp_gcd(f, g, p):
+def fp_gcd(f, g, p, inv=None):
+    if inv is None:
+        inv = FpTables(p)
     f, g = fp_trim(list(f)), fp_trim(list(g))
     while g:
-        f, g = g, _fp_reduce(f, g, p)
+        f, g = g, _fp_reduce(f, g, p, inv)
     if f:
-        f = fp_scale(f, pow(f[-1], p - 2, p), p)
+        f = fp_scale(f, inv[f[-1]], p)
     return f
 
 
-def fp_interp(xs, ys, p):
-    """Newton interpolation; xs distinct mod p, else InvalidInput.  Each
-    distinct difference xs[k] - xs[k - j] is inverted once."""
-    n = len(xs)
-    if len({x % p for x in xs}) != n:
-        raise InvalidInput("interpolation points agree mod %d" % p)
-    co = [y % p for y in ys]
-    inverses = {}
-    for j in range(1, n):
-        ds = [(b - a) % p for a, b in zip(xs, xs[j:])]
-        for d in set(ds).difference(inverses):
-            inverses[d] = pow(d, p - 2, p)
-        co[j:] = [(b - a) * inverses[d] % p for a, b, d in zip(co[j - 1 :], co[j:], ds)]
-    # Horner on the Newton form: poly <- poly*(X - xs[k]) + co[k]
-    poly = [co[n - 1]]
-    for k in range(n - 2, -1, -1):
-        a = xs[k]
-        poly = [(lo - a * hi) % p for lo, hi in zip([co[k]] + poly, poly + [0])]
-    return fp_trim(poly)
-
-
-def fp_resultant(f, g, p):
+def fp_resultant(f, g, p, inv=None):
+    if inv is None:
+        inv = FpTables(p)
     f, g = fp_trim(list(f)), fp_trim(list(g))
     if not f or not g:
         return 0
@@ -727,7 +814,7 @@ def fp_resultant(f, g, p):
                 res = -res % p
             f, g = g, f
             continue
-        r = _fp_reduce(f, g, p)
+        r = _fp_reduce(f, g, p, inv)
         if not r:
             return 0
         dr = len(r) - 1
@@ -737,14 +824,48 @@ def fp_resultant(f, g, p):
         f, g = g, r
 
 
-def fp_distinct_root_count(f, p):
+def fp_distinct_root_count(f, p, inv=None):
     """Number of distinct roots of f over the algebraic closure: the
     degree of f divided by its repeated part."""
     f = fp_trim(list(f))
     if len(f) <= 1:
         return 0
-    rep = fp_gcd(f, fp_deriv(f, p), p)
+    rep = fp_gcd(f, fp_deriv(f, p), p, inv)
     return (len(f) - 1) - (len(rep) - 1)
+
+
+def fp_roots(f, p):
+    """The distinct roots of f in F_p, ascending.  They are the roots of
+    h = gcd(X^p - X, f), found with O(log p) products mod h per step and
+    no scan of F_p: for a = 0, 1, ... the factor
+    gcd(h, (X + a)^((p-1)/2) - 1) holds the roots r with r + a a nonzero
+    square, until one a splits h.  For an odd prime p some a < p does;
+    at p = 2, or at a composite p, a split that never comes raises
+    InvalidInput."""
+    inv = FpTables(p)
+    f = fp_trim([c % p for c in f])
+    if len(f) < 2:
+        return []
+    xp = _fp_powmod([0, 1], p, f, p, inv)
+    xp += [0] * (2 - len(xp))
+    xp[1] = (xp[1] - 1) % p
+    return sorted(_fp_split(fp_gcd(f, fp_trim(xp), p, inv), p, inv))
+
+
+def _fp_split(h, p, inv):
+    """The roots of a monic h that is a product of distinct linear
+    factors over F_p."""
+    if len(h) <= 2:
+        return [-h[0] % p] if len(h) == 2 else []
+    for a in range(p):
+        t = _fp_powmod([a, 1], (p - 1) // 2, h, p, inv) or [0]
+        s = fp_gcd(h, fp_trim([(t[0] - 1) % p] + t[1:]), p, inv)
+        if 1 < len(s) < len(h):
+            # the other roots: r + a a non-square, or r = -a
+            plus = fp_trim([(t[0] + 1) % p] + t[1:])
+            rest = fp_gcd(h, _fp_mulmod(plus, [a, 1], h, p, inv), p, inv)
+            return _fp_split(s, p, inv) + _fp_split(rest, p, inv)
+    raise InvalidInput("no a < %d splits the roots: not an odd prime" % p)
 
 
 # bivariate mod-p values are dicts {(i, j): coeff}
@@ -787,13 +908,22 @@ def fp2_shear(f, lam, p):
     return out
 
 
-def fp2_eval_x(f, x0, p):
-    """Evaluate x = x0; returns a dense list in y."""
-    dy = max((j for (_, j) in f), default=-1)
-    out = [0] * (dy + 1)
+def fp_powers(x0, n, p):
+    """[1, x0, ..., x0^(n-1)] mod p."""
+    out = [1] * n
+    for i in range(1, n):
+        out[i] = out[i - 1] * x0 % p
+    return out
+
+
+def fp2_eval_x(f, xpow, p):
+    """Evaluate x = x0, given as xpow = fp_powers(x0, n, p) for some n
+    above the x-degree of f: one list a caller shares between several
+    polynomials at the same x0.  Returns a dense list in y."""
+    out = [0] * (fp2_deg_y(f) + 1)
     for (i, j), c in f.items():
-        out[j] = (out[j] + c * pow(x0, i, p)) % p
-    return fp_trim(out)
+        out[j] += c * xpow[i]
+    return fp_trim([c % p for c in out])
 
 
 def fp2_deg_x(f):
@@ -830,9 +960,10 @@ __all__ = [
     "fp_scale",
     "fp_deriv",
     "fp_gcd",
-    "fp_interp",
+    "FpTables",
     "fp_resultant",
     "fp_distinct_root_count",
+    "fp_roots",
     "fp2_sub",
     "fp2_scale",
     "fp2_shear",

@@ -212,6 +212,11 @@ def test_motive_commands(capsys):
                     "--curves", "1", "--surfaces", "6,4,0", "--ledger")
     assert code == 0
     assert rep["results"]["ledger"]["dim_m4_tr"] == 22
+    # a negative point count is refused with or without the ledger
+    for extra in ((), ("--ledger",)):
+        code, rep = run(capsys, "motive", "blowup", "--points", "-2", *extra)
+        assert code == 1 and rep["error"]["kind"] == "InvalidInput"
+        assert "point count" in rep["error"]["message"]
 
 
 def test_fermat_commands(capsys, tmp_path):

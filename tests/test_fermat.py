@@ -241,6 +241,58 @@ def test_multinf_public_constructors_still_validate(monkeypatch):
     assert (F(2, 3) / b).c == {e: q * 2 / 3 for e, q in inv_b.c.items()}
 
 
+def test_multinf_inverse_of_a_constant_skips_the_solve(monkeypatch):
+    """A lone constant term is inverted directly; the result equals the
+    linear solve's in every spec, and no solve runs for it."""
+    rng = random.Random(607)
+    cases = []
+    for spec in SUB_SPECS:
+        for _ in range(8):
+            q = F(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 30))
+            x = MultiNf(spec, {(0,) * len(spec): q})
+            cases.append((x, x._inverse_by_solve()))
+    monkeypatch.setattr(polyring, "solve_field", lambda *a: pytest.fail("solve"))
+    for x, want in cases:
+        got = x.inverse()
+        assert_valid(got)
+        assert got.spec == want.spec and got.c == want.c
+        assert repr(got) == repr(want)
+    # a value with a generator term still takes the solve
+    with pytest.raises(pytest.fail.Exception):
+        (1 + ALPHA).inverse()
+
+
+def old_subst(P, u, v):
+    """BiPoly.subst as it was, on the validating RatFunc.const."""
+    upow = {0: RatFunc.const(1)}
+    vpow = {0: RatFunc.const(1)}
+    out = RatFunc.const(0)
+    for (i, j), cv in sorted(P.c.items()):
+        for cache, base, k in ((upow, u, i), (vpow, v, j)):
+            while max(cache) < k:
+                m = max(cache)
+                cache[m + 1] = cache[m] * base
+        out = out + RatFunc.const(cv) * upow[i] * vpow[j]
+    return out
+
+
+def test_subst_builds_no_validated_constants(monkeypatch):
+    """BiPoly.subst gives the old result, term for term, without the
+    validating RatFunc.const and BiPoly constructors."""
+    x, y = RatFunc.var_x(), RatFunc.var_y()
+    alpha = RatFunc.const(ALPHA)
+    pairs = [(-(x**2), y**3), (y**4 / (alpha * x**2), (x**6 - 1) / (2 * x**3))]
+    polys = [fermat_sextic().F, cm_elliptic().F, BiPoly.zero(), BiPoly.const(3)]
+    polys.append(BiPoly({(1, 2): ALPHA, (0, 1): F(-1, 2), (3, 0): MultiNf.gen("i")}))
+    want = [old_subst(P, u, v) for P in polys for u, v in pairs]
+    monkeypatch.setattr(RatFunc, "const", lambda v: pytest.fail("RatFunc.const"))
+    monkeypatch.setattr(BiPoly, "__init__", lambda *a: pytest.fail("BiPoly()"))
+    got = [P.subst(u, v) for P in polys for u, v in pairs]
+    for g, w in zip(got, want):
+        assert (repr(g.num), repr(g.den)) == (repr(w.num), repr(w.den))
+        assert g.num.c == w.num.c and g.den.c == w.den.c
+
+
 def test_bipoly_division_and_calculus():
     sextic = X**6 + Y**6 + 1
     g = (X * Y**2 - 3) * (X + Y) + Y**7

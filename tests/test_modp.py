@@ -1,16 +1,19 @@
 """The mod-p toolkit under the degree oracle, against plain-definition
 oracles: resultants against Sylvester determinants, reduction against
-long division, interpolation by reconstruction, the resultant degree
-bound, and the fiber count against the loop it replaced."""
+long division, the Lagrange basis against Newton interpolation, roots
+against a scan of F_p, the resultant degree bound, and the fiber count
+against the loop it replaced."""
 
 import random
+import time
 
 import pytest
 
 from motivix import fermat
-from motivix.errors import InvalidInput
+from motivix.errors import InvalidInput, OracleError
 from motivix.fermat import _route_count, c6_generator_morphisms, degree
 from motivix.polyring import (
+    FpTables,
     _BadPrime,
     fp2_deg_x,
     fp2_deg_y,
@@ -21,13 +24,41 @@ from motivix.polyring import (
     fp2_sub,
     _fp_reduce,
     fp_distinct_root_count,
-    fp_interp,
+    fp_powers,
     fp_resultant,
+    fp_roots,
     fp_trim,
     join_specs,
 )
 
 P = 1009
+
+
+def fp_interp(xs, ys, p):
+    """Newton interpolation, the reference for the oracle's Lagrange
+    basis; xs distinct mod p, else InvalidInput.  Each distinct
+    difference xs[k] - xs[k - j] is inverted once."""
+    n = len(xs)
+    if len({x % p for x in xs}) != n:
+        raise InvalidInput("interpolation points agree mod %d" % p)
+    co = [y % p for y in ys]
+    inverses = {}
+    for j in range(1, n):
+        ds = [(b - a) % p for a, b in zip(xs, xs[j:])]
+        for d in set(ds).difference(inverses):
+            inverses[d] = pow(d, p - 2, p)
+        co[j:] = [(b - a) * inverses[d] % p for a, b, d in zip(co[j - 1 :], co[j:], ds)]
+    # Horner on the Newton form: poly <- poly*(X - xs[k]) + co[k]
+    poly = [co[n - 1]]
+    for k in range(n - 2, -1, -1):
+        a = xs[k]
+        poly = [(lo - a * hi) % p for lo, hi in zip([co[k]] + poly, poly + [0])]
+    return fp_trim(poly)
+
+
+def eval_x(f, x0, p):
+    """f at x = x0, a dense list in y."""
+    return fp2_eval_x(f, fp_powers(x0, fp2_deg_x(f) + 1, p), p)
 
 
 def det_mod_p(rows, p):
@@ -152,13 +183,13 @@ def test_fp_reduce_leaves_a_short_remainder_of_the_same_class():
             continue
         if rng.random() < 0.2:
             f = f + [0, 0]
-        r = _fp_reduce(list(f), g, P)
+        r = _fp_reduce(list(f), g, P, FpTables(P))
         assert r == fp_trim(list(r))
         assert len(r) < len(g)
         n = max(len(f), len(r))
         diff = [(a - b) % P for a, b in zip(f + [0] * (n - len(f)), r + [0] * (n - len(r)))]
         assert long_division_remainder(diff, g, P) == []
-    assert _fp_reduce([1, 2], [0, 0, 5], P) == [1, 2]
+    assert _fp_reduce([1, 2], [0, 0, 5], P, FpTables(P)) == [1, 2]
 
 
 def test_fp_interp_round_trip_on_scattered_points():
@@ -183,6 +214,103 @@ def test_fp_interp_rejects_points_equal_mod_p():
     with pytest.raises(InvalidInput):
         fp_interp([3, 1, 2, 3], [0, 0, 0, 0], P)
     assert fp_interp([0, 6], [1, 2], 7) == [1, 6]
+    # the nodes 0..n-1 of the oracle's basis exist mod p only for n <= p
+    with pytest.raises(InvalidInput, match="agree mod 7"):
+        FpTables(7).basis(8)
+    with pytest.raises(InvalidInput, match="agree mod 7"):
+        FpTables(7).interp([1] * 8)
+    assert FpTables(7).interp([1, 2, 3, 4, 5, 6, 0]) == [1, 1]
+
+
+def test_lagrange_basis_matches_newton_interpolation():
+    """FpTables.interp, through the basis for the nodes 0..n-1, gives the
+    Newton polynomial for every n up to 40, at primes above the oracle's
+    floor, on values that reuse each table many times."""
+    rng = random.Random(70107)
+    for p in (307, 331, 1009, 7919, 1000000007):
+        tables = FpTables(p)
+        for n in range(1, 41):
+            basis = tables.basis(n)
+            for k in range(n):  # basis polynomial k is 1 at k, 0 elsewhere
+                L = fp_trim([row[k] for row in basis])
+                assert [poly_eval(L, x0, p) for x0 in range(n)] == [
+                    int(x0 == k) for x0 in range(n)
+                ]
+            for _ in range(3):
+                ys = [rng.randrange(p) for _ in range(n)]
+                if rng.random() < 0.3:  # a low degree: the result trims
+                    low = random_poly(rng, rng.randrange(n), p)
+                    ys = [poly_eval(low, x0, p) for x0 in range(n)]
+                assert tables.interp(ys) == fp_interp(range(n), ys, p)
+        assert sorted(tables._bases) == list(range(1, 41))
+
+
+def test_tables_memoize_inverses_without_changing_answers():
+    rng = random.Random(70108)
+    for p in (331, 1009):
+        tables = FpTables(p)
+        for _ in range(300):
+            f = random_poly(rng, rng.randrange(0, 8), p)
+            g = random_poly(rng, rng.randrange(0, 8), p)
+            assert fp_resultant(f, g, p, tables) == fp_resultant(f, g, p)
+            assert fp_distinct_root_count(f, p, tables) == fp_distinct_root_count(f, p)
+        assert all(a * inv % p == 1 for a, inv in tables.items())
+        assert len(tables) < p
+
+
+def test_eval_on_shared_powers():
+    rng = random.Random(70110)
+    for _ in range(100):
+        dy = rng.randrange(0, 4)
+        F = random_bivariate(rng, dy + rng.randrange(0, 5), dy, False, P)
+        x0 = rng.randrange(P)
+        xpow = fp_powers(x0, fp2_deg_x(F) + 1 + rng.randrange(3), P)
+        assert xpow == [pow(x0, i, P) for i in range(len(xpow))]
+        want = fp_trim(
+            [
+                sum(c * pow(x0, i, P) for (i, jj), c in F.items() if jj == j) % P
+                for j in range(fp2_deg_y(F) + 1)
+            ]
+        )
+        assert fp2_eval_x(F, xpow, P) == eval_x(F, x0, P) == want
+
+
+def scan_roots(f, p):
+    return [t for t in range(p) if poly_eval(f, t, p) == 0]
+
+
+def test_fp_roots_match_a_scan_of_the_field():
+    rng = random.Random(70109)
+    primes = [p for p in range(3, 400) if fermat._is_prime(p)]
+    for p in primes:
+        for f in ([1, p - 1, 1], [p - 4, 0, 0, 1], [1, 0, 1]):  # the minpolys
+            assert fp_roots(f, p) == scan_roots(f, p)
+    for _ in range(300):
+        p = rng.choice(primes)
+        f = fp_trim(random_poly(rng, rng.randrange(0, 6), p)) or [1]
+        if rng.random() < 0.4:  # split completely, repeated roots allowed
+            f = [1]
+            for _ in range(rng.randrange(1, 6)):
+                f = poly_mul(f, [rng.randrange(p), 1], p)
+        assert fp_roots(f, p) == scan_roots(f, p)
+    assert fp_roots([], P) == fp_roots([5], P) == []
+    assert fp_roots([0, 0, 1], P) == [0]
+    # X(X + 1) mod 2: no quadratic character splits it
+    with pytest.raises(InvalidInput, match="odd prime"):
+        fp_roots([0, 1, 1], 2)
+
+
+def test_degree_oracle_fails_fast_on_large_primes():
+    """Generator roots come from gcds, not a scan of F_p: at primes
+    near 10^9 phi2 finds no cube root of 4 at any of them and gives up,
+    and phi3 gets its degree."""
+    primes = [1000000087, 1000000093, 1000000123, 1000000207, 1000000297]
+    phi1, phi2, phi3 = c6_generator_morphisms()
+    start = time.perf_counter()
+    with pytest.raises(OracleError):
+        degree(phi2, primes=primes)
+    assert degree(phi3, primes=primes) == 4
+    assert time.perf_counter() - start < 5.0
 
 
 def random_bivariate(rng, total, ydeg, monic, p):
@@ -204,7 +332,7 @@ def random_bivariate(rng, total, ydeg, monic, p):
 def res_y_at(F, G, x0, p):
     m, n = fp2_deg_y(F), fp2_deg_y(G)
     return sylvester_resultant(
-        fp2_eval_x(F, x0, p), fp2_eval_x(G, x0, p), m, n, p
+        eval_x(F, x0, p), eval_x(G, x0, p), m, n, p
     )
 
 
@@ -237,7 +365,7 @@ def test_resultant_degree_bound():
             # the oracle's evaluation: resultants of the specialized
             # polynomials, whose y-degree in G may drop
             vals = [
-                fp_resultant(fp2_eval_x(F, x0, P), fp2_eval_x(G, x0, P), P)
+                fp_resultant(eval_x(F, x0, P), eval_x(G, x0, P), P)
                 for x0 in range(classical + 1)
             ]
             assert fp_interp(range(bound + 1), vals[: bound + 1], P) == R
@@ -279,7 +407,7 @@ def old_route_count(F_fp, A_fp, B_fp, p, rng, trials=6):
                 continue
             xs = list(range(dxF * dyG + dxG * dyF + 1))
             vals = [
-                fp_resultant(fp2_eval_x(Ft, x0, p), fp2_eval_x(Gt, x0, p), p)
+                fp_resultant(eval_x(Ft, x0, p), eval_x(Gt, x0, p), p)
                 for x0 in xs
             ]
             if not any(vals):
@@ -342,14 +470,15 @@ def test_route_count_matches_the_previous_loop():
 
 
 def recording_interp(monkeypatch):
-    """Record (point count, p) of every fermat.fp_interp call."""
+    """Record (point count, p) of every FpTables.interp call."""
     seen = []
+    real = FpTables.interp
 
-    def recording(xs, ys, p):
-        seen.append((len(xs), p))
-        return fp_interp(xs, ys, p)
+    def recording(tables, ys):
+        seen.append((len(ys), tables.p))
+        return real(tables, ys)
 
-    monkeypatch.setattr(fermat, "fp_interp", recording)
+    monkeypatch.setattr(FpTables, "interp", recording)
     return seen
 
 
@@ -361,9 +490,9 @@ def test_degree_oracle_resultant_count(monkeypatch):
     drawn = []
     real_primes = fermat._oracle_primes
 
-    def counting(f, g, p):
+    def counting(f, g, p, inv=None):
         calls[0] += 1
-        return fp_resultant(f, g, p)
+        return fp_resultant(f, g, p, inv)
 
     def counting_primes():
         for p in real_primes():
@@ -381,7 +510,7 @@ def test_degree_oracle_resultant_count(monkeypatch):
 
 def test_degree_oracle_rejects_primes_below_its_point_count(monkeypatch):
     """Mod 7 there are no 13 distinct interpolation points: such a prime
-    is rejected, not interpolated at (fp_interp([0, 7], [1, 2], 7) raises
+    is rejected, not interpolated at (FpTables(7).basis(8) raises
     InvalidInput)."""
     seen = recording_interp(monkeypatch)
     phi1 = c6_generator_morphisms()[0]

@@ -185,6 +185,11 @@ def test_cubic_ledger():
     rep = cubic_rationality_ledger([], [1, 2], 5)
     assert rep["summary"] == "no host available"
     assert rep["curve_count"] == 2 and rep["point_count"] == 5
+    # any iterable of genera, read once
+    rep = cubic_rationality_ledger([], (g for g in [1, 2]), 0)
+    assert rep["curve_count"] == 2
+    with pytest.raises(InvalidInput):
+        cubic_rationality_ledger([], (g for g in [1, -1]), 0)
 
     rep = cubic_rationality_ledger([(24, 2, 0)], [], 0)
     assert rep["surfaces"][0]["dim_m2_tr"] == 22
