@@ -407,26 +407,10 @@ def main(argv=None):
     args.command_echo = list(argv) if argv is not None else sys.argv[1:]
     try:
         report, code = args.func(args)
-    except HypothesisError as exc:
-        _emit(
-            {
-                "version": __version__,
-                "command": args.command_echo,
-                "error": {"kind": type(exc).__name__, "message": str(exc)},
-            },
-            args,
-        )
-        return 3
     except (MotivixError, OSError) as exc:
-        _emit(
-            {
-                "version": __version__,
-                "command": args.command_echo,
-                "error": {"kind": type(exc).__name__, "message": str(exc)},
-            },
-            args,
-        )
-        return 1
+        error = {"kind": type(exc).__name__, "message": str(exc)}
+        _emit({"version": __version__, "command": args.command_echo, "error": error}, args)
+        return 3 if isinstance(exc, HypothesisError) else 1
     _emit(report, args)
     return code
 

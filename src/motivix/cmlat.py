@@ -80,6 +80,11 @@ __all__ = [
 ]
 
 
+def _quad(x, d):
+    """The rational x as a QuadInt over d, which the caller has checked."""
+    return QuadInt._make(Rat(x), _ZERO, d)
+
+
 class EndoQ:
     """An element of End_Q(J): a g x g matrix over Q(sqrt(-d)), held as
     rows, a tuple of g tuples of QuadInts over d."""
@@ -109,7 +114,7 @@ class EndoQ:
                         raise InvalidInput("entry in Q(sqrt(-%d)), expected d=%d" % (x.d, d))
                     qrow.append(x)
                 else:
-                    qrow.append(QuadInt._make(Rat(x), _ZERO, d))
+                    qrow.append(_quad(x, d))
             qrows.append(qrow)
         return cls(qrows, d)
 
@@ -163,7 +168,7 @@ class EndoQ:
 
     def scale(self, c):
         if not isinstance(c, QuadInt):
-            c = QuadInt(Rat(c), 0, self.d)
+            c = _quad(c, self.d)
         return self._map(lambda x: c * x)
 
     def conj(self):
@@ -207,14 +212,6 @@ class PermEndoSpec:
 
 def full_grid(g):
     return frozenset((i, j) for i in range(g) for j in range(g))
-
-
-def realify_vec(w):
-    out = []
-    for x in w:
-        out.append(x.a)
-        out.append(x.b)
-    return out
 
 
 def _divisors_sorted(n):
@@ -262,24 +259,6 @@ class AbelianModel:
         return "AbelianModel(d=%d, g=%d, mode=%s)" % (self.d, self.g, self.mode)
 
 
-def _order_rows(d, g, maximal_order):
-    """Realified generators of O^g."""
-    rows = []
-    for i in range(g):
-        one = [Rat(0)] * (2 * g)
-        one[2 * i] = Rat(1)
-        rows.append(one)
-        w = [Rat(0)] * (2 * g)
-        if maximal_order:
-            # (1 + sqrt(-d))/2
-            w[2 * i] = Rat(1, 2)
-            w[2 * i + 1] = Rat(1, 2)
-        else:
-            w[2 * i + 1] = Rat(1)
-        rows.append(w)
-    return rows
-
-
 def _coerce_glue_vector(vec, g, d):
     if len(vec) != g:
         raise LatticeError("glue vector has length %d, expected g=%d" % (len(vec), g))
@@ -292,9 +271,9 @@ def _coerce_glue_vector(vec, g, d):
         elif isinstance(x, (tuple, list)):
             if len(x) != 2:
                 raise LatticeError("glue coordinate %r is not a (rational, coefficient) pair" % (x,))
-            out.append(QuadInt(Rat(x[0]), Rat(x[1]), d))
+            out.append(QuadInt._make(Rat(x[0]), Rat(x[1]), d))
         else:
-            out.append(QuadInt(Rat(x), 0, d))
+            out.append(_quad(x, d))
     return tuple(out)
 
 
@@ -315,7 +294,7 @@ def build_model(d, g, glue=(), mode=LATTICE, exponents=None,
         raise InvalidInput("maximal order differs from Z[sqrt(-d)] only for d = 3 mod 4")
     if mode not in (LATTICE, AXIOMATIC):
         raise InvalidInput("mode must be LATTICE or AXIOMATIC, got %r" % (mode,))
-    QuadInt.zero(d)  # validates d
+    d = QuadInt.check_d(d)  # the model's one check of d
     glue_vecs = tuple(_coerce_glue_vector(v, g, d) for v in glue)
     den = math.lcm(*(q.denominator for v in glue_vecs for x in v for q in (x.a, x.b)))
     if den > MAX_GLUE_DENOMINATOR:
@@ -340,9 +319,19 @@ def build_model(d, g, glue=(), mode=LATTICE, exponents=None,
             raise InvalidInput("n_I must be 1, got %d for g=1" % exponents[0])
         return AbelianModel(d, g, glue_vecs, AXIOMATIC, None, exponents,
                             maximal_order, assume_proper_ge4)
-    rows = _order_rows(d, g, maximal_order)
-    rows += [realify_vec(v) for v in glue_vecs]
-    lattice = ZLattice.from_rows(rows)
+    if maximal_order:
+        den = math.lcm(den, 2)
+    # the generators of O^g, 1 and w = sqrt(-d) or (1 + sqrt(-d))/2 in each
+    # coordinate, and the glue, realified (a + b sqrt(-d) -> (a, b)) as
+    # integer rows over den
+    w = [den // 2, den // 2] if maximal_order else [0, den]
+    rows = []
+    for i in range(g):
+        pad, rest = [0] * (2 * i), [0] * (2 * (g - i - 1))
+        rows += (pad + [den, 0] + rest, pad + w + rest)
+    rows += [[q.numerator * (den // q.denominator) for x in v for q in (x.a, x.b)]
+             for v in glue_vecs]
+    lattice = ZLattice.from_rows(rows, den)
     model = AbelianModel(d, g, glue_vecs, LATTICE, lattice, None,
                          maximal_order, assume_proper_ge4)
     if exponents is not None:
@@ -370,9 +359,9 @@ def _check_subset(m, K):
 def subset_idempotent(m, K):
     """e_K: the diagonal idempotent cutting out the factors in K."""
     K = _check_subset(m, K)
-    rows = [[Rat(1) if (i == j and i in K) else Rat(0) for j in range(m.g)]
-            for i in range(m.g)]
-    return EndoQ.from_rows(rows, m.d)
+    zero, one = _quad(0, m.d), _quad(1, m.d)
+    return EndoQ([[one if (i == j and i in K) else zero for j in range(m.g)]
+                  for i in range(m.g)], m.d)
 
 
 def endo_identity(m):
@@ -389,12 +378,13 @@ def perm_endo(m, spec):
     if len(spec.sigma) != m.g:
         raise ShapeError("sigma on %d letters, model has g=%d" % (len(spec.sigma), m.g))
     n = m.atom_exponents
-    rows = [[Rat(0)] * m.g for _ in range(m.g)]
+    zero = _quad(0, m.d)
+    rows = [[zero] * m.g for _ in range(m.g)]
     for i in range(m.g):
         j = spec.sigma[i]
         if (i, j) in spec.U:
-            rows[i][j] += Rat(n[j], n[i])
-    return EndoQ.from_rows(rows, m.d)
+            rows[i][j] = _quad(Rat(n[j], n[i]), m.d)
+    return EndoQ(rows, m.d)
 
 
 def rosati(x, m):
@@ -725,9 +715,9 @@ def endo_from_jsonable(rows, m):
         if not isinstance(row, list) or len(row) != m.g:
             raise InvalidInput("endomorphism rows must have length %d" % m.g)
         out.append(
-            [QuadInt(*_parse_coord(e, "endomorphism entry"), m.d) for e in row]
+            [QuadInt._make(*_parse_coord(e, "endomorphism entry"), m.d) for e in row]
         )
-    return EndoQ.from_rows(out, m.d)
+    return EndoQ(out, m.d)
 
 
 def model_to_dict(m):

@@ -315,9 +315,11 @@ def conv(sigma, x):
         raise ShapeError("probe must be a g x g EndoQ over the model's field")
     g = model.g
     n = model.atom_exponents
-    res = [[QuadInt.zero(model.d) for _ in range(g)] for _ in range(g)]
+    # the model checked d once; these entries need no second check
+    zero = QuadInt._make(Rat(0), Rat(0), model.d)
+    res = [[zero] * g for _ in range(g)]
     rho = None
-    w = QuadInt.sqrt_minus_d(model.d)
+    w = QuadInt._make(Rat(0), Rat(1), model.d)
     for k, c in x.terms.items():
         if k[0] == TENSOR:
             if rho is None:
@@ -342,7 +344,7 @@ def conv(sigma, x):
             weight = c * _CONV_FACTOR[kind] * (s.a / n[j]) * n[i]
             # gamma_j^T gamma_i = n_i E[j][i]; weight already carries n_i
             res[j][i] = res[j][i] + weight
-    return EndoQ.from_rows(res, model.d)
+    return EndoQ(res, model.d)
 
 
 class GridProjectors:

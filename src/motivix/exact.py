@@ -351,20 +351,19 @@ class ZLattice:
         raise AttributeError("ZLattice is immutable")
 
     @classmethod
-    def from_rows(cls, rows):
-        """Build from a generating set of rational row vectors (need not be
-        a basis; must span a full-rank lattice)."""
-        rat_rows = [[Rat(x) for x in row] for row in rows]
-        if not rat_rows:
+    def from_rows(cls, int_rows, den):
+        """The lattice (1/den) times the integer row span of int_rows, a
+        generating set of integer row vectors (need not be a basis; must
+        span a full-rank lattice) over a positive integer den."""
+        if not _is_int(den) or den < 1:
+            raise InvalidInput("lattice denominator must be a positive integer, got %r" % (den,))
+        if not int_rows:
             raise RankError("empty generating set")
-        n = len(rat_rows[0])
-        if any(len(r) != n for r in rat_rows):
+        n = len(int_rows[0])
+        if any(len(r) != n for r in int_rows):
             raise ShapeError("generating rows of unequal length")
-        den = 1
-        for row in rat_rows:
-            for x in row:
-                den = math.lcm(den, x.denominator)
-        int_rows = [[int(x * den) for x in row] for row in rat_rows]
+        if not all(_is_int(x) for row in int_rows for x in row):
+            raise InvalidInput("lattice generators must have integer entries")
         h = _int_hnf(int_rows)
         if len(h) < n:
             raise RankError("lattice has rank %d < ambient rank %d" % (len(h), n))
@@ -377,10 +376,6 @@ class ZLattice:
             den //= g
             h = [[x // g for x in row] for row in h]
         return cls(n, den, tuple(tuple(row) for row in h))
-
-    def basis_rows(self):
-        """The canonical basis as rational row vectors."""
-        return tuple(tuple(Rat(x, self.den) for x in row) for row in self.hbasis)
 
     def contains(self, v):
         if len(v) != self.ambient_rank:

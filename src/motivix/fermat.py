@@ -13,7 +13,7 @@ import random
 
 from .cmlat import AXIOMATIC, build_model
 from .errors import InvalidInput, OracleError, ReductionError, VerificationError
-from .exact import row_echelon, solve_field
+from .exact import _is_int, row_echelon, solve_field
 from .motcalc import product_of_curves
 from .polyring import (
     KNOWN_GENS,
@@ -324,14 +324,31 @@ _DEGREE_ATTEMPTS = 25
 _GEN_MINPOLY = {name: poly for name, poly in KNOWN_GENS}
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    """Deterministic Miller-Rabin, for n < _PRIME_TEST_BOUND."""
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:  # no prime factor up to 41: a prime, or 1
+        return n > 1
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for a in _MR_BASES:
+        x = pow(a, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
     return True
 
 
@@ -463,6 +480,10 @@ def degree(phi, primes=None, seed=0):
         p = next(prime_source, None)
         if p is None:
             break
+        if not _is_int(p) or p >= _PRIME_TEST_BOUND or not _is_prime(p):
+            raise InvalidInput(
+                "degree works modulo primes below %d, got %r" % (_PRIME_TEST_BOUND, p)
+            )
         try:
             assign = _gen_assignment(spec, p)
             F_fp = phi.source.F.map_fp(p, assign)

@@ -787,9 +787,7 @@ def fp_deriv(f, p):
     return fp_trim([c * k % p for k, c in enumerate(f)][1:])
 
 
-def fp_gcd(f, g, p, inv=None):
-    if inv is None:
-        inv = FpTables(p)
+def fp_gcd(f, g, p, inv):
     f, g = fp_trim(list(f)), fp_trim(list(g))
     while g:
         f, g = g, _fp_reduce(f, g, p, inv)
@@ -798,9 +796,7 @@ def fp_gcd(f, g, p, inv=None):
     return f
 
 
-def fp_resultant(f, g, p, inv=None):
-    if inv is None:
-        inv = FpTables(p)
+def fp_resultant(f, g, p, inv):
     f, g = fp_trim(list(f)), fp_trim(list(g))
     if not f or not g:
         return 0
@@ -824,7 +820,7 @@ def fp_resultant(f, g, p, inv=None):
         f, g = g, r
 
 
-def fp_distinct_root_count(f, p, inv=None):
+def fp_distinct_root_count(f, p, inv):
     """Number of distinct roots of f over the algebraic closure: the
     degree of f divided by its repeated part."""
     f = fp_trim(list(f))

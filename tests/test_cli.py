@@ -2,13 +2,14 @@
 trace levels, and the model file round trip."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from motivix import cmlat
 from motivix.cli import build_parser, main
 from motivix.cmlat import build_model, model_to_dict
+from motivix.exact import ZLattice
 
 
 def run(capsys, *argv):
@@ -101,7 +102,7 @@ def test_exit_one_on_bad_inputs(capsys, tmp_path, monkeypatch):
     def unreachable(*args):
         raise AssertionError("a model above MAX_G was built")
 
-    monkeypatch.setattr(cmlat, "_order_rows", unreachable)
+    monkeypatch.setattr(ZLattice, "from_rows", unreachable)
     huge_g = tmp_path / "huge_g.json"
     huge_g.write_text(json.dumps({"d": 1, "g": 1000000, "mode": "lattice"}),
                       encoding="utf-8")
@@ -193,6 +194,29 @@ def test_conv_table(capsys, tmp_path):
     for kind in ("theta", "a1", "a2"):
         cells = [(i, j) for i, j, _ in ident["nonzero"][kind]]
         assert cells == [(1, 1), (2, 2)]
+
+
+def test_large_d_commands_are_fast(capsys, tmp_path):
+    """d = 999,999,937 (prime, below MAX_D) costs one trial division to
+    sqrt(d) per model, not one per value built from it."""
+    d = 999999937
+
+    def model(g):
+        return write_model(tmp_path, "g%d.json" % g, build_model(d, g, glue=[(F(1, 5),) * g]))
+
+    t0 = time.perf_counter()
+    code, rep = run(capsys, "conv-table", model(4))
+    assert time.perf_counter() - t0 < 5
+    assert code == 0 and rep["results"]["probe_count"] == 7
+
+    g = 64
+    ident = [[[[int(i == j), 1], [0, 1]] for j in range(g)] for i in range(g)]
+    endo_path = tmp_path / "ident64.json"
+    endo_path.write_text(json.dumps(ident), encoding="utf-8")
+    t0 = time.perf_counter()
+    code, rep = run(capsys, "av", "integrality", model(g), "--endo", str(endo_path))
+    assert time.perf_counter() - t0 < 5
+    assert code == 0 and rep["results"]["integral"] is True
 
 
 def test_motive_commands(capsys):

@@ -33,7 +33,8 @@ from motivix.cmlat import (
     subset_idempotent,
     subsets_lemma_check,
 )
-from motivix.decomp import PROOFTRACE, decide
+from motivix.corr import build_grids, conv
+from motivix.decomp import EXHAUSTIVE, PROOFTRACE, decide, probes_for
 from motivix.errors import (
     InvalidInput,
     LatticeError,
@@ -42,7 +43,7 @@ from motivix.errors import (
     ShapeError,
     UnsupportedQuery,
 )
-from motivix.exact import QuadInt, Rat
+from motivix.exact import QuadInt, Rat, ZLattice
 
 
 def glue_model_g2():
@@ -130,7 +131,7 @@ def test_build_model_bounds_g(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a model above MAX_G was built or probed")
 
-    monkeypatch.setattr(cmlat, "_order_rows", unreachable)
+    monkeypatch.setattr(ZLattice, "from_rows", unreachable)
     monkeypatch.setattr(decomp, "probes_for", unreachable)
     for g in (65, 10 ** 6):
         for kwargs in ({}, {"mode": AXIOMATIC, "exponents": (5,) * g}):
@@ -163,6 +164,49 @@ def test_endo_from_rows_checks_d_once(monkeypatch):
     swap = perm_endo(c6, PermEndoSpec((1, 0) + tuple(range(2, 10)), full_grid(10)))
     assert swap.entry(0, 1) == 1 and swap.entry(9, 9) == 1
     assert calls == []
+
+
+def test_d_is_checked_once_per_model(monkeypatch):
+    """QuadInt.check_d (trial division to sqrt(d)) runs once where a model
+    is built, and never again for values built from that model."""
+    calls = []
+    raw = QuadInt.check_d
+
+    def counting(d):
+        calls.append(d)
+        return raw(d)
+
+    monkeypatch.setattr(QuadInt, "check_d", staticmethod(counting))
+    data = {"d": 7, "g": 3, "mode": "lattice", "maximal_order": True,
+            "glue": [[[2, 5]] * 3, [[[0, 1], [1, 7]]] * 3]}
+    m = model_from_dict(data)
+    assert calls == [7]
+    build_model(7, 3, mode=AXIOMATIC, exponents=(5, 5, 5))
+    assert calls == [7, 7]
+    calls.clear()
+    m = model_from_dict(dict(data, glue=[[[2, 5]] * 3]))
+    assert calls == [7]
+    rows = [[Rat(1, 2), 0, 3], [0, QuadInt(0, 1, 7), 0], [1, 1, 1]]
+    calls.clear()
+    for mode in (EXHAUSTIVE, PROOFTRACE):
+        decide(m, mode)
+    grids = build_grids(m)
+    for probe in probes_for(m):
+        for grid in (grids.theta, grids.a1, grids.a2):
+            for row in grid:
+                for cell in row:
+                    conv(probe.endo, cell)
+    perm_endo(m, PermEndoSpec((1, 2, 0), full_grid(3)))
+    subset_idempotent(m, [0, 2])
+    endo_identity(m).scale(Rat(1, 3))
+    jsonable = endo_to_jsonable(endo_identity(m))
+    assert endo_from_jsonable(jsonable, m) == endo_identity(m)
+    assert calls == []
+    # the public EndoQ.from_rows keeps its one check per call
+    x = EndoQ.from_rows(rows, 7)
+    assert calls == [7]
+    assert endo_from_jsonable(endo_to_jsonable(x), m) == x
+    assert calls == [7]
 
 
 def test_build_model_rejects_non_int_exponents():

@@ -309,16 +309,25 @@ def test_solve_field_random_against_oracle():
 # --- ZLattice ----------------------------------------------------------------
 
 
+def basis_rows(lat):
+    """The canonical basis of lat as rational row vectors."""
+    return tuple(tuple(Rat(x, lat.den) for x in row) for row in lat.hbasis)
+
+
+# (1/5, 2/5) + Z^2, as integer rows over the denominator 5
+FIFTHS = ([[1, 2], [5, 0], [0, 5]], 5)
+
+
 def test_hnf_identity_fixed():
-    lat = ZLattice.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert lat.basis_rows() == tuple(
+    lat = ZLattice.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 1)
+    assert basis_rows(lat) == tuple(
         tuple(Rat(1) if i == j else Rat(0) for j in range(4)) for i in range(4)
     )
 
 
 def test_hnf_small_example():
-    lat = ZLattice.from_rows([[2, 0], [1, 1]])
-    assert lat.basis_rows() == ((Rat(1), Rat(1)), (Rat(0), Rat(2)))
+    lat = ZLattice.from_rows([[2, 0], [1, 1]], 1)
+    assert basis_rows(lat) == ((Rat(1), Rat(1)), (Rat(0), Rat(2)))
     # same membership as the generating set, brute force both ways
     gens = [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1)]]
     for x in range(-3, 4):
@@ -327,25 +336,34 @@ def test_hnf_small_example():
 
 
 def test_hnf_rational_closure_det():
-    lat = ZLattice.from_rows([[Rat(1, 5), Rat(2, 5)], [1, 0], [0, 1]])
-    assert oracle_det(lat.basis_rows()) in (Rat(1, 5), Rat(-1, 5))
+    lat = ZLattice.from_rows(*FIFTHS)
+    assert oracle_det(basis_rows(lat)) in (Rat(1, 5), Rat(-1, 5))
 
 
 def test_hnf_idempotent():
-    lat = ZLattice.from_rows([[Rat(1, 5), Rat(2, 5)], [1, 0], [0, 1]])
-    again = ZLattice.from_rows(lat.basis_rows())
+    lat = ZLattice.from_rows(*FIFTHS)
+    again = ZLattice.from_rows(lat.hbasis, lat.den)
     assert lat == again and lat.hbasis == again.hbasis
 
 
 def test_hnf_rank_deficient():
     with pytest.raises(RankError):
-        ZLattice.from_rows([[1, 2], [2, 4]])
+        ZLattice.from_rows([[1, 2], [2, 4]], 1)
+
+
+def test_from_rows_takes_integer_rows_over_a_positive_denominator():
+    assert ZLattice.from_rows([[2, 4], [0, 6]], 4) == ZLattice.from_rows([[1, 2], [0, 3]], 2)
+    for rows, den in (([[Rat(1, 5), 0], [0, 1]], 1), ([[1.0, 0], [0, 1]], 1),
+                      ([[True, 0], [0, 1]], 1), ([[1, 0], [0, 1]], 0),
+                      ([[1, 0], [0, 1]], Rat(1)), ([[1, 0], [0, 1]], -2)):
+        with pytest.raises(InvalidInput):
+            ZLattice.from_rows(rows, den)
 
 
 def test_contains_examples():
-    z2 = ZLattice.from_rows([[1, 0], [0, 1]])
+    z2 = ZLattice.from_rows([[1, 0], [0, 1]], 1)
     assert z2.contains([Rat(3), Rat(-7)])
-    lat = ZLattice.from_rows([[Rat(1, 5), Rat(2, 5)], [1, 0], [0, 1]])
+    lat = ZLattice.from_rows(*FIFTHS)
     assert lat.contains([Rat(1, 5), Rat(2, 5)])
     assert not lat.contains([Rat(1, 5), Rat(0)])
     # brute-force oracle over k*(1/5,2/5) + Z^2 for |k| <= 5
@@ -359,22 +377,23 @@ def test_contains_examples():
 
 
 def test_contains_shape_error():
-    z2 = ZLattice.from_rows([[1, 0], [0, 1]])
+    z2 = ZLattice.from_rows([[1, 0], [0, 1]], 1)
     with pytest.raises(ShapeError):
         z2.contains([Rat(1)])
 
 
 def test_contains_unimodular_invariance():
     rng = random.Random(505)
-    base = [[Rat(1, 6), Rat(1, 3), 0], [0, Rat(1, 2), 0], [0, 0, 1], [1, 0, 0], [0, 1, 0]]
-    lat = ZLattice.from_rows(base)
-    rows = [list(r) for r in lat.basis_rows()]
+    # (1/6, 1/3, 0), (0, 1/2, 0) and Z^3, over the denominator 6
+    base = [[1, 2, 0], [0, 3, 0], [0, 0, 6], [6, 0, 0], [0, 6, 0]]
+    lat = ZLattice.from_rows(base, 6)
+    rows = [list(r) for r in lat.hbasis]
     for _ in range(20):
         # random elementary row operations keep the lattice
         i, j = rng.sample(range(3), 2)
         k = rng.randint(-3, 3)
         rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
-        assert ZLattice.from_rows(rows) == lat
+        assert ZLattice.from_rows(rows, lat.den) == lat
     for _ in range(50):
         v = [Rat(rng.randint(-6, 6), rng.choice([1, 2, 3, 6])) for _ in range(3)]
-        assert ZLattice.from_rows(rows).contains(v) == lat.contains(v)
+        assert ZLattice.from_rows(rows, lat.den).contains(v) == lat.contains(v)

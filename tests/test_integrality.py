@@ -24,7 +24,6 @@ from motivix.cmlat import (
     is_integral,
     monomial_is_integral,
     proper_nonempty_subsets,
-    realify_vec,
     rosati,
     subset_idempotent,
 )
@@ -34,13 +33,14 @@ from motivix.exact import QuadInt
 
 def oracle_is_integral(m, x):
     """x . Lambda in Lambda, basis row by basis row, over Q(sqrt(-d))."""
-    for row in m.lattice.basis_rows():
-        w = [QuadInt(row[2 * i], row[2 * i + 1], m.d) for i in range(m.g)]
+    den = m.lattice.den
+    for row in m.lattice.hbasis:
+        w = [QuadInt(F(row[2 * i], den), F(row[2 * i + 1], den), m.d) for i in range(m.g)]
         y = [
             sum((x.entry(i, j) * w[j] for j in range(m.g)), QuadInt.zero(m.d))
             for i in range(m.g)
         ]
-        if not m.lattice.contains(realify_vec(y)):
+        if not m.lattice.contains([q for e in y for q in (e.a, e.b)]):
             return False
     return True
 

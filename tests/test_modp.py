@@ -137,15 +137,16 @@ def test_fp_resultant_matches_sylvester_determinant():
             if tf and tg
             else 0
         )
-        assert fp_resultant(f, g, P) == want
+        assert fp_resultant(f, g, P, FpTables(P)) == want
     # constants, and the zero polynomial on either side
-    assert fp_resultant([3], [5], P) == 1
-    assert fp_resultant([3], [1, 2, 1], P) == 9
-    assert fp_resultant([1, 2, 1], [3], P) == 9
-    assert fp_resultant([], [1, 1], P) == fp_resultant([1, 1], [0, 0], P) == 0
+    tables = FpTables(P)
+    assert fp_resultant([3], [5], P, tables) == 1
+    assert fp_resultant([3], [1, 2, 1], P, tables) == 9
+    assert fp_resultant([1, 2, 1], [3], P, tables) == 9
+    assert fp_resultant([], [1, 1], P, tables) == fp_resultant([1, 1], [0, 0], P, tables) == 0
     # a common root gives 0: (X - 2)(X - 3) against (X - 3)(X + 1)
     assert fp_resultant(
-        poly_mul([-2 % P, 1], [-3 % P, 1], P), poly_mul([-3 % P, 1], [1, 1], P), P
+        poly_mul([-2 % P, 1], [-3 % P, 1], P), poly_mul([-3 % P, 1], [1, 1], P), P, tables
     ) == 0
 
 
@@ -159,7 +160,7 @@ def test_fp_resultant_of_monic_f_ignores_degree_drop_in_g():
         f = random_poly(rng, m - 1, P) + [1]
         drop = rng.randrange(1, n + 1)
         g = random_poly(rng, n - drop, P) + [0] * drop
-        assert fp_resultant(f, g, P) == sylvester_resultant(f, g, m, n, P)
+        assert fp_resultant(f, g, P, FpTables(P)) == sylvester_resultant(f, g, m, n, P)
 
 
 def long_division_remainder(f, g, p):
@@ -252,8 +253,9 @@ def test_tables_memoize_inverses_without_changing_answers():
         for _ in range(300):
             f = random_poly(rng, rng.randrange(0, 8), p)
             g = random_poly(rng, rng.randrange(0, 8), p)
-            assert fp_resultant(f, g, p, tables) == fp_resultant(f, g, p)
-            assert fp_distinct_root_count(f, p, tables) == fp_distinct_root_count(f, p)
+            assert fp_resultant(f, g, p, tables) == fp_resultant(f, g, p, FpTables(p))
+            assert (fp_distinct_root_count(f, p, tables)
+                    == fp_distinct_root_count(f, p, FpTables(p)))
         assert all(a * inv % p == 1 for a, inv in tables.items())
         assert len(tables) < p
 
@@ -313,6 +315,38 @@ def test_degree_oracle_fails_fast_on_large_primes():
     assert time.perf_counter() - start < 5.0
 
 
+def test_degree_refuses_composite_moduli():
+    """pow(a, p - 2, p) inverts nothing modulo a composite p, so a caller's
+    modulus that is not a prime is refused when it is drawn, not used."""
+    phi1, phi2, phi3 = c6_generator_morphisms()
+    # Carmichael numbers, and 7 * 13 * 19 * 37 * 73 * 109
+    for phi, primes in ((phi3, [341, 561, 1105]), (phi2, [509033161] * 3)):
+        start = time.perf_counter()
+        with pytest.raises(InvalidInput, match="primes below"):
+            degree(phi, primes=primes)
+        assert time.perf_counter() - start < 1.0
+    for bad in (True, 433.0, "433", -433, fermat._PRIME_TEST_BOUND + 2):
+        with pytest.raises(InvalidInput, match="primes below"):
+            degree(phi1, primes=[433, bad])
+
+    def endless():
+        yield 433
+        while True:
+            yield 435
+
+    with pytest.raises(InvalidInput, match="got 435"):
+        degree(phi1, primes=endless())
+
+
+def test_is_prime_matches_trial_division():
+    sieve = [n for n in range(3000) if n > 1 and all(n % k for k in range(2, n))]
+    assert [n for n in range(3000) if fermat._is_prime(n)] == sieve
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the bases up to 37
+    for n in (3215031751, 318665857834031151167461):
+        assert not fermat._is_prime(n)
+    assert fermat._is_prime(1000000087) and fermat._is_prime(2 ** 61 - 1)
+
+
 def random_bivariate(rng, total, ydeg, monic, p):
     """A dict {(i, j): c} of total degree `total` and y-degree `ydeg`;
     when monic, y^ydeg has coefficient 1 and no x-dependence."""
@@ -365,7 +399,7 @@ def test_resultant_degree_bound():
             # the oracle's evaluation: resultants of the specialized
             # polynomials, whose y-degree in G may drop
             vals = [
-                fp_resultant(eval_x(F, x0, P), eval_x(G, x0, P), P)
+                fp_resultant(eval_x(F, x0, P), eval_x(G, x0, P), P, FpTables(P))
                 for x0 in range(classical + 1)
             ]
             assert fp_interp(range(bound + 1), vals[: bound + 1], P) == R
@@ -407,13 +441,13 @@ def old_route_count(F_fp, A_fp, B_fp, p, rng, trials=6):
                 continue
             xs = list(range(dxF * dyG + dxG * dyF + 1))
             vals = [
-                fp_resultant(eval_x(Ft, x0, p), eval_x(Gt, x0, p), p)
+                fp_resultant(eval_x(Ft, x0, p), eval_x(Gt, x0, p), p, FpTables(p))
                 for x0 in xs
             ]
             if not any(vals):
                 continue
             R = fp_interp(xs, vals, p)
-            best = max(best, fp_distinct_root_count(R, p))
+            best = max(best, fp_distinct_root_count(R, p, FpTables(p)))
     if best == 0:
         raise _BadPrime("no informative fiber sample")
     return best
@@ -490,7 +524,7 @@ def test_degree_oracle_resultant_count(monkeypatch):
     drawn = []
     real_primes = fermat._oracle_primes
 
-    def counting(f, g, p, inv=None):
+    def counting(f, g, p, inv):
         calls[0] += 1
         return fp_resultant(f, g, p, inv)
 

@@ -1,7 +1,8 @@
 """The public surface: every exported name resolves, and so does every
 callable the benchmark tracer wraps, so a deletion cannot silently break
 the traced benchmark run. The package holds no bare assert, so every
-check still runs under python -O."""
+check still runs under python -O, and the model layers check d once per
+model, not once per value."""
 
 import ast
 import importlib
@@ -48,3 +49,43 @@ def test_no_bare_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# the constructors that re-check d by trial division to sqrt(d)
+VALIDATING = {"QuadInt": ("zero", "one", "sqrt_minus_d", "check_d"), "EndoQ": ("from_rows",)}
+
+
+def validating_calls(tree):
+    """(enclosing def, callee) for every QuadInt(...) call and every call
+    of a VALIDATING constructor in the module tree."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, where + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Name) and f.id == "QuadInt":
+                    found.append((".".join(where), "QuadInt"))
+                elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                      and f.attr in VALIDATING.get(f.value.id, ())):
+                    found.append((".".join(where), f.value.id + "." + f.attr))
+            visit(child, where)
+
+    visit(tree, ())
+    return found
+
+
+def test_model_layers_check_d_once():
+    src = Path(motivix.__file__).resolve().parent
+    found = sorted(
+        (name,) + call
+        for name in ("cmlat", "corr", "decomp")
+        for call in validating_calls(ast.parse((src / (name + ".py")).read_text()))
+    )
+    assert found == [
+        ("cmlat", "EndoQ.from_rows", "QuadInt.check_d"),
+        ("cmlat", "build_model", "QuadInt.check_d"),
+    ]
