@@ -1,8 +1,8 @@
 """The explicit genus-10 instance: plane curves, morphisms into CM
 elliptic targets, symbolic pullbacks of the invariant differential,
 permutation-representation membership of the resulting coefficients, a
-finite-field degree oracle, and assembly of the axiomatic model that
-feeds the decision procedure.
+degree oracle (exact on components in x alone, finite-field otherwise),
+and assembly of the axiomatic model that feeds the decision procedure.
 
 Conventions.  All curves live in the z = 1 affine chart; the canonical
 form on a curve monic of degree m in y is dx/y^(m-1).  Homogenization
@@ -442,20 +442,76 @@ def _route_count(F_fp, A_fp, B_fp, p, rng):
     return best
 
 
+def _exact_fiber_count(comp, source):
+    """Fiber count of a component in x alone, found exactly, or None when
+    the component depends on y.
+
+    The source is monic in y, so x has degree deg_y(source) on it, and a
+    fraction in x of degree k in lowest terms has degree
+    k * deg_y(source).  k comes from num and den after removing their
+    gcd, found by division-free Euclid over the constant field.  A
+    constant component has no generic fiber and raises OracleError.
+    """
+    if comp.num.deg_y > 0 or comp.den.deg_y > 0:
+        return None
+    num = [comp.num.coeff(i, 0) for i in range(comp.num.deg_x + 1)]
+    den = [comp.den.coeff(i, 0) for i in range(comp.den.deg_x + 1)]
+    f, g = num, den
+    while g:
+        # r becomes f mod g times a nonzero constant: each step scales r
+        # by lead(g) and cancels its leading term with a multiple of g
+        r = f
+        while len(r) >= len(g):
+            shift = len(r) - len(g)
+            lr, lg = r[-1], g[-1]
+            r = [c * lg for c in r]
+            for i, c in enumerate(g):
+                r[shift + i] = r[shift + i] - lr * c
+            while r and r[-1].is_zero():
+                r.pop()
+        f, g = g, r
+    # f is the gcd up to a constant factor
+    k = max(len(num), len(den)) - len(f)
+    if k == 0:
+        raise OracleError("a constant component has no generic fiber")
+    return k * source.deg_y
+
+
 def degree(phi, primes=None, seed=0):
-    """Degree of the function-field extension induced by phi,
-    by generic-fiber counting modulo several good primes.
+    """Degree of the function-field extension induced by phi.
 
     Each coordinate route (u then v) counts the fibers of the composite
     curve -> line map and divides by the coordinate degree on the
-    target; the routes must agree, and the result must repeat over
-    three good primes in a row.  Assumes the component numerators and
-    denominators have no common zero on the source curve.
+    target; the routes must agree.  A route whose component is a
+    function of x alone is counted exactly, once; the other is counted
+    modulo primes, and must agree with the exact route at every good
+    prime and repeat over three good primes in a row.  When both
+    components are in x alone (a genus-0 target) the two exact routes
+    are the answer and no prime is drawn.  The mod-p routes assume
+    their component's numerator and denominator have no common zero on
+    the source curve.  Each prime is drawn at most once.
     """
     if not isinstance(phi, CurveMorphism):
         raise InvalidInput("degree takes a CurveMorphism")
     if phi.target.F.deg_x < 1 or phi.target.F.deg_y < 1:
         raise InvalidInput("degree needs a target of positive x- and y-degree")
+    routes = (
+        (phi.u, phi.target.F.deg_y),
+        (phi.v, phi.target.F.deg_x),
+    )
+    # the route degrees known exactly, None for those counted mod p
+    exact = []
+    for comp, target_deg in routes:
+        count = _exact_fiber_count(comp, phi.source)
+        if count is not None and count % target_deg:
+            raise VerificationError(
+                "exact fiber count %d not divisible by %d" % (count, target_deg)
+            )
+        exact.append(None if count is None else count // target_deg)
+    if None not in exact:
+        if exact[0] != exact[1]:
+            raise VerificationError("exact coordinate routes disagree")
+        return exact[0]
     rng = random.Random(seed)
     # the generators whose roots mod p the assignment needs
     spec = ()
@@ -470,11 +526,8 @@ def degree(phi, primes=None, seed=0):
     for part in parts:
         for v in part.c.values():
             spec = join_specs(spec, v.spec)
-    routes = (
-        (phi.u, phi.target.F.deg_y),
-        (phi.v, phi.target.F.deg_x),
-    )
     prime_source = iter(primes) if primes is not None else _oracle_primes()
+    drawn = set()
     agreed = []
     for _ in range(_DEGREE_ATTEMPTS):
         p = next(prime_source, None)
@@ -484,11 +537,17 @@ def degree(phi, primes=None, seed=0):
             raise InvalidInput(
                 "degree works modulo primes below %d, got %r" % (_PRIME_TEST_BOUND, p)
             )
+        if p in drawn:
+            raise InvalidInput("degree draws each prime once, got %d again" % p)
+        drawn.add(p)
         try:
             assign = _gen_assignment(spec, p)
             F_fp = phi.source.F.map_fp(p, assign)
             vals = []
-            for comp, target_deg in routes:
+            for (comp, target_deg), known in zip(routes, exact):
+                if known is not None:
+                    vals.append(known)
+                    continue
                 A_fp = comp.num.map_fp(p, assign)
                 B_fp = comp.den.map_fp(p, assign)
                 if not B_fp or not A_fp:

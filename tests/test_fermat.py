@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import motivix
-from motivix import polyring
+from motivix import fermat, polyring
 from motivix.decomp import INDECOMPOSABLE, PROOFTRACE, decide
 from motivix.errors import (
     InvalidInput,
@@ -451,6 +451,49 @@ def test_degree_oracle():
         degree(phi1, primes=[])
 
 
+def test_degree_counts_components_in_x_exactly():
+    phi1 = c6_generator_morphisms()[0]
+    W6, E1 = phi1.source, phi1.target
+    # u = -x^2 written as (-x^3 + x^2)/(x - 1): the gcd x - 1 goes, so
+    # the count is 2 * 6, not 3 * 6 (which would give degree 9)
+    unreduced = RatFunc(-(X**3) + X**2, X - 1)
+    assert fermat._exact_fiber_count(unreduced, W6) == 12
+    assert degree(CurveMorphism(W6, E1, unreduced, Y**3)) == 6
+    assert fermat._exact_fiber_count(phi1.v, W6) is None
+    # a constant component has no generic fiber: it fails, never gives 0
+    for u in (RatFunc.const(1), RatFunc(X, X)):
+        with pytest.raises(OracleError, match="constant component"):
+            degree(CurveMorphism(W6, E1, u, 0))
+
+
+def test_degree_cross_checks_the_exact_route_mod_p(monkeypatch):
+    """phi1's exact u route, shifted to degree 7, disagrees with its mod-p
+    v route at every prime: the oracle gives up and returns nothing."""
+    phi1 = c6_generator_morphisms()[0]
+    real = fermat._exact_fiber_count
+
+    def shifted(comp, source):
+        count = real(comp, source)
+        return None if count is None else count + 2
+
+    monkeypatch.setattr(fermat, "_exact_fiber_count", shifted)
+    with pytest.raises(OracleError, match="did not stabilize"):
+        degree(phi1)
+
+
+def test_degree_on_a_genus_0_target_draws_no_prime():
+    """(x, y) -> (x^2, x) onto the parabola y^2 = x: both components are
+    in x alone and give degree 2 exactly (4 / 2 by u, 2 / 1 by v)."""
+    parabola = PlaneCurve(Y**2 - X)
+    phi = CurveMorphism(cm_elliptic(), parabola, X**2, X)
+
+    def primes():
+        raise AssertionError("a prime was drawn")
+        yield
+
+    assert degree(phi, primes=primes()) == 2
+
+
 def test_degree_rejects_a_flat_target_before_drawing_a_prime():
     y = BiPoly.var_y()
     flat = PlaneCurve(y**2 - 1)
@@ -549,6 +592,15 @@ try:
     fermat.degree(flat, primes=primes())
 except InvalidInput as exc:
     print("degree:", exc, len(drawn))
+real_count = fermat._exact_fiber_count
+fermat._exact_fiber_count = lambda comp, source: (
+    None if real_count(comp, source) is None else real_count(comp, source) + 1
+)
+try:
+    fermat.degree(phi1)
+except VerificationError as exc:
+    print("exact count:", exc)
+fermat._exact_fiber_count = real_count
 try:
     fermat.OmegaCoefficient(y**2, fermat.cm_elliptic())
 except InvalidInput as exc:
@@ -602,6 +654,7 @@ def test_checks_fire_under_python_O():
         "pullback: pullback solution fails its back-check\n"
         "inverse: nonzero field element must be invertible\n"
         "degree: degree needs a target of positive x- and y-degree 0\n"
+        "exact count: exact fiber count 13 not divisible by 2\n"
         "omega: OmegaCoefficient needs y-degree below that of its curve\n"
         "side sum: side images must sum to rosati(sigma_J)\n"
         "witness: materialized witness must pass\n"

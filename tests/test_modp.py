@@ -11,7 +11,12 @@ import pytest
 
 from motivix import fermat
 from motivix.errors import InvalidInput, OracleError
-from motivix.fermat import _route_count, c6_generator_morphisms, degree
+from motivix.fermat import (
+    _route_count,
+    c6_generator_morphisms,
+    compose_with_perm,
+    degree,
+)
 from motivix.polyring import (
     FpTables,
     _BadPrime,
@@ -338,6 +343,17 @@ def test_degree_refuses_composite_moduli():
         degree(phi1, primes=endless())
 
 
+def test_degree_refuses_a_repeated_modulus():
+    """Three agreeing counts at one prime are one prime's work: a modulus
+    drawn twice is refused, as a composite is, even one that hosts no
+    count (mod 409 the cube root of 4 in phi2 does not exist)."""
+    phi1, phi2, _ = c6_generator_morphisms()
+    with pytest.raises(InvalidInput, match="got 433 again"):
+        degree(phi1, primes=[433, 433, 433])
+    with pytest.raises(InvalidInput, match="got 409 again"):
+        degree(phi2, primes=[409, 433, 409, 439, 457])
+
+
 def test_is_prime_matches_trial_division():
     sieve = [n for n in range(3000) if n > 1 and all(n % k for k in range(2, n))]
     assert [n for n in range(3000) if fermat._is_prime(n)] == sieve
@@ -517,9 +533,11 @@ def recording_interp(monkeypatch):
 
 
 def test_degree_oracle_resultant_count(monkeypatch):
-    """The three generator degrees take 4,320 point resultants (the
-    classical point count took 6,912) over 18 primes of the default
-    stream, which starts above every interpolation point count."""
+    """The three generator degrees take 2,052 point resultants over 18
+    primes of the default stream, which starts above every interpolation
+    point count.  Each generator has one component in x alone, counted
+    exactly, so only its other route takes resultants; counting both
+    routes mod p took 4,320, and the classical point count 6,912."""
     calls = [0]
     drawn = []
     real_primes = fermat._oracle_primes
@@ -537,15 +555,50 @@ def test_degree_oracle_resultant_count(monkeypatch):
     monkeypatch.setattr(fermat, "_oracle_primes", counting_primes)
     seen = recording_interp(monkeypatch)
     assert tuple(degree(phi) for phi in c6_generator_morphisms()) == (6, 12, 4)
-    assert calls[0] == 4320
+    assert calls[0] == 2052
     assert len(drawn) == 18
     assert seen and all(n <= p for n, p in seen)
 
 
+def test_degree_counts_mod_p_only_the_routes_in_y(monkeypatch):
+    """phi1's u = -x^2 is counted exactly, so each prime runs only its
+    v = y^3 route mod p: 228 resultants at each of 3 primes.  Its twist
+    by swap(y, z) has u = -x^2/y^2 and v = 1/y^3, both in y, and runs
+    both routes at every prime: 156 + 228 resultants at each."""
+    calls = [0]
+    routes = []
+    real_route = fermat._route_count
+
+    def counting(f, g, p, inv):
+        calls[0] += 1
+        return fp_resultant(f, g, p, inv)
+
+    def recording(F_fp, A_fp, B_fp, p, rng):
+        before = calls[0]
+        count = real_route(F_fp, A_fp, B_fp, p, rng)
+        routes.append((p, calls[0] - before))
+        return count
+
+    monkeypatch.setattr(fermat, "fp_resultant", counting)
+    monkeypatch.setattr(fermat, "_route_count", recording)
+    phi1 = c6_generator_morphisms()[0]
+    twist = compose_with_perm(phi1, (0, 2, 1))
+    for phi, per_prime, total in ((phi1, [228], 684), (twist, [156, 228], 1152)):
+        calls[0] = 0
+        routes.clear()
+        assert degree(phi) == 6
+        primes = sorted({p for p, _ in routes})
+        assert len(primes) == 3
+        for p in primes:
+            assert [n for q, n in routes if q == p] == per_prime
+        assert calls[0] == total
+
+
 def test_degree_oracle_rejects_primes_below_its_point_count(monkeypatch):
-    """Mod 7 there are no 13 distinct interpolation points: such a prime
-    is rejected, not interpolated at (FpTables(7).basis(8) raises
-    InvalidInput)."""
+    """phi1's u = -x^2 is counted exactly, and its v = y^3 route mod p
+    interpolates at 19 points.  Mod 7 and mod 13 there are no 19
+    distinct points: such a prime is rejected, not interpolated at
+    (FpTables(7).basis(8) raises InvalidInput)."""
     seen = recording_interp(monkeypatch)
     phi1 = c6_generator_morphisms()[0]
     assert degree(phi1, primes=[7, 13, 19, 31, 37, 43, 61, 67]) == 6
