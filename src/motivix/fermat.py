@@ -17,6 +17,7 @@ from .exact import _is_int, row_echelon, solve_field
 from .motcalc import product_of_curves
 from .polyring import (
     KNOWN_GENS,
+    ZERO,
     BiPoly,
     FpTables,
     MultiNf,
@@ -227,9 +228,8 @@ def pullback(phi, form):
                     {(a + i, b): v for (a, b), v in shifted[j].c.items()}
                 )
         keys = sorted(set(A.c) | {k for col in cols for k in col})
-        zero = MultiNf.zero()
-        rows = [[col.get(k, zero) for col in cols] for k in keys]
-        rhs = [A.c.get(k, zero) for k in keys]
+        rows = [[col.get(k, ZERO) for col in cols] for k in keys]
+        rhs = [A.c.get(k, ZERO) for k in keys]
         sol = solve_field(rows, rhs)
         if sol is None:
             continue

@@ -26,6 +26,7 @@ KNOWN_GENS = (
 )
 _GEN_INDEX = {name: k for k, (name, _) in enumerate(KNOWN_GENS)}
 _GEN_POLY = {name: poly for name, poly in KNOWN_GENS}
+_GEN_DEG = {name: len(poly) - 1 for name, poly in KNOWN_GENS}
 
 
 class _BadPrime(Exception):
@@ -54,7 +55,7 @@ def join_specs(a, b):
 def _reduce(spec, items):
     """Coefficient dict of sum(q * gens^exps) over (exps, q) items:
     every exponent below its generator's degree, no zero values."""
-    degs = tuple(len(_GEN_POLY[n]) - 1 for n in spec)
+    degs = tuple(_GEN_DEG[n] for n in spec)
     clean = {}
     work = list(items)
     while work:
@@ -193,13 +194,7 @@ class MultiNf:
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b = pair
-        out = dict(a.c)
-        for e, q in b.c.items():
-            s = out.pop(e, 0) - q
-            if s:
-                out[e] = s
-        return MultiNf._make(a.spec, out)
+        return pair[0] + -pair[1]
 
     def __rsub__(self, other):
         return -(self - other)
@@ -209,6 +204,13 @@ class MultiNf:
         if pair is None:
             return NotImplemented
         a, b = pair
+        if len(a.c) == 1 == len(b.c):  # one term each: rewrite only a wrap
+            ((e1, q1),) = a.c.items()
+            ((e2, q2),) = b.c.items()
+            e = tuple(map(operator.add, e1, e2))
+            if all(k < _GEN_DEG[n] for n, k in zip(a.spec, e)):
+                return MultiNf._make(a.spec, {e: q1 * q2})
+            return MultiNf._make(a.spec, _reduce(a.spec, [(e, q1 * q2)]))
         out = {}
         for e1, q1 in a.c.items():
             for e2, q2 in b.c.items():
@@ -218,22 +220,27 @@ class MultiNf:
 
     __rmul__ = __mul__
 
-    def _basis(self):
-        degs = [len(_GEN_POLY[n]) - 1 for n in self.spec]
-        return list(itertools.product(*[range(d) for d in degs]))
-
     def inverse(self):
+        """1 / self.  A one-term value q * prod g^e is inverted in closed
+        form, as q^-1 * prod (g^-1)^e, and back-checked with one product;
+        a value of two or more terms solves a linear system."""
         if self.is_zero():
             raise InvalidInput("division by zero in the constant field")
-        const = (0,) * len(self.spec)
-        if len(self.c) == 1 and const in self.c:
-            return MultiNf._make(self.spec, {const: 1 / self.c[const]})
-        return self._inverse_by_solve()
+        if len(self.c) > 1:
+            return self._inverse_by_solve()
+        ((exps, q),) = self.c.items()
+        inv = MultiNf._make(self.spec, {(0,) * len(exps): 1 / q})
+        for k, e in enumerate(exps):
+            for _ in range(e):
+                inv = inv * _gen_inverse(self.spec, k)
+        if self * inv != 1:
+            raise VerificationError("closed-form inverse fails its back-check")
+        return inv
 
     def _inverse_by_solve(self):
         """The inverse as the solution x of self * x = 1, one linear
         system over Q in the coordinates of the basis monomials."""
-        basis = self._basis()
+        basis = list(itertools.product(*[range(_GEN_DEG[n]) for n in self.spec]))
         index = {e: k for k, e in enumerate(basis)}
         cols = []
         for e in basis:
@@ -292,6 +299,9 @@ class MultiNf:
         return a.c == b.c
 
     def __hash__(self):
+        q = self.c.get((0,) * len(self.spec), 0)
+        if len(self.c) == (q != 0):  # rational: hash as the Fraction
+            return hash(q)
         lifted = self.lift(tuple(n for n, _ in KNOWN_GENS))
         return hash(frozenset(lifted.c.items()))
 
@@ -325,6 +335,20 @@ class MultiNf:
             else:
                 parts.append(str(q))
         return " + ".join(parts)
+
+
+ZERO = MultiNf._make((), {})  # immutable, so one zero serves every caller
+
+
+def _gen_inverse(spec, k):
+    """g^-1 for g = spec[k], from its monic minpoly g^d + ... + c_0:
+    g * (g^(d-1) + ... + c_1) = -c_0."""
+    poly = _GEN_POLY[spec[k]]
+    c = {}
+    for j, cj in enumerate(poly[1:]):
+        if cj:
+            c[tuple(j if m == k else 0 for m in range(len(spec)))] = -cj / poly[0]
+    return MultiNf._make(spec, c)
 
 
 def _coerce_scalar(v):
@@ -401,7 +425,7 @@ class BiPoly:
         return max((j for (_, j) in self.c), default=-1)
 
     def coeff(self, i, j):
-        return self.c.get((i, j), MultiNf.zero())
+        return self.c.get((i, j), ZERO)
 
     def __add__(self, other):
         if isinstance(other, (int, Rat, MultiNf)):
@@ -479,25 +503,22 @@ class BiPoly:
         """The coefficient of y^j, as a polynomial in x alone."""
         return BiPoly._make({(i, 0): v for (i, jj), v in self.c.items() if jj == j})
 
-    def y_divmod(self, f):
-        """Long division by f in the variable y; f must be monic in y."""
-        if not isinstance(f, BiPoly) or f.deg_y < 1:
-            raise InvalidInput("y_divmod needs a divisor of positive y-degree")
-        lead = f.x_slice(f.deg_y)
-        if not (lead.deg_x == 0 and lead.coeff(0, 0) == 1):
-            raise InvalidInput("y_divmod needs a divisor monic in y")
-        d = f.deg_y
-        q = BiPoly.zero()
-        r = self
-        while r.deg_y >= d:
-            dr = r.deg_y
-            shift = r.x_slice(dr) * BiPoly.monomial(0, dr - d)
-            q = q + shift
-            r = r - shift * f
-        return q, r
-
     def y_reduce(self, f):
-        return self.y_divmod(f)[1]
+        """The remainder of long division by f in the variable y, built
+        in place on one dict with no quotient; f must be monic in y."""
+        d = f.deg_y if isinstance(f, BiPoly) else 0
+        if d < 1 or list(f.x_slice(d).c) != [(0, 0)] or f.c[(0, d)] != 1:
+            raise InvalidInput("y_reduce needs a monic divisor of positive y-degree")
+        tail = [(a, b - d, -v) for (a, b), v in f.c.items() if b < d]
+        r = dict(self.c)
+        for dr in range(self.deg_y, d - 1, -1):
+            for i, c in [(i, r.pop((i, j))) for (i, j) in list(r) if j == dr]:
+                for a, b, v in tail:
+                    k = (i + a, dr + b)
+                    t = c * v if k not in r else r.pop(k) + c * v
+                    if t.c:
+                        r[k] = t
+        return BiPoly._make(r)
 
     def subst(self, u, v):
         """Substitute rational functions for x and y; returns a RatFunc."""

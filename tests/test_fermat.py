@@ -257,9 +257,84 @@ def test_multinf_inverse_of_a_constant_skips_the_solve(monkeypatch):
         assert_valid(got)
         assert got.spec == want.spec and got.c == want.c
         assert repr(got) == repr(want)
-    # a value with a generator term still takes the solve
+    # a value of two terms still takes the solve
     with pytest.raises(pytest.fail.Exception):
         (1 + ALPHA).inverse()
+
+
+def test_one_term_products_and_inverses_skip_the_general_kernels(monkeypatch):
+    """A product of two one-term values equals the general loop's
+    _reduce, and a one-term inverse equals the linear solve's: the same
+    .c and repr in every spec, and across specs.  No _reduce runs for a
+    product whose exponent sums stay below the degrees, and no
+    solve_field runs for any one-term inverse."""
+    rng = random.Random(608)
+
+    def term(spec, exps):
+        q = F(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 20))
+        return MultiNf(spec, {exps: q})
+
+    def monomials(spec):
+        return list(itertools.product(*[range(GEN_DEG[n]) for n in spec]))
+
+    plain, wrapping, inverses = [], [], []
+    for s1 in SUB_SPECS:
+        for s2 in SUB_SPECS:
+            spec = join_specs(s1, s2)
+            pairs = [(e1, e2) for e1 in monomials(s1) for e2 in monomials(s2)]
+            for e1, e2 in pairs if s1 == s2 else rng.sample(pairs, min(4, len(pairs))):
+                a, b = term(s1, e1), term(s2, e2)
+                raw = raw_product(raw_lift(a, spec), raw_lift(b, spec))
+                want = MultiNf._make(spec, polyring._reduce(spec, raw.items()))
+                (e,) = raw
+                wraps = any(k >= GEN_DEG[n] for n, k in zip(spec, e))
+                (wrapping if wraps else plain).append((a, b, want))
+        for e in monomials(s1):
+            x = term(s1, e)
+            inverses.append((x, x._inverse_by_solve()))
+    assert len(plain) > 100 and len(wrapping) > 100
+    i, eps = MultiNf.gen("i"), MultiNf.gen("eps")
+    wrapped = [(ALPHA**2, ALPHA**2), (i, i), (eps, eps)]
+    for x, y in wrapped:
+        raw = raw_product(x.c, y.c)
+        wrapping.append((x, y, MultiNf._make(x.spec, polyring._reduce(x.spec, raw.items()))))
+    assert [(x * y).c for x, y in wrapped] == [
+        {(1,): 4}, {(0,): -1}, {(1,): 1, (0,): -1}
+    ]
+
+    def check(got, want):
+        assert_valid(got)
+        assert got.spec == want.spec and got.c == want.c
+        assert repr(got) == repr(want)
+
+    for a, b, want in wrapping:
+        check(a * b, want)
+    monkeypatch.setattr(polyring, "_reduce", lambda *a: pytest.fail("_reduce"))
+    for a, b, want in plain:
+        check(a * b, want)
+        check(b * a, want)
+    monkeypatch.undo()
+    monkeypatch.setattr(polyring, "solve_field", lambda *a: pytest.fail("solve"))
+    for x, want in inverses:
+        check(x.inverse(), want)
+    assert len(inverses) == sum(len(monomials(s)) for s in SUB_SPECS)
+
+
+def test_multinf_hash_agrees_with_equality():
+    """Equal values hash alike: a rational MultiNf hashes as its
+    Fraction, zero as 0, and a value as itself in a larger spec."""
+    two = MultiNf.from_fraction(2)
+    assert two == 2 and hash(two) == hash(2)
+    assert {two: "a"}.get(2) == "a" and {2: "b"}.get(two) == "b"
+    half = MultiNf.from_fraction(F(1, 2), ("eps", "i"))
+    assert {F(1, 2): "c"}[half] == "c"
+    zero = MultiNf.zero(("cbrt4",))
+    assert hash(zero) == hash(0) and {0: "d"}[zero] == "d"
+    assert len({two, MultiNf.from_fraction(2, ("i",)), 2, F(2)}) == 1
+    i = MultiNf.gen("i")
+    for x in (i, 1 + i, ALPHA * i):
+        assert hash(x) == hash(x.lift(FULL_SPEC)) and x != 0
+    assert len({i, i.lift(("eps", "i")), 2 * i / 2}) == 1
 
 
 def old_subst(P, u, v):
@@ -293,47 +368,106 @@ def test_subst_builds_no_validated_constants(monkeypatch):
         assert g.num.c == w.num.c and g.den.c == w.den.c
 
 
+def y_divmod(g, f):
+    """Long division of g by f in the variable y, as (quotient,
+    remainder); f must be monic in y.  The reference for BiPoly.y_reduce,
+    which keeps only the remainder."""
+    if not isinstance(f, BiPoly) or f.deg_y < 1:
+        raise InvalidInput("y_divmod needs a divisor of positive y-degree")
+    lead = f.x_slice(f.deg_y)
+    if not (lead.deg_x == 0 and lead.coeff(0, 0) == 1):
+        raise InvalidInput("y_divmod needs a divisor monic in y")
+    d = f.deg_y
+    q = BiPoly.zero()
+    r = g
+    while r.deg_y >= d:
+        dr = r.deg_y
+        shift = r.x_slice(dr) * BiPoly.monomial(0, dr - d)
+        q = q + shift
+        r = r - shift * f
+    return q, r
+
+
+FULL_SPEC = tuple(n for n, _ in KNOWN_GENS)
+
+
+def on_full(p):
+    """p's coefficients lifted to the full spec: a BiPoly's value with
+    each coefficient's own spec forgotten."""
+    assert all(not q.is_zero() for q in p.c.values())
+    return {k: q.lift(FULL_SPEC).c for k, q in p.c.items()}
+
+
+def random_bipoly(rng, terms, max_x, max_y, specs=SUB_SPECS):
+    return BiPoly(
+        {
+            (rng.randint(0, max_x), rng.randint(0, max_y)): random_element(
+                rng, rng.choice(specs)
+            )
+            for _ in range(terms)
+        }
+    )
+
+
 def test_bipoly_division_and_calculus():
     sextic = X**6 + Y**6 + 1
     g = (X * Y**2 - 3) * (X + Y) + Y**7
-    q, r = g.y_divmod(sextic)
+    q, r = y_divmod(g, sextic)
     assert q * sextic + r == g
     assert r.deg_y < 6
+    assert g.y_reduce(sextic) == r
     h = (RatFunc.var_x() ** 2 - 1) / (RatFunc.var_x() + RatFunc.var_y())
     u, v = RatFunc.var_x(), RatFunc.var_y()
     assert h.dx() == ((2 * u) * (u + v) - (u**2 - 1)) / (u + v) ** 2
     assert h.subst(RatFunc.const(2), RatFunc.const(1)) == 1
     # coefficients over different specs meet only in MultiNf arithmetic:
     # the same as lifting every coefficient to the full spec first
-    full = tuple(n for n, _ in KNOWN_GENS)
     specs = ((), ("cbrt4",), ("eps", "i"))
 
     def lifted(p):
-        return BiPoly({k: q.lift(full) for k, q in p.c.items()})
-
-    def on_full(p):
-        assert all(not q.is_zero() for q in p.c.values())
-        return {k: q.lift(full).c for k, q in p.c.items()}
+        return BiPoly({k: q.lift(FULL_SPEC) for k, q in p.c.items()})
 
     rng = random.Random(909)
     for _ in range(25):
-        a, b = (
-            BiPoly(
-                {
-                    (rng.randint(0, 2), rng.randint(0, 2)): random_element(
-                        rng, rng.choice(specs)
-                    )
-                    for _ in range(4)
-                }
-            )
-            for _ in range(2)
-        )
+        a, b = (random_bipoly(rng, 4, 2, 2, specs) for _ in range(2))
         la, lb = lifted(a), lifted(b)
         assert on_full(a + b) == on_full(la + lb)
         assert on_full(a - b) == on_full(la - lb)
         assert on_full(a * b) == on_full(la * lb)
         assert on_full(a * b + a) == on_full(la * lb + la)
         assert on_full(a + b - b) == on_full(a) and (a - a).c == {}
+
+
+def test_y_reduce_matches_long_division(monkeypatch):
+    """y_reduce keeps the remainder of the long division and nothing
+    else: the same value and repr as the reference's remainder, on
+    mixed-spec coefficients, with no BiPoly product taken."""
+    rng = random.Random(910)
+    cases = [(X**6 + Y**6 + 1, (X * Y**2 - 3) * (X + Y) + Y**7)]
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        f = random_bipoly(rng, 3, 3, d - 1) + Y**d
+        g = random_bipoly(rng, rng.randint(0, 8), 4, 9)
+        cases.append((f, g))
+    cases.append((Y**2 + ALPHA * X, BiPoly.zero()))
+    cases.append((Y**3 - 1, X**2 * Y + MultiNf.gen("i")))  # already reduced
+    # multiples of f: every coefficient cancels, and none may stay as a zero
+    cases.append((Y**2 - X, Y**2 - X))
+    f = Y**3 + ALPHA * X * Y + MultiNf.gen("eps")
+    cases.append((f, f * (X * Y**2 + MultiNf.gen("i") * Y - 3)))
+    want = [y_divmod(g, f) for f, g in cases]
+    monkeypatch.setattr(BiPoly, "__mul__", lambda *a: pytest.fail("BiPoly product"))
+    got = [g.y_reduce(f) for f, g in cases]
+    monkeypatch.undo()
+    for (f, g), (q, r), rem in zip(cases, want, got):
+        assert rem.deg_y < f.deg_y
+        assert on_full(rem) == on_full(r) and repr(rem) == repr(r)
+        assert q * f + rem == g
+    assert [rem.c for rem in got[-2:]] == [{}, {}]
+    for f in (2 * Y**2 + X, X * Y**2 + 1, X + 1, BiPoly.zero(), 3):
+        for divide in (lambda g: g.y_reduce(f), lambda g: y_divmod(g, f)):
+            with pytest.raises(InvalidInput):
+                divide(X * Y**3 + Y)
 
 
 def test_curve_normalization_and_validation():
@@ -572,9 +706,16 @@ except VerificationError as exc:
     print("pullback:", exc)
 polyring.solve_field = lambda rows, rhs: None
 try:
-    polyring.MultiNf.gen("i").inverse()
+    (1 + polyring.MultiNf.gen("i")).inverse()
 except VerificationError as exc:
     print("inverse:", exc)
+real_gen_inverse = polyring._gen_inverse
+polyring._gen_inverse = lambda spec, k: polyring.MultiNf.one(spec)
+try:
+    polyring.MultiNf.gen("i").inverse()
+except VerificationError as exc:
+    print("one-term inverse:", exc)
+polyring._gen_inverse = real_gen_inverse
 y = polyring.BiPoly.var_y()
 flat = fermat.CurveMorphism(
     fermat.cm_elliptic(), fermat.PlaneCurve(y**2 - 1), polyring.BiPoly.var_x(), 1
@@ -653,6 +794,7 @@ def test_checks_fire_under_python_O():
         "optimize: 1\n"
         "pullback: pullback solution fails its back-check\n"
         "inverse: nonzero field element must be invertible\n"
+        "one-term inverse: closed-form inverse fails its back-check\n"
         "degree: degree needs a target of positive x- and y-degree 0\n"
         "exact count: exact fiber count 13 not divisible by 2\n"
         "omega: OmegaCoefficient needs y-degree below that of its curve\n"
