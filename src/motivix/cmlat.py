@@ -50,6 +50,8 @@ MAX_G = 64
 
 _ZERO = Rat(0)
 
+_UNASKED = object()  # a per-model answer not yet computed
+
 __all__ = [
     "LATTICE",
     "AXIOMATIC",
@@ -76,6 +78,9 @@ __all__ = [
     "endo_identity",
     "endo_zero",
     "verify_proper_exponents",
+    "exponent_failure",
+    "swap_is_integral",
+    "first_bad_swap",
     "swaps_are_integral",
 ]
 
@@ -245,7 +250,7 @@ class AbelianModel:
         self._exp_cache = {}
         self._grids = None  # corr.GridProjectors, built on the first probe
         self._proper_ge4_verified = None
-        self._swaps_integral = None  # see swaps_are_integral
+        self._bad_swap = _UNASKED  # see first_bad_swap
 
     @property
     def atom_exponents(self):
@@ -290,10 +295,17 @@ def build_model(d, g, glue=(), mode=LATTICE, exponents=None,
         raise InvalidInput("g must be >= 1, got %r" % (g,))
     if g > MAX_G:
         raise InvalidInput("g = %d exceeds the bound MAX_G = %d" % (g, MAX_G))
-    if maximal_order and d % 4 != 3:
-        raise InvalidInput("maximal order differs from Z[sqrt(-d)] only for d = 3 mod 4")
     if mode not in (LATTICE, AXIOMATIC):
         raise InvalidInput("mode must be LATTICE or AXIOMATIC, got %r" % (mode,))
+    # each flag acts in one mode only; set in the other it would do nothing
+    if maximal_order and mode == AXIOMATIC:
+        raise InvalidInput("maximal_order shapes the lattice; an AXIOMATIC model has none")
+    if assume_proper_ge4 and mode == LATTICE:
+        raise InvalidInput(
+            "assume_proper_ge4 declares AXIOMATIC data; a LATTICE model computes its exponents"
+        )
+    if maximal_order and d % 4 != 3:
+        raise InvalidInput("maximal order differs from Z[sqrt(-d)] only for d = 3 mod 4")
     d = QuadInt.check_d(d)  # the model's one check of d
     glue_vecs = tuple(_coerce_glue_vector(v, g, d) for v in glue)
     den = math.lcm(*(q.denominator for v in glue_vecs for x in v for q in (x.a, x.b)))
@@ -579,29 +591,48 @@ def proper_nonempty_subsets(g):
             yield frozenset(K)
 
 
-def swaps_are_integral(m):
-    """Whether every plain swap of two atoms, the permutation matrix with
-    1 at (sigma(i), i) for a transposition sigma, is integral on the
-    LATTICE model m. Asked once per model.
+def _transposition(g, a, b):
+    sigma = list(range(g))
+    sigma[a], sigma[b] = b, a
+    return tuple(sigma)
+
+
+def swap_is_integral(m, a, b):
+    """Whether the plain swap of atoms a and b, the permutation matrix
+    with 1 at (sigma(i), i) for their transposition sigma, is integral on
+    the LATTICE model m.
+
+    It decides the transposition probe for (a, b) as well. The probe holds
+    n_j / n_sigma(j) at (sigma(j), j), and its Rosati transform is the
+    swap S. If S is integral, then S Lambda = Lambda as S is an
+    involution, so S e_a S = e_b gives n_a = n_b, and the probe is S
+    itself."""
+    return monomial_is_integral(m, _transposition(m.g, a, b), [1] * m.g, 1)
+
+
+def first_bad_swap(m):
+    """The first transposition sigma in probe order, (0 1), (0 2), ...,
+    (1 2), ..., whose plain swap is not integral on the LATTICE model m,
+    or None. Asked once per model.
 
     The g - 1 adjacent swaps generate S_g, and the integral swaps form a
-    group: a swap S is an involution, so S Lambda in Lambda gives
-    S Lambda = Lambda. So the adjacent swaps decide for every swap, and
-    when they pass S_g acts on the lattice by permuting the atoms."""
-    if m._swaps_integral is None:
+    group: an integral swap maps Lambda onto itself. So when the adjacent
+    swaps pass every swap does, and S_g acts on the lattice by permuting
+    the atoms; only a failing one sends the check through every pair."""
+    if m._bad_swap is _UNASKED:
         g = m.g
-        ones = [1] * g
-        m._swaps_integral = all(
-            monomial_is_integral(m, _adjacent_swap(g, a), ones, 1)
-            for a in range(g - 1)
-        )
-    return m._swaps_integral
+        m._bad_swap = None
+        if not all(swap_is_integral(m, a, a + 1) for a in range(g - 1)):
+            a, b = next(pair for pair in itertools.combinations(range(g), 2)
+                        if not swap_is_integral(m, *pair))
+            m._bad_swap = _transposition(g, a, b)
+    return m._bad_swap
 
 
-def _adjacent_swap(g, a):
-    sigma = list(range(g))
-    sigma[a], sigma[a + 1] = a + 1, a
-    return sigma
+def swaps_are_integral(m):
+    """Whether every plain swap of two atoms is integral on the LATTICE
+    model m (first_bad_swap)."""
+    return first_bad_swap(m) is None
 
 
 def verify_proper_exponents(m):
@@ -634,6 +665,24 @@ def verify_proper_exponents(m):
     return None
 
 
+def exponent_failure(m):
+    """Why m fails the exponent hypothesis, n_K >= 4 for every proper
+    nonempty K, as the message both the decision gate and the subsets
+    lemma raise; None when it holds (verify_proper_exponents)."""
+    bad = verify_proper_exponents(m)
+    if bad is None:
+        return None
+    K, n = bad
+    if K is None:
+        return (
+            "AXIOMATIC model does not certify exponents >= 4 for unions "
+            "of atoms; build it with assume_proper_ge4"
+        )
+    if m.mode == AXIOMATIC:
+        return "exponent hypothesis fails: atom %d has exponent %d < 4" % (min(K) + 1, n)
+    return "exponent hypothesis fails: n_%r = %d < 4" % (sorted(i + 1 for i in K), n)
+
+
 def subsets_lemma_check(m, A, B):
     """Check one instance of the subsets lemma: if 2e_A + e_B is integral
     then A and B must both be empty or everything.
@@ -644,18 +693,9 @@ def subsets_lemma_check(m, A, B):
     """
     A = _check_subset(m, A)
     B = _check_subset(m, B)
-    bad = verify_proper_exponents(m)
-    if bad is not None:
-        K, n = bad
-        if K is None:
-            raise PreconditionError(
-                "AXIOMATIC model does not certify exponents >= 4 for unions "
-                "of atoms; build it with assume_proper_ge4"
-            )
-        raise PreconditionError(
-            "exponent hypothesis fails: n_%r = %d < 4"
-            % (sorted(i + 1 for i in K), n)
-        )
+    failure = exponent_failure(m)
+    if failure is not None:
+        raise PreconditionError(failure)
     ident = tuple(range(m.g))
     nums = [2 * (i in A) + (i in B) for i in ident]
     if m.mode == LATTICE:

@@ -28,16 +28,18 @@ import math
 from dataclasses import dataclass, field
 
 from .cmlat import (
+    AXIOMATIC,
     LATTICE,
     PermEndoSpec,
+    _transposition,
     endo_to_jsonable,
+    exponent_failure,
+    first_bad_swap,
     full_grid,
     is_integral,
     monomial_is_integral,
     perm_endo,
     rosati,
-    swaps_are_integral,
-    verify_proper_exponents,
 )
 from .corr import Corr2, build_grids, conv
 from .errors import (
@@ -188,12 +190,6 @@ class Probe:
         return all(self.sigma[i] == i for i in range(len(self.sigma)))
 
 
-def _transposition(g, a, b):
-    sigma = list(range(g))
-    sigma[a], sigma[b] = b, a
-    return tuple(sigma)
-
-
 def probes_for(m):
     """The identity plus all transpositions: 1 + g(g-1)/2 probes."""
     g = m.g
@@ -296,7 +292,7 @@ def refute(c, m, probes=None):
         raise CandidateError("candidate for g=%d on a model with g=%d" % (c.g, m.g))
     if probes is None:
         probes = probes_for(m)
-        _hypothesis_gate(m, probes, [])
+        _hypothesis_gate(m, [])
     steps = []
     for p in probes:
         lam, xi = eval_probe(c, p, m)
@@ -316,46 +312,34 @@ def refute(c, m, probes=None):
 # hypothesis gate
 
 
-def _probe_is_valid(m, sigma):
-    """Whether the transposition probe for sigma and its Rosati transform
-    are integral on the LATTICE model m, asked without building either.
-
-    The probe holds n_j / n_sigma(j) at (sigma(j), j); its Rosati
-    transform is the plain swap S, with 1 there. Only S is asked: if S is
-    integral, then S Lambda = Lambda as S is an involution, so S e_a S =
-    e_b gives n_a = n_b, and the probe is S itself."""
-    return monomial_is_integral(m, sigma, [1] * m.g, 1)
-
-
 # above this g a failing probe is reported without first scanning all
 # 2^g - 2 subsets for an exponent failure
 _SUBSET_SCAN_MAX_G = 10
 
+# the (hypothesis, probe-validity) notes of a passed gate, per model mode
+_GATE_NOTES = {
+    LATTICE: (
+        "every proper nonempty subset has exponent >= 4 (verified on the lattice)",
+        "all transposition probes and their Rosati transforms are integral "
+        "(verified on the lattice)",
+    ),
+    AXIOMATIC: (
+        "declared atom exponents verified >= 4; union exponents >= 4 "
+        "assumed with the declared data",
+        "probe integrality holds in the source of the declared data; assumed",
+    ),
+}
 
-def _first_bad_probe(m, probes):
-    """The first transposition probe of probes, the whole family, that is
-    not integral on the LATTICE model m, or None.
 
-    When the adjacent swaps pass every swap does (swaps_are_integral),
-    and only a failing one sends the check through every probe in
-    order."""
-    if swaps_are_integral(m):
-        return None
-    return next(p for p in probes if not p.is_identity and not _probe_is_valid(m, p.sigma))
+def _hypothesis_gate(m, trace):
+    """Check what the argument needs before any probing, and note it.
 
-
-def _hypothesis_gate(m, probes, trace):
-    """Check what the argument needs before any probing.
-
-    LATTICE: verify n_K >= 4 on every proper nonempty K, and verify each
-    transposition probe and its Rosati transform are integral, which is
-    one query per probe, the plain swap (see _probe_is_valid), and g - 1
-    queries in all when the adjacent swaps pass (_first_bad_probe). The
-    exponent check is verify_proper_exponents, which reuses that swap
-    answer.
-    AXIOMATIC: verify the declared atom exponents; union exponents and
-    probe integrality hold in the geometric source of the declared data
-    and are recorded as assumptions.
+    The exponent hypothesis, n_K >= 4 on every proper nonempty K, is
+    cmlat.exponent_failure, the check the subsets lemma makes: computed
+    on a lattice, and on an AXIOMATIC model the declared atom exponents
+    plus the declared assume_proper_ge4 for unions. Probe integrality is
+    cmlat.first_bad_swap on a lattice, one swap query per probe and g - 1
+    in all when the adjacent swaps pass; an AXIOMATIC model assumes it.
 
     In LATTICE mode the probes go first. Once every plain swap is
     integral, S_g acts on the lattice, so n_K depends on |K| alone and
@@ -365,61 +349,17 @@ def _hypothesis_gate(m, probes, trace):
     instead, so an exponent failure is still reported first, at its first
     K in size-then-lex order; above g = 10 the failing probe is reported
     without that scan."""
-    if m.mode == LATTICE:
-        bad_probe = _first_bad_probe(m, probes)
-        bad = None
-        if bad_probe is None or m.g <= _SUBSET_SCAN_MAX_G:
-            bad = verify_proper_exponents(m)
-        if bad is not None:
-            K, n = bad
-            raise HypothesisError(
-                "exponent hypothesis fails: n_%r = %d < 4"
-                % (sorted(i + 1 for i in K), n)
-            )
-        if bad_probe is not None:
-            raise HypothesisError(
-                "probe %s is not an integral endomorphism of this model"
-                % bad_probe.name
-            )
-        trace.append(
-            {
-                "probe": None,
-                "rule": "hypothesis",
-                "note": "every proper nonempty subset has exponent >= 4 "
-                "(verified on the lattice)",
-            }
-        )
-        trace.append(
-            {
-                "probe": None,
-                "rule": "probe-validity",
-                "note": "all transposition probes and their Rosati "
-                "transforms are integral (verified on the lattice)",
-            }
-        )
-    else:
-        for i, n in enumerate(m.atom_exponents):
-            if n < 4:
-                raise HypothesisError(
-                    "exponent hypothesis fails: atom %d has exponent %d < 4"
-                    % (i + 1, n)
-                )
-        trace.append(
-            {
-                "probe": None,
-                "rule": "hypothesis",
-                "note": "declared atom exponents verified >= 4; union "
-                "exponents >= 4 assumed with the declared data",
-            }
-        )
-        trace.append(
-            {
-                "probe": None,
-                "rule": "probe-validity",
-                "note": "probe integrality holds in the source of the "
-                "declared data; assumed",
-            }
-        )
+    bad_swap = first_bad_swap(m) if m.mode == LATTICE else None
+    failure = None
+    if bad_swap is None or m.g <= _SUBSET_SCAN_MAX_G:
+        failure = exponent_failure(m)
+    if failure is None and bad_swap is not None:
+        failure = ("probe %s is not an integral endomorphism of this model"
+                   % Probe(bad_swap, m).name)
+    if failure is not None:
+        raise HypothesisError(failure)
+    for rule, note in zip(("hypothesis", "probe-validity"), _GATE_NOTES[m.mode]):
+        trace.append(_note(rule, note))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +408,7 @@ def decide(m, mode):
             )
     probes = probes_for(m)
     trace = [_note("trusted-reduction", TRUSTED_REDUCTION)]
-    _hypothesis_gate(m, probes, trace)
+    _hypothesis_gate(m, trace)
     if mode == EXHAUSTIVE:
         status, extra, witness = _decide_exhaustive(m, probes)
     else:

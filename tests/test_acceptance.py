@@ -397,7 +397,7 @@ def test_criterion_6_motive_accounting():
         failures.append("projectors do not sum to the diagonal")
     if ring.middle_dim() != 23:
         failures.append("middle dimension %d != 23" % ring.middle_dim())
-    rows = blowup_rows(["point", ("curve", 2), ("surface", 6, 4, 2)])
+    rows = blowup_rows([(6, 4, 2)], [2], 1)
     if rows["m0"] != [0, 0, 1, 0, 1, 0, 1]:
         failures.append("point row %r" % (rows["m0"],))
     if rows["m1"] != [0, 0, 1, 4, 2, 4, 1]:

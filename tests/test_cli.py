@@ -7,9 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from motivix.cli import build_parser, main
-from motivix.cmlat import build_model, model_to_dict
+from motivix.cli import CONV_TABLE_MAX_G, build_parser, main
+from motivix.cmlat import AXIOMATIC, build_model, model_to_dict
 from motivix.exact import ZLattice
+from motivix.motcalc import MAX_HYPERSURFACE_DIM
 
 
 def run(capsys, *argv):
@@ -78,6 +79,25 @@ def test_decide_exit_three_on_hypothesis_failure(capsys, tmp_path):
     assert code == 3
     assert rep["error"]["kind"] == "HypothesisError"
     assert rep["error"]["message"]
+
+
+def test_axiomatic_exit_codes_follow_the_exponent_check(capsys, tmp_path):
+    # g = 1 is vacuous in both modes; at g >= 2 an AXIOMATIC model must
+    # declare union exponents >= 4, else the gate refuses it as the
+    # subsets lemma does
+    cases = (
+        (build_model(1, 1, mode=AXIOMATIC, exponents=(1,)), 0),
+        (build_model(1, 3, mode=AXIOMATIC, exponents=(5, 5, 5), assume_proper_ge4=True), 0),
+        (build_model(1, 3, mode=AXIOMATIC, exponents=(5, 5, 5)), 3),
+    )
+    for k, (m, want) in enumerate(cases):
+        code, rep = run(capsys, "decide", write_model(tmp_path, "ax%d.json" % k, m))
+        assert code == want, rep
+        if want:
+            assert rep["error"]["kind"] == "HypothesisError"
+            assert "does not certify exponents >= 4 for unions" in rep["error"]["message"]
+        else:
+            assert rep["results"]["status"] == "INDECOMPOSABLE"
 
 
 def test_exit_one_on_bad_inputs(capsys, tmp_path, monkeypatch):
@@ -241,6 +261,33 @@ def test_motive_commands(capsys):
         code, rep = run(capsys, "motive", "blowup", "--points", "-2", *extra)
         assert code == 1 and rep["error"]["kind"] == "InvalidInput"
         assert "point count" in rep["error"]["message"]
+
+
+def test_bounded_commands_answer_fast(capsys, tmp_path):
+    # for each bounded subcommand, the largest accepted value is served and
+    # the first value above it is refused, both within the budget
+    def conv_table(g):
+        m = build_model(1, g, glue=[(F(1, 5),) * g])
+        return "conv-table", write_model(tmp_path, "g%d.json" % g, m)
+
+    def hypersurface(n):
+        return "motive", "hypersurface", "--n", str(n), "--d", "3"
+
+    for argv_of, bound in ((conv_table, CONV_TABLE_MAX_G),
+                           (hypersurface, MAX_HYPERSURFACE_DIM)):
+        for value, want in ((bound, 0), (bound + 1, 1)):
+            argv = argv_of(value)
+            t0 = time.perf_counter()
+            code, rep = run(capsys, *argv)
+            assert time.perf_counter() - t0 < 5, argv
+            assert code == want, argv
+            if want:
+                assert rep["error"]["kind"] == "InvalidInput"
+    # a blow-up takes its points as a count, so any count is cheap
+    t0 = time.perf_counter()
+    code, rep = run(capsys, "motive", "blowup", "--points", "1000000000")
+    assert time.perf_counter() - t0 < 1
+    assert code == 0 and rep["results"]["rows"]["m0"] == [0, 0, 10 ** 9, 0, 10 ** 9, 0, 10 ** 9]
 
 
 def test_fermat_commands(capsys, tmp_path):

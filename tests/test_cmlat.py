@@ -103,6 +103,29 @@ def test_build_model_validation():
         build_model(1, 2, glue=[(Rat(1, 5), Rat(2, 5))], exponents=(5, 4))
 
 
+def test_build_model_refuses_flags_of_the_other_mode():
+    # assume_proper_ge4 is declared AXIOMATIC data and maximal_order shapes
+    # the lattice; set in the other mode either would be kept and emitted
+    # without changing any answer
+    for kwargs in (
+        dict(glue=[(Rat(1, 5),) * 3], assume_proper_ge4=True),
+        dict(mode=AXIOMATIC, exponents=(5, 5, 5), maximal_order=True),
+    ):
+        with pytest.raises(InvalidInput, match=r"maximal_order|assume_proper_ge4"):
+            build_model(3, 3, **kwargs)
+    for data in (
+        {"d": 3, "g": 3, "mode": "lattice", "assume_proper_exponents_ge4": True},
+        {"d": 3, "g": 3, "mode": "axiomatic", "exponents": [5, 5, 5],
+         "maximal_order": True},
+    ):
+        with pytest.raises(InvalidInput, match=r"maximal_order|assume_proper_ge4"):
+            model_from_dict(data)
+    # each flag is accepted in its own mode
+    assert build_model(3, 3, glue=[(Rat(1, 5),) * 3], maximal_order=True).maximal_order
+    assert build_model(3, 3, mode=AXIOMATIC, exponents=(5, 5, 5),
+                       assume_proper_ge4=True).assume_proper_ge4
+
+
 def test_build_model_bounds_the_glue_denominator(monkeypatch):
     assert cmlat.MAX_GLUE_DENOMINATOR == 10 ** 6
     m = build_model(1, 2, glue=[(Rat(1, 10 ** 6), Rat(1, 10 ** 6))])

@@ -45,6 +45,7 @@ from motivix.errors import (
     CandidateError,
     HypothesisError,
     InvalidInput,
+    PreconditionError,
     UnsupportedQuery,
     VerificationError,
 )
@@ -371,6 +372,42 @@ def test_hypothesis_gate():
         decide(bad_axiomatic, PROOFTRACE)
 
 
+def test_axiomatic_g1_is_vacuous_like_the_lattice():
+    # {1} is not a proper subset, so the exponent hypothesis holds at g = 1
+    # in both modes, and prooftrace closes on the vacuous notes
+    lat = decide(build_model(1, 1), PROOFTRACE)
+    ax = decide(build_model(1, 1, mode=AXIOMATIC, exponents=(1,)), PROOFTRACE)
+    assert ax.status == lat.status == INDECOMPOSABLE
+    assert [s["rule"] for s in ax.trace] == [s["rule"] for s in lat.trace] == [
+        "trusted-reduction", "hypothesis", "probe-validity", "vacuous", "conclusion"]
+    assert ax.trace[3:] == lat.trace[3:]
+
+
+def test_gate_and_subsets_lemma_share_the_exponent_check():
+    # an AXIOMATIC model that does not declare union exponents >= 4 fails
+    # the gate and the lemma with one message; declaring them passes both
+    m = build_model(1, 3, mode=AXIOMATIC, exponents=(5, 5, 5))
+    with pytest.raises(HypothesisError) as gate:
+        decide(m, PROOFTRACE)
+    with pytest.raises(PreconditionError) as lemma:
+        subsets_lemma_check(m, [0], [1])
+    assert type(gate.value) is HypothesisError
+    assert str(gate.value) == str(lemma.value) == cmlat.exponent_failure(m)
+    assert "does not certify exponents >= 4 for unions" in str(gate.value)
+    flagged = build_model(1, 3, mode=AXIOMATIC, exponents=(5, 5, 5), assume_proper_ge4=True)
+    assert cmlat.exponent_failure(flagged) is None
+    assert decide(flagged, PROOFTRACE).status == INDECOMPOSABLE
+    assert subsets_lemma_check(flagged, [0], [1]) == CONSISTENT
+    # a failing atom reads the same from both, in the gate's words
+    bad = build_model(1, 3, mode=AXIOMATIC, exponents=(6, 3, 6), assume_proper_ge4=True)
+    with pytest.raises(HypothesisError) as gate:
+        decide(bad, PROOFTRACE)
+    with pytest.raises(PreconditionError) as lemma:
+        subsets_lemma_check(bad, [0], [1])
+    assert str(gate.value) == str(lemma.value) == (
+        "exponent hypothesis fails: atom 2 has exponent 3 < 4")
+
+
 def test_probe_validity_gate():
     # swapping the coordinates does not preserve this lattice, so the
     # transposition probe is not an endomorphism of the model
@@ -478,7 +515,7 @@ def test_gate_skips_the_subset_scan_above_g_10(monkeypatch):
     def no_scan(m):
         raise AssertionError("the gate scanned every subset")
 
-    monkeypatch.setattr(decomp, "verify_proper_exponents", no_scan)
+    monkeypatch.setattr(decomp, "exponent_failure", no_scan)
     m = build_model(1, 24, glue=[(F(1, 5),) * 23 + (F(2, 5),)])
     with pytest.raises(HypothesisError) as err:
         decide(m, PROOFTRACE)

@@ -26,8 +26,9 @@ from motivix.cmlat import (
     proper_nonempty_subsets,
     rosati,
     subset_idempotent,
+    swap_is_integral,
 )
-from motivix.decomp import _images_direct, _probe_is_valid, probes_for
+from motivix.decomp import _images_direct, probes_for
 from motivix.exact import QuadInt
 
 
@@ -202,7 +203,8 @@ def test_probe_check_is_the_swap_query():
     for m in _symmetry_models():
         for p in probes_for(m)[1:]:
             want = is_integral(m, p.endo) and is_integral(m, rosati(p.endo, m))
-            assert _probe_is_valid(m, p.sigma) == want, (m, m.glue, p.name)
+            a, b = (i for i, j in enumerate(p.sigma) if i != j)
+            assert swap_is_integral(m, a, b) == want, (m, m.glue, p.name)
             tally[want] += 1
     assert min(tally.values()) >= 50, tally
 

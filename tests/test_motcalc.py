@@ -158,19 +158,21 @@ def test_hypersurface_ck_projective_line():
 
 
 def test_blowup_validation():
-    for centers in (["line"], [("surface", 4, 9, 0)], [("curve",)], [("surface", 6, 4)]):
+    for surfaces, curves, points in (
+        ([(4, 9, 0)], [], 0), ([(6, 4)], [], 0), ([], [-1], 0), ([], [], -1),
+    ):
         with pytest.raises(InvalidInput):
-            blowup_rows(centers)
+            blowup_rows(surfaces, curves, points)
 
 
 def test_blowup_rows():
-    rows = blowup_rows(["point", "point", ("curve", 0), ("curve", 3), ("surface", 6, 4, 2)])
+    rows = blowup_rows([(6, 4, 2)], [0, 3], 2)
     assert rows["m0"] == [0, 0, 2, 0, 2, 0, 2]
     # two curves: (L + L^2) tensor (M(C0) + M(C3))
     want_m1 = oracle_convolve([0, 0, 1, 0, 1], [2, 6, 2])
     assert tuple(rows["m1"]) == want_m1
     assert rows["m2"] == [0, 0, 1, 4, 6, 4, 1]
-    assert blowup_rows([])["m0"] == []
+    assert blowup_rows([], [], 0) == {"m0": [], "m1": [], "m2": []}
 
 
 def test_cubic_ledger():
