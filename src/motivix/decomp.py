@@ -316,7 +316,8 @@ def refute(c, m, probes=None):
 # 2^g - 2 subsets for an exponent failure
 _SUBSET_SCAN_MAX_G = 10
 
-# the (hypothesis, probe-validity) notes of a passed gate, per model mode
+# the (hypothesis, probe-validity) notes of a passed gate, per model mode,
+# or per (mode, g) where g changes what the gate checked
 _GATE_NOTES = {
     LATTICE: (
         "every proper nonempty subset has exponent >= 4 (verified on the lattice)",
@@ -329,6 +330,12 @@ _GATE_NOTES = {
         "probe integrality holds in the source of the declared data; assumed",
     ),
 }
+# one atom has no proper subset, so no declared exponent is checked
+_GATE_NOTES[AXIOMATIC, 1] = (
+    "one atom has no proper nonempty subset; the exponent hypothesis holds "
+    "vacuously",
+    _GATE_NOTES[AXIOMATIC][1],
+)
 
 
 def _hypothesis_gate(m, trace):
@@ -358,7 +365,8 @@ def _hypothesis_gate(m, trace):
                    % Probe(bad_swap, m).name)
     if failure is not None:
         raise HypothesisError(failure)
-    for rule, note in zip(("hypothesis", "probe-validity"), _GATE_NOTES[m.mode]):
+    notes = _GATE_NOTES.get((m.mode, m.g), _GATE_NOTES[m.mode])
+    for rule, note in zip(("hypothesis", "probe-validity"), notes):
         trace.append(_note(rule, note))
 
 

@@ -1,8 +1,9 @@
 """The explicit genus-10 instance: plane curves, morphisms into CM
 elliptic targets, symbolic pullbacks of the invariant differential,
 permutation-representation membership of the resulting coefficients, a
-degree oracle (exact on components in x alone, finite-field otherwise),
-and assembly of the axiomatic model that feeds the decision procedure.
+degree oracle (exact on components in one variable, finite-field
+otherwise), and assembly of the axiomatic model that feeds the
+decision procedure.
 
 Conventions.  All curves live in the z = 1 affine chart; the canonical
 form on a curve monic of degree m in y is dx/y^(m-1).  Homogenization
@@ -443,19 +444,35 @@ def _route_count(F_fp, A_fp, B_fp, p, rng):
 
 
 def _exact_fiber_count(comp, source):
-    """Fiber count of a component in x alone, found exactly, or None when
-    the component depends on y.
+    """Fiber count of a component in one variable, found exactly, or None
+    when it needs the mod-p routes.
 
-    The source is monic in y, so x has degree deg_y(source) on it, and a
-    fraction in x of degree k in lowest terms has degree
-    k * deg_y(source).  k comes from num and den after removing their
-    gcd, found by division-free Euclid over the constant field.  A
-    constant component has no generic fiber and raises OracleError.
+    The source is monic in y, so x has degree deg_y(source) on it.  When
+    the leading x-coefficient of the source is a nonzero constant, no
+    x-root escapes to infinity and y has degree deg_x(source) on it; a
+    component in y alone on any other source returns None.  A fraction
+    in that variable of degree k in lowest terms then has degree k times
+    the variable's.  k comes from num and den after removing their gcd,
+    found by division-free Euclid over the constant field.  A constant
+    component, or one in y alone on a source free of x, has no generic
+    fiber and raises OracleError.
     """
-    if comp.num.deg_y > 0 or comp.den.deg_y > 0:
+    F = source.F
+    if comp.num.deg_y <= 0 and comp.den.deg_y <= 0:
+        var_deg = F.deg_y
+    elif comp.num.deg_x <= 0 and comp.den.deg_x <= 0:
+        var_deg = F.deg_x
+        if var_deg and any(i == var_deg and j for (i, j) in F.c):
+            return None
+    else:
         return None
-    num = [comp.num.coeff(i, 0) for i in range(comp.num.deg_x + 1)]
-    den = [comp.den.coeff(i, 0) for i in range(comp.den.deg_x + 1)]
+    # coefficient lists in the one variable, whose exponent in the term
+    # (i, j) is i + j
+    num, den = [], []
+    for coeffs, part in ((num, comp.num), (den, comp.den)):
+        coeffs += [ZERO] * (max(part.deg_x, part.deg_y) + 1)
+        for (i, j), c in part.c.items():
+            coeffs[i + j] = c
     f, g = num, den
     while g:
         # r becomes f mod g times a nonzero constant: each step scales r
@@ -471,10 +488,10 @@ def _exact_fiber_count(comp, source):
                 r.pop()
         f, g = g, r
     # f is the gcd up to a constant factor
-    k = max(len(num), len(den)) - len(f)
-    if k == 0:
+    count = (max(len(num), len(den)) - len(f)) * var_deg
+    if count == 0:
         raise OracleError("a constant component has no generic fiber")
-    return k * source.deg_y
+    return count
 
 
 def degree(phi, primes=None, seed=0):
@@ -483,13 +500,15 @@ def degree(phi, primes=None, seed=0):
     Each coordinate route (u then v) counts the fibers of the composite
     curve -> line map and divides by the coordinate degree on the
     target; the routes must agree.  A route whose component is a
-    function of x alone is counted exactly, once; the other is counted
-    modulo primes, and must agree with the exact route at every good
-    prime and repeat over three good primes in a row.  When both
-    components are in x alone (a genus-0 target) the two exact routes
-    are the answer and no prime is drawn.  The mod-p routes assume
-    their component's numerator and denominator have no common zero on
-    the source curve.  Each prime is drawn at most once.
+    function of one variable is counted exactly, once
+    (_exact_fiber_count); any other route is counted modulo primes, and
+    must agree with the other route at every good prime and repeat over
+    three good primes in a row.  When both routes are exact (a genus-0
+    target, or phi1 and phi3 of the genus-10 instance, whose u is in x
+    alone and v in y alone) they must agree, and are the answer without
+    drawing a prime.  The mod-p routes assume their component's
+    numerator and denominator have no common zero on the source curve.
+    Each prime is drawn at most once.
     """
     if not isinstance(phi, CurveMorphism):
         raise InvalidInput("degree takes a CurveMorphism")

@@ -427,8 +427,9 @@ def cubic_rationality_ledger(surfaces, curves, points):
     curves = list(curves)
     target = _CUBIC_B4 - _CUBIC_RHO2
     rows = []
-    for (b2, rho, q) in surfaces:
-        ck_surface(b2, rho, q)  # validates the triple
+    for t in surfaces:
+        _ck_surface_triple(t)
+        b2, rho, q = t
         tr = b2 - rho
         if tr < target:
             verdict = "cannot host"

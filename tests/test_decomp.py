@@ -383,6 +383,25 @@ def test_axiomatic_g1_is_vacuous_like_the_lattice():
     assert ax.trace[3:] == lat.trace[3:]
 
 
+def test_axiomatic_gate_notes_claim_no_check_at_g1():
+    # at g = 1 the one declared exponent is 1 and is not checked: the note
+    # says the hypothesis holds vacuously; from g = 2 the notes are as before
+    one = decide(build_model(1, 1, mode=AXIOMATIC, exponents=(1,)), PROOFTRACE)
+    assert one.trace[1] == {
+        "probe": None,
+        "rule": "hypothesis",
+        "note": "one atom has no proper nonempty subset; the exponent "
+        "hypothesis holds vacuously",
+    }
+    for g, n in ((2, 4), (3, 5)):
+        m = build_model(1, g, mode=AXIOMATIC, exponents=(n,) * g, assume_proper_ge4=True)
+        assert [s["note"] for s in decide(m, PROOFTRACE).trace[1:3]] == [
+            "declared atom exponents verified >= 4; union exponents >= 4 "
+            "assumed with the declared data",
+            "probe integrality holds in the source of the declared data; assumed",
+        ]
+
+
 def test_gate_and_subsets_lemma_share_the_exponent_check():
     # an AXIOMATIC model that does not declare union exponents >= 4 fails
     # the gate and the lemma with one message; declaring them passes both

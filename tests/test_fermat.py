@@ -577,12 +577,14 @@ def test_degree_oracle():
     assert degree(phi1) == 6
     assert degree(phi2) == 12
     assert degree(phi3) == 4
-    # a coordinate twist cannot change the degree
-    assert degree(compose_with_perm(phi1, (1, 0, 2))) == 6
+    # a coordinate twist cannot change the degree; swap(y, z) gives
+    # phi1 the mixed u = -x^2/y^2, counted modulo primes
+    twist = compose_with_perm(phi1, (0, 2, 1))
+    assert degree(compose_with_perm(phi1, (1, 0, 2))) == degree(twist) == 6
     # stable under an explicit, disjoint prime supply
-    assert degree(phi1, primes=[433, 439, 457, 463, 487, 499]) == 6
+    assert degree(twist, primes=[433, 439, 457, 463, 487, 499]) == 6
     with pytest.raises(OracleError):
-        degree(phi1, primes=[])
+        degree(twist, primes=[])
 
 
 def test_degree_counts_components_in_x_exactly():
@@ -593,7 +595,8 @@ def test_degree_counts_components_in_x_exactly():
     unreduced = RatFunc(-(X**3) + X**2, X - 1)
     assert fermat._exact_fiber_count(unreduced, W6) == 12
     assert degree(CurveMorphism(W6, E1, unreduced, Y**3)) == 6
-    assert fermat._exact_fiber_count(phi1.v, W6) is None
+    # the twist's u = -x^2/y^2 is in both variables
+    assert fermat._exact_fiber_count(compose_with_perm(phi1, (0, 2, 1)).u, W6) is None
     # a constant component has no generic fiber: it fails, never gives 0
     for u in (RatFunc.const(1), RatFunc(X, X)):
         with pytest.raises(OracleError, match="constant component"):
@@ -601,18 +604,53 @@ def test_degree_counts_components_in_x_exactly():
 
 
 def test_degree_cross_checks_the_exact_route_mod_p(monkeypatch):
-    """phi1's exact u route, shifted to degree 7, disagrees with its mod-p
-    v route at every prime: the oracle gives up and returns nothing."""
-    phi1 = c6_generator_morphisms()[0]
+    """phi2's exact v route, shifted to degree 39 / 3 = 13, disagrees with
+    its mod-p u route at every prime: the oracle gives up and returns
+    nothing."""
+    phi2 = c6_generator_morphisms()[1]
     real = fermat._exact_fiber_count
 
     def shifted(comp, source):
         count = real(comp, source)
-        return None if count is None else count + 2
+        return None if count is None else count + 3
 
     monkeypatch.setattr(fermat, "_exact_fiber_count", shifted)
     with pytest.raises(OracleError, match="did not stabilize"):
-        degree(phi1)
+        degree(phi2)
+
+
+def test_degree_counts_components_in_y_exactly():
+    phi1 = c6_generator_morphisms()[0]
+    W6, E1 = phi1.source, phi1.target
+    # y has degree deg_x(W6) = 6 on the sextic: v = y^3 written as
+    # (y^4 - y^3)/(y - 1) loses the gcd y - 1 and counts 3 * 6
+    unreduced = RatFunc(Y**4 - Y**3, Y - 1)
+    assert fermat._exact_fiber_count(unreduced, W6) == 18
+    assert degree(CurveMorphism(W6, E1, -(X**2), unreduced)) == 6
+    # on y^2 + xy + 1 the leading x-coefficient is y: a component in y
+    # alone goes mod p there, one in x alone is still exact
+    conic = PlaneCurve(Y**2 + X * Y + 1)
+    assert fermat._exact_fiber_count(RatFunc.var_y(), conic) is None
+    assert fermat._exact_fiber_count(RatFunc.var_x(), conic) == 2
+    # on y^2 = 1, free of x, y is constant: it fails, never gives 0
+    flat = PlaneCurve(Y**2 - 1)
+    with pytest.raises(OracleError, match="constant component"):
+        fermat._exact_fiber_count(RatFunc.var_y(), flat)
+    with pytest.raises(OracleError, match="constant component"):
+        degree(CurveMorphism(flat, PlaneCurve(Y**2 - X), Y**2, Y))
+
+
+def test_degree_of_phi1_and_phi3_draws_no_prime():
+    """phi1 (u = -x^2, v = y^3) and phi3 (u = x^2, v = y^2) have both
+    components in one variable: two exact routes, which agree."""
+    phi1, _, phi3 = c6_generator_morphisms()
+
+    def primes():
+        raise AssertionError("a prime was drawn")
+        yield
+
+    assert degree(phi1, primes=primes()) == 6
+    assert degree(phi3, primes=primes()) == 4
 
 
 def test_degree_on_a_genus_0_target_draws_no_prime():

@@ -310,29 +310,34 @@ def test_fp_roots_match_a_scan_of_the_field():
 def test_degree_oracle_fails_fast_on_large_primes():
     """Generator roots come from gcds, not a scan of F_p: at primes
     near 10^9 phi2 finds no cube root of 4 at any of them and gives up,
-    and phi3 gets its degree."""
+    and phi1 twisted by swap(y, z), whose u = -x^2/y^2 goes mod p, gets
+    its degree."""
     primes = [1000000087, 1000000093, 1000000123, 1000000207, 1000000297]
-    phi1, phi2, phi3 = c6_generator_morphisms()
+    phi1, phi2, _ = c6_generator_morphisms()
+    twist = compose_with_perm(phi1, (0, 2, 1))
     start = time.perf_counter()
     with pytest.raises(OracleError):
         degree(phi2, primes=primes)
-    assert degree(phi3, primes=primes) == 4
+    assert degree(twist, primes=primes) == 6
     assert time.perf_counter() - start < 5.0
 
 
 def test_degree_refuses_composite_moduli():
     """pow(a, p - 2, p) inverts nothing modulo a composite p, so a caller's
-    modulus that is not a prime is refused when it is drawn, not used."""
-    phi1, phi2, phi3 = c6_generator_morphisms()
+    modulus that is not a prime is refused when it is drawn, not used.
+    phi1 twisted by swap(y, z) has the mixed u = -x^2/y^2, so it draws
+    primes."""
+    phi1, phi2, _ = c6_generator_morphisms()
+    twist = compose_with_perm(phi1, (0, 2, 1))
     # Carmichael numbers, and 7 * 13 * 19 * 37 * 73 * 109
-    for phi, primes in ((phi3, [341, 561, 1105]), (phi2, [509033161] * 3)):
+    for phi, primes in ((twist, [341, 561, 1105]), (phi2, [509033161] * 3)):
         start = time.perf_counter()
         with pytest.raises(InvalidInput, match="primes below"):
             degree(phi, primes=primes)
         assert time.perf_counter() - start < 1.0
     for bad in (True, 433.0, "433", -433, fermat._PRIME_TEST_BOUND + 2):
         with pytest.raises(InvalidInput, match="primes below"):
-            degree(phi1, primes=[433, bad])
+            degree(twist, primes=[433, bad])
 
     def endless():
         yield 433
@@ -340,16 +345,18 @@ def test_degree_refuses_composite_moduli():
             yield 435
 
     with pytest.raises(InvalidInput, match="got 435"):
-        degree(phi1, primes=endless())
+        degree(twist, primes=endless())
 
 
 def test_degree_refuses_a_repeated_modulus():
     """Three agreeing counts at one prime are one prime's work: a modulus
     drawn twice is refused, as a composite is, even one that hosts no
-    count (mod 409 the cube root of 4 in phi2 does not exist)."""
+    count (mod 409 the cube root of 4 in phi2 does not exist).  phi1
+    twisted by swap(y, z) draws primes for its mixed u = -x^2/y^2."""
     phi1, phi2, _ = c6_generator_morphisms()
+    twist = compose_with_perm(phi1, (0, 2, 1))
     with pytest.raises(InvalidInput, match="got 433 again"):
-        degree(phi1, primes=[433, 433, 433])
+        degree(twist, primes=[433, 433, 433])
     with pytest.raises(InvalidInput, match="got 409 again"):
         degree(phi2, primes=[409, 433, 409, 439, 457])
 
@@ -533,11 +540,13 @@ def recording_interp(monkeypatch):
 
 
 def test_degree_oracle_resultant_count(monkeypatch):
-    """The three generator degrees take 2,052 point resultants over 18
+    """The three generator degrees take 900 point resultants over 12
     primes of the default stream, which starts above every interpolation
-    point count.  Each generator has one component in x alone, counted
-    exactly, so only its other route takes resultants; counting both
-    routes mod p took 4,320, and the classical point count 6,912."""
+    point count.  phi1 and phi3 have both components in one variable,
+    counted exactly, and draw no prime; phi2 has one, so only its u route
+    takes resultants.  Counting only the components in x alone exactly
+    took 2,052 resultants over 18 primes, counting every route mod p
+    4,320, and the classical point count 6,912."""
     calls = [0]
     drawn = []
     real_primes = fermat._oracle_primes
@@ -555,16 +564,16 @@ def test_degree_oracle_resultant_count(monkeypatch):
     monkeypatch.setattr(fermat, "_oracle_primes", counting_primes)
     seen = recording_interp(monkeypatch)
     assert tuple(degree(phi) for phi in c6_generator_morphisms()) == (6, 12, 4)
-    assert calls[0] == 2052
-    assert len(drawn) == 18
+    assert calls[0] == 900
+    assert len(drawn) == 12
     assert seen and all(n <= p for n, p in seen)
 
 
 def test_degree_counts_mod_p_only_the_routes_in_y(monkeypatch):
-    """phi1's u = -x^2 is counted exactly, so each prime runs only its
-    v = y^3 route mod p: 228 resultants at each of 3 primes.  Its twist
-    by swap(y, z) has u = -x^2/y^2 and v = 1/y^3, both in y, and runs
-    both routes at every prime: 156 + 228 resultants at each."""
+    """phi1's u = -x^2 and v = y^3 are counted exactly, so it draws no
+    prime and runs no resultant.  Its twist by swap(y, z) has the mixed
+    u = -x^2/y^2 and v = 1/y^3 in y alone, and runs only its u route mod
+    p: 156 resultants at each of 3 primes."""
     calls = [0]
     routes = []
     real_route = fermat._route_count
@@ -583,23 +592,35 @@ def test_degree_counts_mod_p_only_the_routes_in_y(monkeypatch):
     monkeypatch.setattr(fermat, "_route_count", recording)
     phi1 = c6_generator_morphisms()[0]
     twist = compose_with_perm(phi1, (0, 2, 1))
-    for phi, per_prime, total in ((phi1, [228], 684), (twist, [156, 228], 1152)):
+    for phi, per_prime, total, n_primes in ((phi1, [], 0, 0), (twist, [156], 468, 3)):
         calls[0] = 0
         routes.clear()
         assert degree(phi) == 6
         primes = sorted({p for p, _ in routes})
-        assert len(primes) == 3
+        assert len(primes) == n_primes
         for p in primes:
             assert [n for q, n in routes if q == p] == per_prime
         assert calls[0] == total
 
 
+def test_route_count_cross_checks_the_exact_routes_in_y():
+    """degree counts phi1's v = y^3 and phi3's v = y^2 exactly and draws
+    no prime for them; mod 433 their fiber counts agree with the exact
+    ones, 3 * 6 and 2 * 6."""
+    phi1, _, phi3 = c6_generator_morphisms()
+    p = 433
+    for phi, want in ((phi1, 18), (phi3, 12)):
+        args = [part.map_fp(p, {}) for part in (phi.source.F, phi.v.num, phi.v.den)]
+        count = _route_count(*args, p, random.Random(0))
+        assert count == fermat._exact_fiber_count(phi.v, phi.source) == want
+
+
 def test_degree_oracle_rejects_primes_below_its_point_count(monkeypatch):
-    """phi1's u = -x^2 is counted exactly, and its v = y^3 route mod p
-    interpolates at 19 points.  Mod 7 and mod 13 there are no 19
-    distinct points: such a prime is rejected, not interpolated at
-    (FpTables(7).basis(8) raises InvalidInput)."""
+    """phi1 twisted by swap(y, z) has v = 1/y^3 counted exactly, and its
+    u = -x^2/y^2 route mod p interpolates at 13 points.  Mod 7 there are
+    no 13 distinct points: such a prime is rejected, not interpolated
+    at (FpTables(7).basis(8) raises InvalidInput)."""
     seen = recording_interp(monkeypatch)
-    phi1 = c6_generator_morphisms()[0]
-    assert degree(phi1, primes=[7, 13, 19, 31, 37, 43, 61, 67]) == 6
+    twist = compose_with_perm(c6_generator_morphisms()[0], (0, 2, 1))
+    assert degree(twist, primes=[7, 13, 19, 31, 37, 43, 61, 67]) == 6
     assert seen and all(n <= p for n, p in seen)

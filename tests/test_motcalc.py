@@ -206,6 +206,15 @@ def test_cubic_ledger():
         cubic_rationality_ledger([(4, 9, 0)], [], 0)
 
 
+def test_cubic_ledger_checks_the_shape_of_each_surface():
+    # a surface is a (b2, rho, q) triple, as in blowup_rows: any other
+    # shape is InvalidInput, not an unpacking error
+    for bad in ((22, 20), (22, 20, 0, 1), 22, "abc"):
+        with pytest.raises(InvalidInput, match="triple"):
+            cubic_rationality_ledger([bad], [], 0)
+    assert cubic_rationality_ledger([[22, 20, 0]], [], 0)["surfaces"][0]["q"] == 0
+
+
 def random_expr(rng, depth=0):
     """A random expression tree: nested tuples, evaluated by `evaluate`
     through motcalc and by `oracle_dims` from the definitions."""
