@@ -330,11 +330,16 @@ _GATE_NOTES = {
         "probe integrality holds in the source of the declared data; assumed",
     ),
 }
-# one atom has no proper subset, so no declared exponent is checked
+# one atom has no proper subset, so no declared exponent is checked, and
+# no transposition probe, so no probe is checked or assumed
+_G1_PROBE_NOTE = (
+    "one atom has no transposition probe; probe integrality holds vacuously"
+)
+_GATE_NOTES[LATTICE, 1] = (_GATE_NOTES[LATTICE][0], _G1_PROBE_NOTE)
 _GATE_NOTES[AXIOMATIC, 1] = (
     "one atom has no proper nonempty subset; the exponent hypothesis holds "
     "vacuously",
-    _GATE_NOTES[AXIOMATIC][1],
+    _G1_PROBE_NOTE,
 )
 
 

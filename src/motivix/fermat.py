@@ -1,15 +1,16 @@
 """The explicit genus-10 instance: plane curves, morphisms into CM
 elliptic targets, symbolic pullbacks of the invariant differential,
 permutation-representation membership of the resulting coefficients, a
-degree oracle (exact on components in one variable, finite-field
-otherwise), and assembly of the axiomatic model that feeds the
-decision procedure.
+degree oracle (exact on components in one variable and on monomials,
+finite-field otherwise), and assembly of the axiomatic model that feeds
+the decision procedure.
 
 Conventions.  All curves live in the z = 1 affine chart; the canonical
 form on a curve monic of degree m in y is dx/y^(m-1).  Homogenization
 to degree 3 happens only inside rep_membership.
 """
 
+import math
 import random
 
 from .cmlat import AXIOMATIC, build_model
@@ -443,37 +444,10 @@ def _route_count(F_fp, A_fp, B_fp, p, rng):
     return best
 
 
-def _exact_fiber_count(comp, source):
-    """Fiber count of a component in one variable, found exactly, or None
-    when it needs the mod-p routes.
-
-    The source is monic in y, so x has degree deg_y(source) on it.  When
-    the leading x-coefficient of the source is a nonzero constant, no
-    x-root escapes to infinity and y has degree deg_x(source) on it; a
-    component in y alone on any other source returns None.  A fraction
-    in that variable of degree k in lowest terms then has degree k times
-    the variable's.  k comes from num and den after removing their gcd,
-    found by division-free Euclid over the constant field.  A constant
-    component, or one in y alone on a source free of x, has no generic
-    fiber and raises OracleError.
-    """
-    F = source.F
-    if comp.num.deg_y <= 0 and comp.den.deg_y <= 0:
-        var_deg = F.deg_y
-    elif comp.num.deg_x <= 0 and comp.den.deg_x <= 0:
-        var_deg = F.deg_x
-        if var_deg and any(i == var_deg and j for (i, j) in F.c):
-            return None
-    else:
-        return None
-    # coefficient lists in the one variable, whose exponent in the term
-    # (i, j) is i + j
-    num, den = [], []
-    for coeffs, part in ((num, comp.num), (den, comp.den)):
-        coeffs += [ZERO] * (max(part.deg_x, part.deg_y) + 1)
-        for (i, j), c in part.c.items():
-            coeffs[i + j] = c
-    f, g = num, den
+def _euclid_gcd(f, g):
+    """gcd, up to a constant factor, of two coefficient lists over the
+    constant field (low degree first, each empty or with a nonzero last
+    entry), by division-free Euclid."""
     while g:
         # r becomes f mod g times a nonzero constant: each step scales r
         # by lead(g) and cancels its leading term with a multiple of g
@@ -487,11 +461,108 @@ def _exact_fiber_count(comp, source):
             while r and r[-1].is_zero():
                 r.pop()
         f, g = g, r
-    # f is the gcd up to a constant factor
-    count = (max(len(num), len(den)) - len(f)) * var_deg
+    return f
+
+
+def _reduced_degree(num, den):
+    """Degree in lowest terms of num/den, both in one variable, whose
+    exponent in the term (i, j) is i + j."""
+    lists = []
+    for part in (num, den):
+        coeffs = [ZERO] * (max(part.deg_x, part.deg_y) + 1)
+        for (i, j), c in part.c.items():
+            coeffs[i + j] = c
+        lists.append(coeffs)
+    return max(map(len, lists)) - len(_euclid_gcd(*lists))
+
+
+def _newton_pole_count(F, a, b):
+    """Poles of x^a y^b on F = 0 counted on the edges of F's Newton
+    polygon, or None when the polygon is a segment or an edge polynomial
+    has a repeated root.
+
+    Walked counter-clockwise, an edge of lattice length l and primitive
+    direction d carries l places, at each of which x^a y^b has valuation
+    <(a, b), n> for the inward normal n = (-d_y, d_x) (Kushnirenko,
+    Khovanskii); that needs every edge polynomial squarefree, tested by
+    gcd(f, f') over the constant field."""
+    if a == b == 0:
+        return 0
+    pts = sorted(F.c)
+    hull = []
+    for chain in (pts, pts[::-1]):  # monotone chain, collinear points dropped
+        half = []
+        for i, j in chain:
+            # drop the last point unless it turns left on the way to (i, j)
+            while len(half) >= 2:
+                (i0, j0), (i1, j1) = half[-2:]
+                if (i1 - i0) * (j - j0) > (j1 - j0) * (i - i0):
+                    break
+                half.pop()
+            half.append((i, j))
+        hull += half[:-1]
+    if len(hull) < 3:
+        return None
+    poles = 0
+    for (i0, j0), (i1, j1) in zip(hull, hull[1:] + hull[:1]):
+        length = math.gcd(i1 - i0, j1 - j0)
+        dx, dy = (i1 - i0) // length, (j1 - j0) // length
+        f = [F.coeff(i0 + t * dx, j0 + t * dy) for t in range(length + 1)]
+        if len(_euclid_gcd(f, [c * t for t, c in enumerate(f)][1:])) > 1:
+            return None
+        poles += length * max(0, a * dy - b * dx)
+    return poles
+
+
+def _exact_fiber_count(comp, source):
+    """Fiber count of a component, found exactly, or None when it needs
+    the mod-p routes.
+
+    In one variable: the source is monic in y, so x has degree
+    deg_y(source) on it.  When the leading x-coefficient of the source
+    is a nonzero constant, no x-root escapes to infinity and y has
+    degree deg_x(source) on it; a component in y alone on any other
+    source returns None.  A fraction in that variable of degree k in
+    lowest terms (_reduced_degree) then has degree k times the
+    variable's.  A monomial c1 x^i1 y^j1 / c2 x^i2 y^j2 in both
+    variables counts the poles of x^(i1 - i2) y^(j1 - j2) on the
+    source's Newton polygon (_newton_pole_count), or returns None where
+    that count does not apply.  A constant component, or one in y alone
+    on a source free of x, has no generic fiber and raises OracleError.
+    """
+    F = source.F
+    num, den = comp.num, comp.den
+    if num.deg_y <= 0 and den.deg_y <= 0:
+        count = _reduced_degree(num, den) * F.deg_y
+    elif num.deg_x <= 0 and den.deg_x <= 0:
+        if F.deg_x and any(i == F.deg_x and j for (i, j) in F.c):
+            return None
+        count = _reduced_degree(num, den) * F.deg_x
+    elif len(num.c) == 1 == len(den.c):
+        ((i1, j1),), ((i2, j2),) = num.c, den.c
+        count = _newton_pole_count(F, i1 - i2, j1 - j2)
+        if count is None:
+            return None
+    else:
+        return None
     if count == 0:
         raise OracleError("a constant component has no generic fiber")
     return count
+
+
+def _strip_monomial(comp):
+    """comp with the largest monomial dividing its numerator and its
+    denominator cancelled from both."""
+    keys = list(comp.num.c) + list(comp.den.c)
+    di = min(i for i, _ in keys)
+    dj = min(j for _, j in keys)
+    if not (di or dj):
+        return comp
+    num, den = (
+        BiPoly._make({(i - di, j - dj): c for (i, j), c in part.c.items()})
+        for part in (comp.num, comp.den)
+    )
+    return RatFunc._make(num, den)
 
 
 def degree(phi, primes=None, seed=0):
@@ -499,13 +570,15 @@ def degree(phi, primes=None, seed=0):
 
     Each coordinate route (u then v) counts the fibers of the composite
     curve -> line map and divides by the coordinate degree on the
-    target; the routes must agree.  A route whose component is a
-    function of one variable is counted exactly, once
-    (_exact_fiber_count); any other route is counted modulo primes, and
-    must agree with the other route at every good prime and repeat over
-    three good primes in a row.  When both routes are exact (a genus-0
-    target, or phi1 and phi3 of the genus-10 instance, whose u is in x
-    alone and v in y alone) they must agree, and are the answer without
+    target; the routes must agree.  Each component first loses the
+    largest monomial dividing its numerator and denominator (a twist
+    such as compose_with_perm can leave one).  A route whose component
+    is a function of one variable, or a monomial, is counted exactly,
+    once (_exact_fiber_count); any other route is counted modulo
+    primes, and must agree with the other route at every good prime and
+    repeat over three good primes in a row.  When both routes are exact
+    (a genus-0 target, or the generators phi1, phi2 and phi3 of the
+    genus-10 instance) they must agree, and are the answer without
     drawing a prime.  The mod-p routes assume their component's
     numerator and denominator have no common zero on the source curve.
     Each prime is drawn at most once.
@@ -515,8 +588,8 @@ def degree(phi, primes=None, seed=0):
     if phi.target.F.deg_x < 1 or phi.target.F.deg_y < 1:
         raise InvalidInput("degree needs a target of positive x- and y-degree")
     routes = (
-        (phi.u, phi.target.F.deg_y),
-        (phi.v, phi.target.F.deg_x),
+        (_strip_monomial(phi.u), phi.target.F.deg_y),
+        (_strip_monomial(phi.v), phi.target.F.deg_x),
     )
     # the route degrees known exactly, None for those counted mod p
     exact = []

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, report determinism,
 trace levels, and the model file round trip."""
 
+import hashlib
 import json
 import time
 from fractions import Fraction as F
@@ -306,6 +307,29 @@ def test_fermat_commands(capsys, tmp_path):
     assert code == 0
     assert rep["results"]["status"] == "INDECOMPOSABLE"
     assert rep["results"]["g"] == 10
+
+
+def test_fermat_degrees_draw_no_prime(capsys, monkeypatch):
+    """Every generator degree is exact, so `fermat degrees` and `fermat
+    instance` run with the default prime stream failing, and print the
+    reports pinned here by their SHA-256 (the same bytes as when phi2's
+    u was counted mod p)."""
+    from motivix import fermat
+
+    def no_primes():
+        raise AssertionError("a prime was drawn")
+        yield
+
+    monkeypatch.setattr(fermat, "_oracle_primes", no_primes)
+    pinned = {
+        "degrees": "81f417a6563e96a938a2da0447fffcf73e27dddc2b1dcb3aeaa755b60571d17c",
+        "instance": "4950f8d775f0a4865ce24a0efc72f20846e608341450b8c8680c7c07015d77b8",
+    }
+    for what, digest in pinned.items():
+        assert main(["fermat", what]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
+    assert json.loads(out)["results"]["computed_degrees"] == [6] * 6 + [12] * 3 + [4]
 
 
 def test_av_commands(capsys, tmp_path, g3_model):

@@ -402,6 +402,23 @@ def test_axiomatic_gate_notes_claim_no_check_at_g1():
         ]
 
 
+def test_gate_notes_claim_no_probe_at_g1():
+    # one atom has no transposition probe: in both modes the probe-validity
+    # note says so instead of describing probes; from g = 2 it is as before
+    for m in (build_model(1, 1), build_model(1, 1, mode=AXIOMATIC, exponents=(1,))):
+        assert decide(m, PROOFTRACE).trace[2] == {
+            "probe": None,
+            "rule": "probe-validity",
+            "note": "one atom has no transposition probe; probe integrality "
+            "holds vacuously",
+        }
+    lat = build_model(1, 2, glue=[(F(1, 5), F(1, 5))])
+    assert decide(lat, PROOFTRACE).trace[2]["note"] == (
+        "all transposition probes and their Rosati transforms are integral "
+        "(verified on the lattice)"
+    )
+
+
 def test_gate_and_subsets_lemma_share_the_exponent_check():
     # an AXIOMATIC model that does not declare union exponents >= 4 fails
     # the gate and the lemma with one message; declaring them passes both

@@ -39,6 +39,7 @@ from motivix.fermat import (
     degree,
     fermat_cubic,
     fermat_sextic,
+    per_morphism,
     perm_morphism,
     pullback,
     rep_membership,
@@ -578,13 +579,27 @@ def test_degree_oracle():
     assert degree(phi2) == 12
     assert degree(phi3) == 4
     # a coordinate twist cannot change the degree; swap(y, z) gives
-    # phi1 the mixed u = -x^2/y^2, counted modulo primes
-    twist = compose_with_perm(phi1, (0, 2, 1))
-    assert degree(compose_with_perm(phi1, (1, 0, 2))) == degree(twist) == 6
+    # phi2 the mixed v = (x^6 - y^6)/(2x^3y^3), counted modulo primes
+    twist = compose_with_perm(phi2, (0, 2, 1))
+    assert degree(compose_with_perm(phi2, (1, 0, 2))) == degree(twist) == 12
     # stable under an explicit, disjoint prime supply
-    assert degree(twist, primes=[433, 439, 457, 463, 487, 499]) == 6
+    assert degree(twist, primes=[433, 439, 457, 463, 487, 499]) == 12
     with pytest.raises(OracleError):
         degree(twist, primes=[])
+
+
+def test_degree_of_every_instance_morphism():
+    """Twisting phi2 by swap(y, z) leaves a common y^2 in u and a common
+    y^3 in v; degree cancels them before counting, so u counts 24 and v
+    36 (not 30 and 42 as mod 433 with them), and the twist has degree 12
+    like phi2."""
+    twist = compose_with_perm(c6_generator_morphisms()[1], (0, 2, 1))
+    assert twist.u.den.coeff(2, 4) == ALPHA and twist.v.den.coeff(3, 6) == 2
+    assert fermat._strip_monomial(twist.u) == twist.u
+    assert fermat._strip_monomial(twist.u).den == BiPoly({(2, 2): ALPHA})
+    assert fermat._strip_monomial(twist.v).num == X**6 - Y**6
+    inst = build_c6_instance(check_degrees=False)
+    assert [degree(phi) for phi in inst.morphisms] == per_morphism(6, 12, 4)
 
 
 def test_degree_counts_components_in_x_exactly():
@@ -595,8 +610,10 @@ def test_degree_counts_components_in_x_exactly():
     unreduced = RatFunc(-(X**3) + X**2, X - 1)
     assert fermat._exact_fiber_count(unreduced, W6) == 12
     assert degree(CurveMorphism(W6, E1, unreduced, Y**3)) == 6
-    # the twist's u = -x^2/y^2 is in both variables
-    assert fermat._exact_fiber_count(compose_with_perm(phi1, (0, 2, 1)).u, W6) is None
+    # phi2 twisted by swap(y, z) has v = (x^6 - y^6)/(2x^3y^3), in both
+    # variables and not a monomial
+    twist = compose_with_perm(c6_generator_morphisms()[1], (0, 2, 1))
+    assert fermat._exact_fiber_count(fermat._strip_monomial(twist.v), W6) is None
     # a constant component has no generic fiber: it fails, never gives 0
     for u in (RatFunc.const(1), RatFunc(X, X)):
         with pytest.raises(OracleError, match="constant component"):
@@ -604,19 +621,20 @@ def test_degree_counts_components_in_x_exactly():
 
 
 def test_degree_cross_checks_the_exact_route_mod_p(monkeypatch):
-    """phi2's exact v route, shifted to degree 39 / 3 = 13, disagrees with
-    its mod-p u route at every prime: the oracle gives up and returns
-    nothing."""
-    phi2 = c6_generator_morphisms()[1]
+    """phi2 twisted by swap(y, z) has its u = 1/(cbrt4 x^2 y^2) counted
+    exactly and its v mod p.  The exact route, shifted to degree
+    26 / 2 = 13, disagrees with the mod-p route at every prime: the
+    oracle gives up and returns nothing."""
+    twist = compose_with_perm(c6_generator_morphisms()[1], (0, 2, 1))
     real = fermat._exact_fiber_count
 
     def shifted(comp, source):
         count = real(comp, source)
-        return None if count is None else count + 3
+        return None if count is None else count + 2
 
     monkeypatch.setattr(fermat, "_exact_fiber_count", shifted)
     with pytest.raises(OracleError, match="did not stabilize"):
-        degree(phi2)
+        degree(twist)
 
 
 def test_degree_counts_components_in_y_exactly():
@@ -651,6 +669,49 @@ def test_degree_of_phi1_and_phi3_draws_no_prime():
 
     assert degree(phi1, primes=primes()) == 6
     assert degree(phi3, primes=primes()) == 4
+
+
+def test_degree_of_phi2_draws_no_prime():
+    """phi2's u = y^4/(cbrt4 x^2) is a monomial, counted on the sextic's
+    Newton polygon, and its v = (x^6 - 1)/(2x^3) is in x alone: two
+    exact routes, which agree."""
+    phi2 = c6_generator_morphisms()[1]
+
+    def primes():
+        raise AssertionError("a prime was drawn")
+        yield
+
+    assert degree(phi2, primes=primes()) == 12
+
+
+def test_degree_counts_monomials_on_the_newton_polygon():
+    """x^a y^b has valuation <(a, b), n> at each of the l places of an
+    edge of lattice length l and inward normal n.  phi2's u has
+    (a, b) = (-2, 4); walked counter-clockwise, the sextic's edges are
+    the bottom (n = (0, 1): 6 zeros of order 4), the hypotenuse
+    (n = (-1, -1)) and the left edge (n = (1, 0)), each 6 poles of
+    order 2: 24 poles."""
+    phi2 = c6_generator_morphisms()[1]
+    W6 = phi2.source
+    assert fermat._exact_fiber_count(phi2.u, W6) == 24
+    assert fermat._newton_pole_count(W6.F, -2, 4) == 24
+    assert fermat._newton_pole_count(W6.F, 4, -2) == 24
+    # x/y on y^2 - 3y + 1 + x^3: 3 poles on the bottom edge, of length 3
+    # and normal (0, 1); on (y - 1)^2 + x^3 the left edge polynomial
+    # t^2 - 2t + 1 has a repeated root, so the count does not apply
+    x_over_y = RatFunc(X, Y)
+    assert fermat._exact_fiber_count(x_over_y, PlaneCurve(Y**2 - 3 * Y + 1 + X**3)) == 3
+    assert fermat._exact_fiber_count(x_over_y, PlaneCurve((Y - 1) ** 2 + X**3)) is None
+    # y^2 = x has a segment for its Newton polygon, and y^2 a point
+    segment = PlaneCurve(Y**2 - X)
+    assert fermat._exact_fiber_count(RatFunc(X * Y, BiPoly.const(1)), segment) is None
+    assert fermat._exact_fiber_count(x_over_y, PlaneCurve(Y**2)) is None
+    # exponent (0, 0) is a constant, on any polygon
+    for source in (W6, segment):
+        with pytest.raises(OracleError, match="constant component"):
+            fermat._exact_fiber_count(RatFunc(X * Y, 2 * X * Y), source)
+    with pytest.raises(OracleError, match="constant component"):
+        degree(CurveMorphism(W6, phi2.target, RatFunc(X * Y, X * Y), 0))
 
 
 def test_degree_on_a_genus_0_target_draws_no_prime():
@@ -690,6 +751,9 @@ def test_omega_coefficient_rejects_unreduced_polynomials():
 def test_degree_determinism():
     _, phi2, _ = c6_generator_morphisms()
     assert degree(phi2, seed=1) == degree(phi2, seed=2) == 12
+    # phi2 draws no prime; its twist by swap(y, z) takes the seeds mod p
+    twist = compose_with_perm(phi2, (0, 2, 1))
+    assert degree(twist, seed=1) == degree(twist, seed=2) == 12
 
 
 def test_c6_instance():

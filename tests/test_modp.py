@@ -12,13 +12,18 @@ import pytest
 from motivix import fermat
 from motivix.errors import InvalidInput, OracleError
 from motivix.fermat import (
+    PlaneCurve,
     _route_count,
+    build_c6_instance,
     c6_generator_morphisms,
     compose_with_perm,
     degree,
+    per_morphism,
 )
 from motivix.polyring import (
+    BiPoly,
     FpTables,
+    RatFunc,
     _BadPrime,
     fp2_deg_x,
     fp2_deg_y,
@@ -308,32 +313,32 @@ def test_fp_roots_match_a_scan_of_the_field():
 
 
 def test_degree_oracle_fails_fast_on_large_primes():
-    """Generator roots come from gcds, not a scan of F_p: at primes
-    near 10^9 phi2 finds no cube root of 4 at any of them and gives up,
-    and phi1 twisted by swap(y, z), whose u = -x^2/y^2 goes mod p, gets
-    its degree."""
+    """Generator roots come from gcds, not a scan of F_p.  phi2 twisted
+    by swap(y, z) counts its v = (x^6 - y^6)/(2x^3y^3) mod p and needs a
+    cube root of 4: among five primes near 10^9 only 1000000123 has
+    one, so it gives up, and at the first five primes above 10^9 that
+    are 1 mod 3 and have one it gets its degree."""
     primes = [1000000087, 1000000093, 1000000123, 1000000207, 1000000297]
-    phi1, phi2, _ = c6_generator_morphisms()
-    twist = compose_with_perm(phi1, (0, 2, 1))
+    cubes = [1000000123, 1000000363, 1000000411, 1000000453, 1000000531]
+    twist = compose_with_perm(c6_generator_morphisms()[1], (0, 2, 1))
     start = time.perf_counter()
     with pytest.raises(OracleError):
-        degree(phi2, primes=primes)
-    assert degree(twist, primes=primes) == 6
+        degree(twist, primes=primes)
+    assert degree(twist, primes=cubes) == 12
     assert time.perf_counter() - start < 5.0
 
 
 def test_degree_refuses_composite_moduli():
     """pow(a, p - 2, p) inverts nothing modulo a composite p, so a caller's
     modulus that is not a prime is refused when it is drawn, not used.
-    phi1 twisted by swap(y, z) has the mixed u = -x^2/y^2, so it draws
-    primes."""
-    phi1, phi2, _ = c6_generator_morphisms()
-    twist = compose_with_perm(phi1, (0, 2, 1))
+    phi2 twisted by swap(y, z) has the mixed v = (x^6 - y^6)/(2x^3y^3),
+    so it draws primes."""
+    twist = compose_with_perm(c6_generator_morphisms()[1], (0, 2, 1))
     # Carmichael numbers, and 7 * 13 * 19 * 37 * 73 * 109
-    for phi, primes in ((twist, [341, 561, 1105]), (phi2, [509033161] * 3)):
+    for primes in ([341, 561, 1105], [509033161] * 3):
         start = time.perf_counter()
         with pytest.raises(InvalidInput, match="primes below"):
-            degree(phi, primes=primes)
+            degree(twist, primes=primes)
         assert time.perf_counter() - start < 1.0
     for bad in (True, 433.0, "433", -433, fermat._PRIME_TEST_BOUND + 2):
         with pytest.raises(InvalidInput, match="primes below"):
@@ -351,14 +356,14 @@ def test_degree_refuses_composite_moduli():
 def test_degree_refuses_a_repeated_modulus():
     """Three agreeing counts at one prime are one prime's work: a modulus
     drawn twice is refused, as a composite is, even one that hosts no
-    count (mod 409 the cube root of 4 in phi2 does not exist).  phi1
-    twisted by swap(y, z) draws primes for its mixed u = -x^2/y^2."""
-    phi1, phi2, _ = c6_generator_morphisms()
-    twist = compose_with_perm(phi1, (0, 2, 1))
+    count (mod 409 the cube root of 4 in the twist's u does not exist).
+    phi2 twisted by swap(y, z) draws primes for its mixed
+    v = (x^6 - y^6)/(2x^3y^3)."""
+    twist = compose_with_perm(c6_generator_morphisms()[1], (0, 2, 1))
     with pytest.raises(InvalidInput, match="got 433 again"):
         degree(twist, primes=[433, 433, 433])
     with pytest.raises(InvalidInput, match="got 409 again"):
-        degree(phi2, primes=[409, 433, 409, 439, 457])
+        degree(twist, primes=[409, 433, 409, 439, 457])
 
 
 def test_is_prime_matches_trial_division():
@@ -540,13 +545,15 @@ def recording_interp(monkeypatch):
 
 
 def test_degree_oracle_resultant_count(monkeypatch):
-    """The three generator degrees take 900 point resultants over 12
-    primes of the default stream, which starts above every interpolation
-    point count.  phi1 and phi3 have both components in one variable,
-    counted exactly, and draw no prime; phi2 has one, so only its u route
-    takes resultants.  Counting only the components in x alone exactly
-    took 2,052 resultants over 18 primes, counting every route mod p
-    4,320, and the classical point count 6,912."""
+    """The three generator degrees take no point resultant and draw no
+    prime: each component is in one variable or a monomial, counted
+    exactly.  The ten degrees of the instance take 1,332 point
+    resultants over 12 primes of the default stream, which starts above
+    every interpolation point count, all for the v route of phi2
+    twisted by swap(y, z).  Counting phi2's monomial u mod p took 900
+    resultants over 12 primes for the generators, counting only the
+    components in x alone exactly 2,052 over 18, counting every route
+    mod p 4,320, and the classical point count 6,912."""
     calls = [0]
     drawn = []
     real_primes = fermat._oracle_primes
@@ -564,16 +571,20 @@ def test_degree_oracle_resultant_count(monkeypatch):
     monkeypatch.setattr(fermat, "_oracle_primes", counting_primes)
     seen = recording_interp(monkeypatch)
     assert tuple(degree(phi) for phi in c6_generator_morphisms()) == (6, 12, 4)
-    assert calls[0] == 900
+    assert calls[0] == len(drawn) == 0
+    morphisms = build_c6_instance(check_degrees=False).morphisms
+    assert [degree(phi) for phi in morphisms] == per_morphism(6, 12, 4)
+    assert calls[0] == 1332
     assert len(drawn) == 12
     assert seen and all(n <= p for n, p in seen)
 
 
 def test_degree_counts_mod_p_only_the_routes_in_y(monkeypatch):
-    """phi1's u = -x^2 and v = y^3 are counted exactly, so it draws no
-    prime and runs no resultant.  Its twist by swap(y, z) has the mixed
-    u = -x^2/y^2 and v = 1/y^3 in y alone, and runs only its u route mod
-    p: 156 resultants at each of 3 primes."""
+    """phi2's monomial u = y^4/(cbrt4 x^2) and v = (x^6 - 1)/(2x^3) in x
+    alone are counted exactly, so it draws no prime and runs no
+    resultant.  Its twist by swap(y, z) has the monomial
+    u = 1/(cbrt4 x^2 y^2) and the mixed v = (x^6 - y^6)/(2x^3y^3), and
+    runs only its v route mod p: 444 resultants at each of 3 primes."""
     calls = [0]
     routes = []
     real_route = fermat._route_count
@@ -590,12 +601,12 @@ def test_degree_counts_mod_p_only_the_routes_in_y(monkeypatch):
 
     monkeypatch.setattr(fermat, "fp_resultant", counting)
     monkeypatch.setattr(fermat, "_route_count", recording)
-    phi1 = c6_generator_morphisms()[0]
-    twist = compose_with_perm(phi1, (0, 2, 1))
-    for phi, per_prime, total, n_primes in ((phi1, [], 0, 0), (twist, [156], 468, 3)):
+    phi2 = c6_generator_morphisms()[1]
+    twist = compose_with_perm(phi2, (0, 2, 1))
+    for phi, per_prime, total, n_primes in ((phi2, [], 0, 0), (twist, [444], 1332, 3)):
         calls[0] = 0
         routes.clear()
-        assert degree(phi) == 6
+        assert degree(phi) == 12
         primes = sorted({p for p, _ in routes})
         assert len(primes) == n_primes
         for p in primes:
@@ -616,11 +627,66 @@ def test_route_count_cross_checks_the_exact_routes_in_y():
 
 
 def test_degree_oracle_rejects_primes_below_its_point_count(monkeypatch):
-    """phi1 twisted by swap(y, z) has v = 1/y^3 counted exactly, and its
-    u = -x^2/y^2 route mod p interpolates at 13 points.  Mod 7 there are
-    no 13 distinct points: such a prime is rejected, not interpolated
-    at (FpTables(7).basis(8) raises InvalidInput)."""
+    """phi2 twisted by swap(y, z) has u = 1/(cbrt4 x^2 y^2) counted
+    exactly, and its v = (x^6 - y^6)/(2x^3y^3) route mod p interpolates
+    at 37 points.  Mod 31, the first prime with a cube root of 4, there
+    are no 37 distinct points: such a prime is rejected, not
+    interpolated at (FpTables(31).basis(32) raises InvalidInput); mod 7
+    and 13 4 has no cube root."""
     seen = recording_interp(monkeypatch)
-    twist = compose_with_perm(c6_generator_morphisms()[0], (0, 2, 1))
-    assert degree(twist, primes=[7, 13, 19, 31, 37, 43, 61, 67]) == 6
+    twist = compose_with_perm(c6_generator_morphisms()[1], (0, 2, 1))
+    assert degree(twist, primes=[7, 13, 31, 43, 109, 127, 157]) == 12
     assert seen and all(n <= p for n, p in seen)
+    with pytest.raises(InvalidInput):
+        FpTables(31).basis(32)
+
+
+def test_route_count_cross_checks_the_monomial_route():
+    """degree counts phi2's u = y^4/(cbrt4 x^2) on the sextic's Newton
+    polygon and draws no prime for it; mod 433, where 4 has a cube
+    root, its fiber count agrees with the exact 24.  phi2 twisted by
+    swap(y, z) has u = y^2/(cbrt4 x^2 y^4) with the common y^2, whose
+    zero at y = 0 the mod-p route counts as 6 more points: degree
+    cancels it first."""
+    phi2 = c6_generator_morphisms()[1]
+    twist = compose_with_perm(phi2, (0, 2, 1))
+    p = 433
+    assign = fermat._gen_assignment(("cbrt4",), p)
+    stripped = fermat._strip_monomial(twist.u)
+    for comp, want in ((phi2.u, 24), (stripped, 24), (twist.u, 30)):
+        args = [part.map_fp(p, assign) for part in (phi2.source.F, comp.num, comp.den)]
+        assert _route_count(*args, p, random.Random(0)) == want
+    assert fermat._exact_fiber_count(phi2.u, phi2.source) == 24
+
+
+def test_newton_pole_count_matches_route_count_on_random_curves():
+    """On 300 seeded curves monic in y with F(0, 0) != 0 (so x^a and y^b
+    share no zero on them), the exact count of a monomial x^a y^b with
+    a, b != 0 agrees with the mod-p route at p = 1000003 wherever it
+    applies; where an edge polynomial has a repeated root or the
+    polygon is a segment it returns None and the monomial goes mod p."""
+    p = 1000003
+    rng = random.Random(23)
+    agree = degenerate = 0
+    for _ in range(300):
+        m = rng.randrange(1, 4)
+        terms = {(0, m): 1, (0, 0): rng.choice([-2, -1, 1, 2, 3])}
+        for _ in range(rng.randrange(1, 5)):
+            key = (rng.randrange(0, 5), rng.randrange(0, m))
+            if key != (0, 0):
+                terms[key] = rng.randrange(-3, 4)
+        curve = PlaneCurve(BiPoly(terms))
+        a = rng.choice([-3, -2, -1, 1, 2, 3])
+        b = rng.choice([-3, -2, -1, 1, 2, 3])
+        comp = RatFunc(
+            BiPoly.monomial(max(a, 0), max(b, 0)),
+            BiPoly.monomial(max(-a, 0), max(-b, 0)),
+        )
+        exact = fermat._exact_fiber_count(comp, curve)
+        if exact is None:
+            degenerate += 1
+            continue
+        args = [part.map_fp(p, {}) for part in (curve.F, comp.num, comp.den)]
+        assert _route_count(*args, p, random.Random(0)) == exact, (curve, comp)
+        agree += 1
+    assert agree >= 200 and degenerate >= 20
