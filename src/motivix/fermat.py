@@ -198,7 +198,19 @@ _PULLBACK_XDEG_STEPS = (2, 6, 12, 20, 32)
 
 def pullback(phi, form):
     """Pull a differential P du on the target back along phi and
-    express it as f times the canonical form of the source."""
+    express it as f times the canonical form of the source.
+
+    f*B = A modulo F is solved for f of x-degree up to each step of
+    _PULLBACK_XDEG_STEPS in turn; the unknown x^i y^j of f has the
+    column x^i y^j B reduced mod F.  Only the block of that system that
+    holds A is solved: the columns linked to A's monomials through
+    monomials they share, and every monomial those columns hold.  The
+    answer is that of the whole system: elimination never mixes two
+    blocks, a block whose right-hand side is zero solves to zero (free
+    unknowns are set to 0), and any inconsistency shows in A's block.
+    A step whose block has no column is inconsistent, and is skipped
+    without a solve.  On the sextic each pulled-back form is one
+    monomial times omega, and its block has one unknown."""
     if not isinstance(phi, CurveMorphism) or not isinstance(form, DiffForm):
         raise InvalidInput("pullback takes a CurveMorphism and a DiffForm")
     src = phi.source
@@ -223,25 +235,37 @@ def pullback(phi, form):
     for j in range(1, m):
         shifted.append((shifted[-1] * BiPoly.var_y()).y_reduce(F))
     for dxb in _PULLBACK_XDEG_STEPS:
+        # column i*m + j holds x^i y^j B reduced mod F
         cols = []
+        at = {}  # monomial -> the columns that hold it
         for i in range(dxb + 1):
             for j in range(m):
-                cols.append(
-                    {(a + i, b): v for (a, b), v in shifted[j].c.items()}
-                )
-        keys = sorted(set(A.c) | {k for col in cols for k in col})
-        rows = [[col.get(k, ZERO) for col in cols] for k in keys]
+                col = {(a + i, b): v for (a, b), v in shifted[j].c.items()}
+                for k in col:
+                    at.setdefault(k, []).append(len(cols))
+                cols.append(col)
+        # the block of A: columns linked to A's monomials through shared
+        # monomials, and every monomial they hold
+        keys = set(A.c)
+        todo = list(keys)
+        block = set()
+        while todo:
+            for n in at.get(todo.pop(), ()):
+                if n not in block:
+                    block.add(n)
+                    new = cols[n].keys() - keys
+                    keys |= new
+                    todo.extend(new)
+        if not block:
+            continue
+        block = sorted(block)
+        keys = sorted(keys)
+        rows = [[cols[n].get(k, ZERO) for n in block] for k in keys]
         rhs = [A.c.get(k, ZERO) for k in keys]
         sol = solve_field(rows, rhs)
         if sol is None:
             continue
-        terms = {}
-        pos = 0
-        for i in range(dxb + 1):
-            for j in range(m):
-                terms[(i, j)] = sol[pos]
-                pos += 1
-        f = BiPoly(terms)
+        f = BiPoly({divmod(n, m): s for n, s in zip(block, sol)})
         if not (f * B - A).y_reduce(F).is_zero():
             raise VerificationError("pullback solution fails its back-check")
         return OmegaCoefficient(f, src)
@@ -581,7 +605,9 @@ def degree(phi, primes=None, seed=0):
     genus-10 instance) they must agree, and are the answer without
     drawing a prime.  The mod-p routes assume their component's
     numerator and denominator have no common zero on the source curve.
-    Each prime is drawn at most once.
+    A prime needs a root of each generator in the source and in the
+    components counted mod p; a generator only an exact route uses
+    rejects no prime.  Each prime is drawn at most once.
     """
     if not isinstance(phi, CurveMorphism):
         raise InvalidInput("degree takes a CurveMorphism")
@@ -605,16 +631,13 @@ def degree(phi, primes=None, seed=0):
             raise VerificationError("exact coordinate routes disagree")
         return exact[0]
     rng = random.Random(seed)
-    # the generators whose roots mod p the assignment needs
+    # the generators whose roots mod p the assignment needs: those of the
+    # source and of the components counted mod p
     spec = ()
-    parts = (
-        phi.source.F,
-        phi.target.F,
-        phi.u.num,
-        phi.u.den,
-        phi.v.num,
-        phi.v.den,
-    )
+    parts = [phi.source.F]
+    for (comp, _), known in zip(routes, exact):
+        if known is None:
+            parts += [comp.num, comp.den]
     for part in parts:
         for v in part.c.values():
             spec = join_specs(spec, v.spec)

@@ -20,6 +20,7 @@ from motivix.errors import (
     ShapeError,
     VerificationError,
 )
+from motivix.exact import solve_field
 from motivix.fermat import (
     G1_PERMS,
     G2_PERMS,
@@ -47,6 +48,7 @@ from motivix.fermat import (
 )
 from motivix.polyring import (
     KNOWN_GENS,
+    ZERO,
     BiPoly,
     MultiNf,
     RatFunc,
@@ -561,6 +563,100 @@ def test_form_ranks():
     assert span_rank(g1 + g2 + [f10]) == 10
     assert span_rank([]) == 0
     assert span_rank([g1[0], g1[0]]) == 1
+
+
+def dense_pullback(phi, form):
+    """f with f*B = A modulo the source, solved on the whole window of
+    each x-degree step, as fermat.pullback did before it solved only the
+    block of A: the oracle for pullback.  None when no step solves."""
+    F = phi.source.F
+    m = phi.source.deg_y
+    yprime = RatFunc(-F.diff_x(), F.diff_y())
+    pulled = form.P.subst(phi.u, phi.v) * (phi.u.dx() + phi.u.dy() * yprime)
+    f_rat = pulled * RatFunc(BiPoly.monomial(0, m - 1), BiPoly.const(1))
+    A = f_rat.num.y_reduce(F)
+    B = f_rat.den.y_reduce(F)
+    shifted = [B]
+    for _ in range(1, m):
+        shifted.append((shifted[-1] * Y).y_reduce(F))
+    for dxb in fermat._PULLBACK_XDEG_STEPS:
+        cols = [
+            {(a + i, b): v for (a, b), v in shifted[j].c.items()}
+            for i in range(dxb + 1)
+            for j in range(m)
+        ]
+        keys = sorted(set(A.c) | {k for col in cols for k in col})
+        rows = [[col.get(k, ZERO) for col in cols] for k in keys]
+        sol = solve_field(rows, [A.c.get(k, ZERO) for k in keys])
+        if sol is not None:
+            return BiPoly({divmod(n, m): v for n, v in enumerate(sol)})
+    return None
+
+
+def recording_solves(monkeypatch):
+    """The (rows, columns) of every system pullback solves."""
+    sizes = []
+    real = fermat.solve_field
+
+    def recording(rows, rhs):
+        sizes.append((len(rows), len(rows[0])))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(fermat, "solve_field", recording)
+    return sizes
+
+
+def test_pullback_matches_the_dense_window_solve(monkeypatch):
+    """The block solve returns the oracle's f on the ten instance
+    morphisms, on every pullback the tests above take, and on sources
+    whose equation links the whole window into one block; where no
+    x-degree step solves, both fail."""
+    phi1, phi2, phi3 = c6_generator_morphisms()
+    w6 = phi1.source
+    cases = [
+        (mor, canonical_form(mor.target))
+        for mor in build_c6_instance(check_degrees=False).morphisms
+    ]
+    for phi in (phi1, phi2, phi3):
+        tau = canonical_form(phi.target)
+        lifted = DiffForm(
+            RatFunc(pullback(phi, tau).poly, BiPoly.monomial(0, w6.deg_y - 1))
+        )
+        cases.append((phi, tau))
+        for pi in G1_PERMS:
+            cases.append((compose_with_perm(phi, pi), tau))
+            cases.append((perm_morphism(w6, pi), lifted))
+    for phi, form in cases:
+        assert pullback(phi, form) == dense_pullback(phi, form)
+    # y^3 + y^2 + xy + x^4 + 1 is not binomial in y: reducing y^3 links
+    # every column of the first window to A's block
+    curve = PlaneCurve(Y**3 + Y**2 + X * Y + X**4 + 1)
+    ident = CurveMorphism(curve, curve, RatFunc.var_x(), RatFunc.var_y())
+    sizes = recording_solves(monkeypatch)
+    for g in (BiPoly.const(1), X, X * Y + Y**2, X**3 - 2 * Y + 5):
+        form = DiffForm(RatFunc(g, Y**2))
+        sizes.clear()
+        f = pullback(ident, form)
+        assert f == dense_pullback(ident, form) == g.y_reduce(curve.F)
+        assert sizes[0][1] == (fermat._PULLBACK_XDEG_STEPS[0] + 1) * 3
+    # on y^3 + x^2 y + y + x^4 - 2, the map y to the line has no reduced
+    # coefficient in any window
+    curve = PlaneCurve(Y**3 + X**2 * Y + Y + X**4 - 2)
+    line = CurveMorphism(curve, PlaneCurve(Y), RatFunc.var_y(), 0)
+    assert dense_pullback(line, canonical_form(line.target)) is None
+    with pytest.raises(ReductionError):
+        pullback(line, canonical_form(line.target))
+
+
+def test_c6_pullbacks_solve_one_unknown_each(monkeypatch):
+    """Each form of the genus-10 build is one monomial times omega, so
+    A's block has one unknown, and each pullback solves once: ten
+    solves of one column each."""
+    sizes = recording_solves(monkeypatch)
+    forms = build_c6_instance(check_degrees=False).forms
+    assert len(forms) == 10
+    assert [cols for _, cols in sizes] == [len(f.poly.c) for f in forms]
+    assert all(len(f.poly.c) == 1 for f in forms)
 
 
 def test_pullback_reduction_error():

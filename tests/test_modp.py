@@ -23,6 +23,7 @@ from motivix.fermat import (
 from motivix.polyring import (
     BiPoly,
     FpTables,
+    MultiNf,
     RatFunc,
     _BadPrime,
     fp2_deg_x,
@@ -312,19 +313,36 @@ def test_fp_roots_match_a_scan_of_the_field():
         fp_roots([0, 1, 1], 2)
 
 
-def test_degree_oracle_fails_fast_on_large_primes():
-    """Generator roots come from gcds, not a scan of F_p.  phi2 twisted
-    by swap(y, z) counts its v = (x^6 - y^6)/(2x^3y^3) mod p and needs a
-    cube root of 4: among five primes near 10^9 only 1000000123 has
-    one, so it gives up, and at the first five primes above 10^9 that
-    are 1 mod 3 and have one it gets its degree."""
+def test_degree_oracle_fails_fast_on_large_primes(monkeypatch):
+    """Generator roots come from gcds, not a scan of F_p.  The shear
+    (x, y) -> (x, x + cbrt4 y) maps the sextic birationally onto
+    (v - u)^6 + 16u^6 + 16 = 0: u = x is counted exactly, and the mixed
+    v = x + cbrt4 y mod p needs a cube root of 4.  Among five primes
+    near 10^9 only 1000000123 has one, so it gives up, and at the first
+    three primes above 10^9 that are 1 mod 3 and have one it gets its
+    degree."""
     primes = [1000000087, 1000000093, 1000000123, 1000000207, 1000000297]
     cubes = [1000000123, 1000000363, 1000000411, 1000000453, 1000000531]
-    twist = compose_with_perm(c6_generator_morphisms()[1], (0, 2, 1))
+    x, y = BiPoly.var_x(), BiPoly.var_y()
+    target = PlaneCurve((y - x) ** 6 + 16 * x**6 + 16)
+    u = RatFunc.var_x()
+    shear = fermat.CurveMorphism(
+        fermat.fermat_sextic(), target, u, u + RatFunc.var_y() * MultiNf.gen("cbrt4")
+    )
+    counted = []
+    real_route = fermat._route_count
+
+    def recording(F, A, B, p, rng):
+        counted.append(p)
+        return real_route(F, A, B, p, rng)
+
+    monkeypatch.setattr(fermat, "_route_count", recording)
     start = time.perf_counter()
     with pytest.raises(OracleError):
-        degree(twist, primes=primes)
-    assert degree(twist, primes=cubes) == 12
+        degree(shear, primes=primes)
+    assert counted == [1000000123]
+    assert degree(shear, primes=cubes) == 1
+    assert counted[1:] == cubes[:3]
     assert time.perf_counter() - start < 5.0
 
 
@@ -356,14 +374,14 @@ def test_degree_refuses_composite_moduli():
 def test_degree_refuses_a_repeated_modulus():
     """Three agreeing counts at one prime are one prime's work: a modulus
     drawn twice is refused, as a composite is, even one that hosts no
-    count (mod 409 the cube root of 4 in the twist's u does not exist).
-    phi2 twisted by swap(y, z) draws primes for its mixed
+    count (mod 31 the 37 interpolation points of the twist's v route do
+    not exist).  phi2 twisted by swap(y, z) draws primes for its mixed
     v = (x^6 - y^6)/(2x^3y^3)."""
     twist = compose_with_perm(c6_generator_morphisms()[1], (0, 2, 1))
     with pytest.raises(InvalidInput, match="got 433 again"):
         degree(twist, primes=[433, 433, 433])
-    with pytest.raises(InvalidInput, match="got 409 again"):
-        degree(twist, primes=[409, 433, 409, 439, 457])
+    with pytest.raises(InvalidInput, match="got 31 again"):
+        degree(twist, primes=[31, 433, 31, 439, 457])
 
 
 def test_is_prime_matches_trial_division():
@@ -548,10 +566,13 @@ def test_degree_oracle_resultant_count(monkeypatch):
     """The three generator degrees take no point resultant and draw no
     prime: each component is in one variable or a monomial, counted
     exactly.  The ten degrees of the instance take 1,332 point
-    resultants over 12 primes of the default stream, which starts above
-    every interpolation point count, all for the v route of phi2
-    twisted by swap(y, z).  Counting phi2's monomial u mod p took 900
-    resultants over 12 primes for the generators, counting only the
+    resultants over 3 primes of the default stream (307, 313 and 331),
+    which starts above every interpolation point count, all for the v
+    route of phi2 twisted by swap(y, z).  That route and the sextic have
+    rational coefficients, so no prime is rejected for want of a cube
+    root of 4 (12 were drawn, 9 of them rejected, while the cbrt4 of the
+    exact u route counted too).  Counting phi2's monomial u mod p took
+    900 resultants over 12 primes for the generators, counting only the
     components in x alone exactly 2,052 over 18, counting every route
     mod p 4,320, and the classical point count 6,912."""
     calls = [0]
@@ -575,7 +596,7 @@ def test_degree_oracle_resultant_count(monkeypatch):
     morphisms = build_c6_instance(check_degrees=False).morphisms
     assert [degree(phi) for phi in morphisms] == per_morphism(6, 12, 4)
     assert calls[0] == 1332
-    assert len(drawn) == 12
+    assert drawn == [307, 313, 331]
     assert seen and all(n <= p for n, p in seen)
 
 
@@ -629,10 +650,10 @@ def test_route_count_cross_checks_the_exact_routes_in_y():
 def test_degree_oracle_rejects_primes_below_its_point_count(monkeypatch):
     """phi2 twisted by swap(y, z) has u = 1/(cbrt4 x^2 y^2) counted
     exactly, and its v = (x^6 - y^6)/(2x^3y^3) route mod p interpolates
-    at 37 points.  Mod 31, the first prime with a cube root of 4, there
-    are no 37 distinct points: such a prime is rejected, not
-    interpolated at (FpTables(31).basis(32) raises InvalidInput); mod 7
-    and 13 4 has no cube root."""
+    at 37 points.  Mod 7, 13 and 31 there are no 37 distinct points:
+    such a prime is rejected, not interpolated at (FpTables(31).basis(32)
+    raises InvalidInput).  The twist's cube root of 4 sits in its exact
+    route, so no prime is rejected for want of one."""
     seen = recording_interp(monkeypatch)
     twist = compose_with_perm(c6_generator_morphisms()[1], (0, 2, 1))
     assert degree(twist, primes=[7, 13, 31, 43, 109, 127, 157]) == 12
