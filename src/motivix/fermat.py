@@ -231,7 +231,7 @@ def pullback(phi, form):
     if A.is_zero():
         return OmegaCoefficient(BiPoly.zero(), src)
     # find f with f*B = A modulo F; unique in the reduced window
-    shifted = [B.y_reduce(F)]
+    shifted = [B]
     for j in range(1, m):
         shifted.append((shifted[-1] * BiPoly.var_y()).y_reduce(F))
     for dxb in _PULLBACK_XDEG_STEPS:

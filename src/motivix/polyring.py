@@ -354,8 +354,8 @@ def _gen_inverse(spec, k):
 def _coerce_scalar(v):
     if isinstance(v, MultiNf):
         return v
-    if isinstance(v, (int, Rat)):
-        return MultiNf.from_fraction(v)
+    if isinstance(v, (int, Rat)):  # as MultiNf.from_fraction(v) gives it
+        return MultiNf._make((), {(): Rat(v)} if v else {})
     raise InvalidInput("cannot use %r as a field scalar" % (v,))
 
 
@@ -521,22 +521,53 @@ class BiPoly:
         return BiPoly._make(r)
 
     def subst(self, u, v):
-        """Substitute rational functions for x and y; returns a RatFunc."""
+        """Substitute rational functions u = a/b and v = c/d for x and y;
+        returns a RatFunc over one common denominator.
+
+        With dx, dy the degrees of self in x and y, the numerator is
+        sum c_ij a^i b^(dx-i) c^j d^(dy-j) and the denominator is
+        b^dx d^dy; a zero result is 0/1.  Each power is formed once per
+        call.  Summing term by term over the product of the terms'
+        denominators would give the numerator and denominator times
+        b^(si - dx) d^(sj - dy), where si and sj sum the x- and
+        y-exponents over the monomials of self: the same value, and the
+        same representation when each variable occurs in at most one
+        monomial."""
         u = _as_ratfunc(u)
         v = _as_ratfunc(v)
-        one = BiPoly._make({(0, 0): MultiNf._make((), {(): Rat(1)})})
-        upow = {0: RatFunc._make(one, one)}
-        vpow = {0: RatFunc._make(one, one)}
-        out = RatFunc._make(BiPoly._make({}), one)
-        for (i, j), cv in sorted(self.c.items()):
-            for cache, base, k in ((upow, u, i), (vpow, v, j)):
-                while max(cache) < k:
-                    m = max(cache)
-                    cache[m + 1] = cache[m] * base
-            # cv is a nonzero coefficient, so a valid constant polynomial
-            term = RatFunc._make(BiPoly._make({(0, 0): cv}), one)
-            out = out + term * upow[i] * vpow[j]
-        return out
+        memo = {}
+
+        def power(p, n):
+            """p^n for n >= 1, by halving, each power formed once."""
+            key = (id(p), n)
+            if key not in memo:
+                if n == 1:
+                    memo[key] = p
+                else:
+                    h = power(p, n // 2)
+                    memo[key] = h * h * p if n % 2 else h * h
+            return memo[key]
+
+        def product(*factors):
+            """The product of the powers p^n with n > 0."""
+            out = None
+            for p, n in factors:
+                if n:
+                    out = power(p, n) if out is None else out * power(p, n)
+            return _ONE_POLY if out is None else out
+
+        a, b, c, d = u.num, u.den, v.num, v.den
+        dx, dy = self.deg_x, self.deg_y
+        num = {}
+        for (i, j), cv in self.c.items():
+            t = product((a, i), (b, dx - i), (c, j), (d, dy - j))
+            for k, w in t.c.items():
+                s = cv * w
+                num[k] = num[k] + s if k in num else s
+        num = {k: s for k, s in num.items() if s.c}
+        if not num:
+            return RatFunc._make(BiPoly._make({}), _ONE_POLY)
+        return RatFunc._make(BiPoly._make(num), product((b, dx), (d, dy)))
 
     def map_fp(self, p, assign):
         out = {}
@@ -565,6 +596,9 @@ class BiPoly:
                 vs = "(%s)" % vs
             parts.append("%s*%s" % (vs, mono) if mono and vs != "1" else (mono or vs))
         return " + ".join(parts)
+
+
+_ONE_POLY = BiPoly._make({(0, 0): MultiNf._make((), {(): Rat(1)})})
 
 
 def _as_ratfunc(v):

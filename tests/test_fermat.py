@@ -354,21 +354,78 @@ def old_subst(P, u, v):
     return out
 
 
+def old_excess(P, u, v):
+    """u.den^(si - dx) * v.den^(sj - dy), where si and sj sum the x- and
+    y-exponents over P's monomials: the factor by which old_subst's
+    numerator and denominator exceed those of BiPoly.subst."""
+    si = sum(i for i, _ in P.c)
+    sj = sum(j for _, j in P.c)
+    return u.den ** (si - P.deg_x) * v.den ** (sj - P.deg_y)
+
+
+def assert_old_relation(P, u, v, new, old):
+    excess = old_excess(P, u, v)
+    assert on_full(old.num) == on_full(new.num * excess)
+    assert on_full(old.den) == on_full(new.den * excess)
+
+
 def test_subst_builds_no_validated_constants(monkeypatch):
-    """BiPoly.subst gives the old result, term for term, without the
-    validating RatFunc.const and BiPoly constructors."""
+    """BiPoly.subst runs neither the validating RatFunc.const nor the
+    BiPoly constructor.  Where each variable occurs in at most one
+    monomial it gives the old result term for term; on a mixed
+    polynomial the old numerator and denominator are its own times
+    old_excess."""
     x, y = RatFunc.var_x(), RatFunc.var_y()
     alpha = RatFunc.const(ALPHA)
     pairs = [(-(x**2), y**3), (y**4 / (alpha * x**2), (x**6 - 1) / (2 * x**3))]
-    polys = [fermat_sextic().F, cm_elliptic().F, BiPoly.zero(), BiPoly.const(3)]
-    polys.append(BiPoly({(1, 2): ALPHA, (0, 1): F(-1, 2), (3, 0): MultiNf.gen("i")}))
-    want = [old_subst(P, u, v) for P in polys for u, v in pairs]
+    single = [fermat_sextic().F, cm_elliptic().F, BiPoly.zero(), BiPoly.const(3)]
+    mixed = BiPoly({(1, 2): ALPHA, (0, 1): F(-1, 2), (3, 0): MultiNf.gen("i")})
+    cases = [(P, u, v) for P in single + [mixed] for u, v in pairs]
+    want = [old_subst(P, u, v) for P, u, v in cases]
     monkeypatch.setattr(RatFunc, "const", lambda v: pytest.fail("RatFunc.const"))
     monkeypatch.setattr(BiPoly, "__init__", lambda *a: pytest.fail("BiPoly()"))
-    got = [P.subst(u, v) for P in polys for u, v in pairs]
-    for g, w in zip(got, want):
-        assert (repr(g.num), repr(g.den)) == (repr(w.num), repr(w.den))
-        assert g.num.c == w.num.c and g.den.c == w.den.c
+    got = [P.subst(u, v) for P, u, v in cases]
+    monkeypatch.undo()
+    for (P, u, v), g, w in zip(cases, got, want):
+        if P is mixed:
+            assert_old_relation(P, u, v, g, w)
+            assert old_excess(P, u, v) == u.den * v.den
+        else:
+            assert (repr(g.num), repr(g.den)) == (repr(w.num), repr(w.den))
+            assert g.num.c == w.num.c and g.den.c == w.den.c
+
+
+def test_subst_matches_the_term_by_term_sum():
+    """On 200 seeded triples (P, u, v) with coefficients over every
+    spec, BiPoly.subst has old_subst's value, its denominator is
+    u.den^dx * v.den^dy, and old_subst's numerator and denominator are
+    its own times old_excess.  A zero P, and a P whose terms cancel,
+    give 0 over the constant 1."""
+    rng = random.Random(2525)
+
+    def nonzero(terms, max_x, max_y):
+        while True:
+            p = random_bipoly(rng, terms, max_x, max_y)
+            if not p.is_zero():
+                return p
+
+    mixed = 0
+    for _ in range(200):
+        P = nonzero(rng.randint(1, 3), 2, 2)
+        u, v = (
+            RatFunc(nonzero(2, 2, 1), nonzero(rng.randint(1, 2), 1, 2))
+            for _ in range(2)
+        )
+        got, want = P.subst(u, v), old_subst(P, u, v)
+        assert got == want
+        assert got.den == u.den**P.deg_x * v.den**P.deg_y
+        assert_old_relation(P, u, v, got, want)
+        mixed += old_excess(P, u, v) != 1
+    assert mixed > 50
+    x = RatFunc.var_x()
+    for P, u, v in ((BiPoly.zero(), x, x), (X + Y, x, -x)):
+        for r in (P.subst(u, v), old_subst(P, u, v)):
+            assert r.num.c == {} and r.den.c == {(0, 0): 1}
 
 
 def y_divmod(g, f):
@@ -867,6 +924,38 @@ def test_c6_instance():
     assert len(inst.morphisms) == 10 and len(inst.forms) == 10
     verdict = decide(inst.model, PROOFTRACE)
     assert verdict.status == INDECOMPOSABLE
+
+
+def test_c6_build_validates_one_constant(monkeypatch):
+    """The genus-10 build runs MultiNf's validating constructor only
+    where it makes cbrt4: int and Fraction scalars enter a BiPoly as
+    the value from_fraction gives, without it.  Other scalars still
+    raise InvalidInput."""
+    calls = []
+    real = MultiNf.__init__
+
+    def spy(self, spec, coeffs):
+        calls.append((tuple(spec), dict(coeffs)))
+        real(self, spec, coeffs)
+
+    monkeypatch.setattr(MultiNf, "__init__", spy)
+    build_c6_instance(check_degrees=False)
+    built = list(calls)
+    del calls[:]
+    MultiNf.gen("cbrt4")
+    assert built == calls and len(built) == 1
+    monkeypatch.undo()
+    assert BiPoly.const(0).is_zero() and BiPoly.const(F(0)).c == {}
+    for v in (2, F(6, 3)):
+        (two,) = BiPoly({(0, 0): v}).c.values()
+        want = MultiNf.from_fraction(2)
+        assert two.spec == want.spec == () and two.c == want.c
+        assert type(two.c[()]) is F
+    for bad in (1.5, "1"):
+        with pytest.raises(InvalidInput):
+            BiPoly.const(bad)
+        with pytest.raises(InvalidInput):
+            BiPoly({(0, 0): bad})
 
 
 def test_c6_instance_without_degree_check():
