@@ -69,6 +69,10 @@ def _load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInput("%s is not valid JSON: %s" % (path, exc)) from None
+        except (RecursionError, ValueError) as exc:
+            # nesting past the recursion limit, an integer past the
+            # digit limit, or bytes that are not UTF-8
+            raise InvalidInput("%s cannot be read as JSON: %s" % (path, exc)) from None
 
 
 def _load_model(path):

@@ -778,9 +778,16 @@ def model_to_dict(m):
     return out
 
 
+_MODEL_KEYS = {"d", "g", "mode", "glue", "exponents", "maximal_order",
+               "assume_proper_exponents_ge4"}
+
+
 def model_from_dict(data):
     if not isinstance(data, dict):
         raise InvalidInput("model description must be a JSON object")
+    unknown = sorted(map(repr, set(data) - _MODEL_KEYS))
+    if unknown:
+        raise InvalidInput("model description has unknown keys %s" % ", ".join(unknown))
     for key in ("d", "g", "mode"):
         if key not in data:
             raise InvalidInput("model description missing %r" % key)

@@ -102,18 +102,6 @@ class QuadInt:
     def __setattr__(self, name, value):
         raise AttributeError("QuadInt is immutable")
 
-    @classmethod
-    def zero(cls, d):
-        return cls(0, 0, d)
-
-    @classmethod
-    def one(cls, d):
-        return cls(1, 0, d)
-
-    @classmethod
-    def sqrt_minus_d(cls, d):
-        return cls(0, 1, d)
-
     def _coerce(self, other):
         if isinstance(other, QuadInt):
             if other.d != self.d:

@@ -21,12 +21,10 @@ from .polyring import (
     KNOWN_GENS,
     ZERO,
     BiPoly,
-    FpTables,
     MultiNf,
     RatFunc,
     _BadPrime,
     _as_ratfunc,
-    fp2_deg_x,
     fp2_deg_y,
     fp2_eval_x,
     fp2_res_deg_bound,
@@ -34,10 +32,9 @@ from .polyring import (
     fp2_shear,
     fp2_sub,
     fp_distinct_root_count,
-    fp_powers,
+    fp_interp_range,
     fp_resultant,
     fp_roots,
-    fp_trim,
     join_specs,
 )
 
@@ -404,9 +401,6 @@ def _route_count(F_fp, A_fp, B_fp, p, rng):
     counted over the algebraic closure by eliminating y with resultants
     after a random shear (the shear separates x-coordinates and feeds
     y-dependence into pure-x components)."""
-    # inverses and interpolation bases, shared by both shears and all
-    # trials
-    tables = FpTables(p)
     sheared = []
     for _ in range(8):
         lam = rng.randrange(1, p)
@@ -418,22 +412,14 @@ def _route_count(F_fp, A_fp, B_fp, p, rng):
         lc = Ft.get((0, dyt), 0)
         if not lc:
             continue
-        Ft = fp2_scale(Ft, tables[lc], p)
-        At = fp2_shear(A_fp, lam, p)
-        Bt = fp2_shear(B_fp, lam, p)
-        sheared.append((Ft, At, Bt))
+        Ft = fp2_scale(Ft, pow(lc, p - 2, p), p)
+        sheared.append((Ft, fp2_shear(A_fp, lam, p), fp2_shear(B_fp, lam, p)))
         if len(sheared) == 2:
             break
     if not sheared:
         raise _BadPrime("no usable shear")
     best = 0
     for Ft, At, Bt in sheared:
-        # F, A and B at each x0, evaluated once for all trials on one
-        # list of powers of x0; A and B padded to one length so that
-        # G(x0) = A(x0) - u0*B(x0) zips
-        width = max(fp2_deg_y(At), fp2_deg_y(Bt)) + 1
-        npow = max(fp2_deg_x(Ft), fp2_deg_x(At), fp2_deg_x(Bt)) + 1
-        at_x = {}
         for _ in range(_FIBER_TRIALS):
             u0 = rng.randrange(1, p)
             Gt = fp2_sub(At, fp2_scale(Bt, u0, p), p)
@@ -444,25 +430,14 @@ def _route_count(F_fp, A_fp, B_fp, p, rng):
                 raise _BadPrime(
                     "%d interpolation points do not exist mod %d" % (bound + 1, p)
                 )
-            vals = []
-            for x0 in range(bound + 1):
-                ev = at_x.get(x0)
-                if ev is None:
-                    xpow = fp_powers(x0, npow, p)
-                    a0 = fp2_eval_x(At, xpow, p)
-                    b0 = fp2_eval_x(Bt, xpow, p)
-                    ev = at_x[x0] = (
-                        fp2_eval_x(Ft, xpow, p),
-                        a0 + [0] * (width - len(a0)),
-                        b0 + [0] * (width - len(b0)),
-                    )
-                f0, a0, b0 = ev
-                g0 = fp_trim([(a - u0 * b) % p for a, b in zip(a0, b0)])
-                vals.append(fp_resultant(f0, g0, p, tables))
+            vals = [
+                fp_resultant(fp2_eval_x(Ft, x0, p), fp2_eval_x(Gt, x0, p), p)
+                for x0 in range(bound + 1)
+            ]
             if not any(vals):
                 continue
-            R = tables.interp(vals)
-            best = max(best, fp_distinct_root_count(R, p, tables))
+            R = fp_interp_range(vals, p)
+            best = max(best, fp_distinct_root_count(R, p))
     if best == 0:
         raise _BadPrime("no informative fiber sample")
     return best

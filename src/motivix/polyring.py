@@ -730,65 +730,6 @@ class RatFunc:
 # first)
 
 
-class FpTables(dict):
-    """Work the mod-p kernels share at one prime p: maps each residue
-    looked up to its inverse mod p, computed on first lookup, and keeps
-    the Lagrange bases built so far.  A caller keeps one for as long as
-    it works mod p; it grows with the work done, never with p."""
-
-    __slots__ = ("p", "_bases")
-
-    def __init__(self, p):
-        super().__init__()
-        self.p = p
-        self._bases = {}
-
-    def __missing__(self, a):
-        inv = self[a] = pow(a, self.p - 2, self.p)
-        return inv
-
-    def basis(self, n):
-        """The Lagrange basis for the nodes x = 0, 1, ..., n - 1 mod p,
-        built once per n in O(n^2): row j lists the coefficient of X^j in
-        each basis polynomial L_k = P(X) / ((X - k) * P'(k)), where
-        P = (X - 0)...(X - (n - 1)), P / (X - k) comes by synthetic
-        division and P'(k) = k! * (-1)^(n-1-k) * (n-1-k)!.  The nodes
-        must be distinct mod p, so n > p raises InvalidInput."""
-        rows = self._bases.get(n)
-        if rows is not None:
-            return rows
-        p = self.p
-        if n > p:
-            raise InvalidInput("interpolation nodes 0..%d agree mod %d" % (n - 1, p))
-        P = [1]
-        for k in range(n):
-            P = [(lo - k * hi) % p for lo, hi in zip([0] + P, P + [0])]
-        fact = [1] * n
-        for k in range(1, n):
-            fact[k] = fact[k - 1] * k % p
-        cols = []
-        for k in range(n):
-            w = self[fact[k] * fact[n - 1 - k] % p]
-            if (n - 1 - k) % 2:
-                w = p - w
-            q = [0] * n
-            q[n - 1] = 1
-            for i in range(n - 1, 0, -1):
-                q[i - 1] = (P[i] + k * q[i]) % p
-            cols.append([c * w % p for c in q])
-        rows = self._bases[n] = list(zip(*cols))
-        return rows
-
-    def interp(self, ys):
-        """The polynomial of degree below n = len(ys) taking the value
-        ys[k] at x = k for every k < n, as n dot products with the
-        Lagrange basis for those nodes."""
-        p = self.p
-        return fp_trim(
-            [sum(map(operator.mul, row, ys)) % p for row in self.basis(len(ys))]
-        )
-
-
 def fp_trim(f):
     while f and f[-1] == 0:
         f.pop()
@@ -800,12 +741,30 @@ def fp_scale(f, s, p):
     return fp_trim([c * s % p for c in f])
 
 
-def _fp_reduce(r, g, p, inv):
+def fp_interp_range(ys, p):
+    """The polynomial of degree below n = len(ys) taking the value ys[k]
+    at x = k for every k < n, by Newton's divided differences: at the
+    nodes 0, 1, ..., n - 1 each difference of order j divides by j.  The
+    nodes must be distinct mod p, so n > p raises InvalidInput."""
+    n = len(ys)
+    if n > p:
+        raise InvalidInput("interpolation nodes 0..%d agree mod %d" % (n - 1, p))
+    co = [y % p for y in ys]
+    for j in range(1, n):
+        inv = pow(j, p - 2, p)
+        co[j:] = [(b - a) * inv % p for a, b in zip(co[j - 1 :], co[j:])]
+    # Horner on the Newton form: poly <- poly * (X - k) + co[k]
+    poly = []
+    for k in range(n - 1, -1, -1):
+        poly = [(lo - k * hi) % p for lo, hi in zip([co[k]] + poly, poly + [0])]
+    return fp_trim(poly)
+
+
+def _fp_reduce(r, g, p):
     """r mod g, top-down in one pass, overwriting the list r and
-    returning it trimmed; g is trimmed and nonzero, and inv is the
-    FpTables of p."""
+    returning it trimmed; g is trimmed and nonzero."""
     dg = len(g) - 1
-    lead_inv = inv[g[-1]]
+    lead_inv = pow(g[-1], p - 2, p)
     for k in range(len(r) - 1 - dg, -1, -1):
         c = r[k + dg] * lead_inv % p
         if c:
@@ -815,7 +774,7 @@ def _fp_reduce(r, g, p, inv):
     return fp_trim(r)
 
 
-def _fp_mulmod(f, g, m, p, inv):
+def _fp_mulmod(f, g, m, p):
     """f * g mod m."""
     if not f or not g:
         return []
@@ -823,17 +782,17 @@ def _fp_mulmod(f, g, m, p, inv):
     for i, a in enumerate(f):
         for j, b in enumerate(g):
             out[i + j] += a * b
-    return _fp_reduce([c % p for c in out], m, p, inv)
+    return _fp_reduce([c % p for c in out], m, p)
 
 
-def _fp_powmod(f, e, m, p, inv):
+def _fp_powmod(f, e, m, p):
     """f^e mod m, for e >= 0 and m of positive degree."""
     out = [1]
-    base = _fp_reduce(list(f), m, p, inv)
+    base = _fp_reduce(list(f), m, p)
     while e:
         if e & 1:
-            out = _fp_mulmod(out, base, m, p, inv)
-        base = _fp_mulmod(base, base, m, p, inv)
+            out = _fp_mulmod(out, base, m, p)
+        base = _fp_mulmod(base, base, m, p)
         e >>= 1
     return out
 
@@ -842,16 +801,16 @@ def fp_deriv(f, p):
     return fp_trim([c * k % p for k, c in enumerate(f)][1:])
 
 
-def fp_gcd(f, g, p, inv):
+def fp_gcd(f, g, p):
     f, g = fp_trim(list(f)), fp_trim(list(g))
     while g:
-        f, g = g, _fp_reduce(f, g, p, inv)
+        f, g = g, _fp_reduce(f, g, p)
     if f:
-        f = fp_scale(f, inv[f[-1]], p)
+        f = fp_scale(f, pow(f[-1], p - 2, p), p)
     return f
 
 
-def fp_resultant(f, g, p, inv):
+def fp_resultant(f, g, p):
     f, g = fp_trim(list(f)), fp_trim(list(g))
     if not f or not g:
         return 0
@@ -865,7 +824,7 @@ def fp_resultant(f, g, p, inv):
                 res = -res % p
             f, g = g, f
             continue
-        r = _fp_reduce(f, g, p, inv)
+        r = _fp_reduce(f, g, p)
         if not r:
             return 0
         dr = len(r) - 1
@@ -875,13 +834,13 @@ def fp_resultant(f, g, p, inv):
         f, g = g, r
 
 
-def fp_distinct_root_count(f, p, inv):
+def fp_distinct_root_count(f, p):
     """Number of distinct roots of f over the algebraic closure: the
     degree of f divided by its repeated part."""
     f = fp_trim(list(f))
     if len(f) <= 1:
         return 0
-    rep = fp_gcd(f, fp_deriv(f, p), p, inv)
+    rep = fp_gcd(f, fp_deriv(f, p), p)
     return (len(f) - 1) - (len(rep) - 1)
 
 
@@ -893,29 +852,28 @@ def fp_roots(f, p):
     square, until one a splits h.  For an odd prime p some a < p does;
     at p = 2, or at a composite p, a split that never comes raises
     InvalidInput."""
-    inv = FpTables(p)
     f = fp_trim([c % p for c in f])
     if len(f) < 2:
         return []
-    xp = _fp_powmod([0, 1], p, f, p, inv)
+    xp = _fp_powmod([0, 1], p, f, p)
     xp += [0] * (2 - len(xp))
     xp[1] = (xp[1] - 1) % p
-    return sorted(_fp_split(fp_gcd(f, fp_trim(xp), p, inv), p, inv))
+    return sorted(_fp_split(fp_gcd(f, fp_trim(xp), p), p))
 
 
-def _fp_split(h, p, inv):
+def _fp_split(h, p):
     """The roots of a monic h that is a product of distinct linear
     factors over F_p."""
     if len(h) <= 2:
         return [-h[0] % p] if len(h) == 2 else []
     for a in range(p):
-        t = _fp_powmod([a, 1], (p - 1) // 2, h, p, inv) or [0]
-        s = fp_gcd(h, fp_trim([(t[0] - 1) % p] + t[1:]), p, inv)
+        t = _fp_powmod([a, 1], (p - 1) // 2, h, p) or [0]
+        s = fp_gcd(h, fp_trim([(t[0] - 1) % p] + t[1:]), p)
         if 1 < len(s) < len(h):
             # the other roots: r + a a non-square, or r = -a
             plus = fp_trim([(t[0] + 1) % p] + t[1:])
-            rest = fp_gcd(h, _fp_mulmod(plus, [a, 1], h, p, inv), p, inv)
-            return _fp_split(s, p, inv) + _fp_split(rest, p, inv)
+            rest = fp_gcd(h, _fp_mulmod(plus, [a, 1], h, p), p)
+            return _fp_split(s, p) + _fp_split(rest, p)
     raise InvalidInput("no a < %d splits the roots: not an odd prime" % p)
 
 
@@ -959,21 +917,11 @@ def fp2_shear(f, lam, p):
     return out
 
 
-def fp_powers(x0, n, p):
-    """[1, x0, ..., x0^(n-1)] mod p."""
-    out = [1] * n
-    for i in range(1, n):
-        out[i] = out[i - 1] * x0 % p
-    return out
-
-
-def fp2_eval_x(f, xpow, p):
-    """Evaluate x = x0, given as xpow = fp_powers(x0, n, p) for some n
-    above the x-degree of f: one list a caller shares between several
-    polynomials at the same x0.  Returns a dense list in y."""
+def fp2_eval_x(f, x0, p):
+    """Evaluate x = x0; returns a dense list in y."""
     out = [0] * (fp2_deg_y(f) + 1)
     for (i, j), c in f.items():
-        out[j] += c * xpow[i]
+        out[j] += c * pow(x0, i, p)
     return fp_trim([c % p for c in out])
 
 
@@ -1011,7 +959,7 @@ __all__ = [
     "fp_scale",
     "fp_deriv",
     "fp_gcd",
-    "FpTables",
+    "fp_interp_range",
     "fp_resultant",
     "fp_distinct_root_count",
     "fp_roots",

@@ -149,6 +149,38 @@ def test_exit_one_on_bad_json_numbers(capsys, tmp_path, g3_model):
     assert code == 1 and rep["error"]["kind"] == "InvalidInput"
 
 
+def test_exit_one_on_json_past_the_reader_limits(capsys, tmp_path, g3_model):
+    # nesting past the recursion limit and an integer past the digit
+    # limit are each one InvalidInput report naming the file, with exit 1
+    # and nothing on stderr, for a model file and for an --endo file
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000, encoding="utf-8")
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text("1" * 5000, encoding="utf-8")
+    for bad in (str(deep), str(long_int)):
+        for argv in (["decide", bad], ["av", "integrality", g3_model, "--endo", bad]):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            rep = json.loads(out)
+            assert (code, err) == (1, "")
+            assert sorted(rep) == ["command", "error", "version"]
+            assert rep["error"]["kind"] == "InvalidInput"
+            assert bad in rep["error"]["message"]
+
+
+def test_exit_one_on_an_unknown_model_key(capsys, tmp_path):
+    # a misspelt flag is refused by name, not read as absent: this g = 2
+    # model decides with exit 2 without it
+    g2 = model_to_dict(build_model(1, 2, glue=[(F(1, 5), F(1, 5))]))
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(dict(g2, maximal_ordr=True)), encoding="utf-8")
+    code, rep = run(capsys, "decide", str(path))
+    assert code == 1 and rep["error"]["kind"] == "InvalidInput"
+    assert "'maximal_ordr'" in rep["error"]["message"]
+    path.write_text(json.dumps(g2), encoding="utf-8")
+    assert run(capsys, "decide", str(path))[0] == 2
+
+
 def test_report_determinism(capsys, g3_model, tmp_path):
     code1 = main(["decide", g3_model, "--mode", "exhaustive"])
     out1 = capsys.readouterr().out

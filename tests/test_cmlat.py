@@ -172,7 +172,7 @@ def test_endo_from_rows_checks_d_once(monkeypatch):
     x = EndoQ.from_rows([[Rat(1, 2), 3], [QuadInt(0, 1, 7), 0]], 7)
     assert x.entry(0, 0) == QuadInt(Rat(1, 2), 0, 7)
     assert x.entry(0, 1).d == 7 and x.entry(0, 1).a == 3
-    assert x.entry(1, 0) == QuadInt.sqrt_minus_d(7)
+    assert x.entry(1, 0) == QuadInt(0, 1, 7)
     # the probes of a genus-10 model build their entries without
     # re-validating d per entry
     calls = []
@@ -305,7 +305,7 @@ def test_axiomatic_is_integral_rules():
     with pytest.raises(UnsupportedQuery, match=r"off-diagonal entry at \(1,2\)"):
         is_integral(m, EndoQ.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]], 1))
     with pytest.raises(UnsupportedQuery, match=r"entry \(1,1\) has a sqrt\(-d\) part"):
-        w = QuadInt.sqrt_minus_d(1)
+        w = QuadInt(0, 1, 1)
         is_integral(m, EndoQ.from_rows([[w, 0, 0], [0, w, 0], [0, 0, w]], 1))
 
 
@@ -609,6 +609,16 @@ def test_model_json_validation():
         model_from_dict({"d": 1, "g": 2, "mode": "weird"})
     with pytest.raises(InvalidInput):
         model_from_dict({"d": 1, "g": 2, "mode": "lattice", "glue": [[[1, 0], [0, 1]]]})
+
+
+def test_model_json_refuses_unknown_keys():
+    # the shape of the benchmark's lattice models loads; a misspelt key
+    # is named, not ignored
+    data = {"d": 3, "g": 2, "glue": [[[1, 5], [1, 5]]], "mode": "lattice",
+            "maximal_order": True}
+    assert model_from_dict(data).maximal_order
+    with pytest.raises(InvalidInput, match="unknown keys 'maximal_ordr', 'x'"):
+        model_from_dict(dict(data, maximal_ordr=True, x=0))
 
 
 def test_model_json_rejects_bools():

@@ -60,12 +60,12 @@ def oracle_det(rows):
 
 
 def test_quadint_basic():
-    w = QuadInt.sqrt_minus_d(5)
+    w = QuadInt(0, 1, 5)
     assert w * w == QuadInt(-5, 0, 5)
     x = QuadInt(Rat(1, 2), Rat(3), 5)
     assert x.conj().conj() == x
     assert x.norm() == Rat(1, 4) + 5 * 9
-    assert (x * x.inverse()) == QuadInt.one(5)
+    assert (x * x.inverse()) == QuadInt(1, 0, 5)
 
 
 def test_quadint_rejects_bad_d():
@@ -117,8 +117,8 @@ def test_quadint_bounds_d(monkeypatch):
 
 
 def test_quadint_checks_d_at_public_constructors_only(monkeypatch):
-    for bad in (lambda: QuadInt(1, 0, 4), lambda: QuadInt.zero(12),
-                lambda: QuadInt.one(0), lambda: QuadInt.sqrt_minus_d(18)):
+    for bad in (lambda: QuadInt(1, 0, 4), lambda: QuadInt(0, 0, 12),
+                lambda: QuadInt(1, 0, 0), lambda: QuadInt(0, 1, 18)):
         with pytest.raises(InvalidInput):
             bad()
     d = 10**8 + 7
@@ -154,7 +154,7 @@ def test_quadint_checks_d_at_public_constructors_only(monkeypatch):
     assert results["2/x"] * x == 2
     assert results["x**3"] == x * x * x
     assert results["x**-2"] * x * x == 1
-    assert results["inv"] * x == QuadInt.one(d)
+    assert results["inv"] * x == QuadInt(1, 0, d)
     assert checked == [d] * (len(want) + 1)
 
 
@@ -211,7 +211,7 @@ def test_matrix_algebra_random():
 
 def test_matrix_quadint_entries():
     d = 1
-    w = QuadInt.sqrt_minus_d(d)
+    w = QuadInt(0, 1, d)
     m = EndoQ.from_rows([[w, 0], [0, w]], d)
     minus_ident = EndoQ.from_rows([[-1, 0], [0, -1]], d)
     assert m * m == minus_ident
@@ -235,8 +235,8 @@ def test_solve_field():
     # over Q(sqrt(-2)) the second row is w times the first: x1 and x2 are
     # free and come back as QuadInt zeros
     d = 2
-    w = QuadInt.sqrt_minus_d(d)
-    one = QuadInt.one(d)
+    w = QuadInt(0, 1, d)
+    one = QuadInt(1, 0, d)
     rows = [[one, w, one], [w, QuadInt(-2, 0, d), w]]
     x = solve_field(rows, [one + w, w * (one + w)])
     assert x == [one + w, 0, 0]
@@ -276,7 +276,7 @@ def _sparse(make, zero):
 # Q(sqrt(-7)) and Q(cbrt4)
 RANDOM_SYSTEMS = (
     (3, 4, 30, _rand_rat),
-    (6, 7, 12, _sparse(_quad, QuadInt.zero(7))),
+    (6, 7, 12, _sparse(_quad, QuadInt(0, 0, 7))),
     (6, 7, 12, _sparse(_cbrt4, MultiNf.zero(("cbrt4",)))),
 )
 

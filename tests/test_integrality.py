@@ -38,7 +38,7 @@ def oracle_is_integral(m, x):
     for row in m.lattice.hbasis:
         w = [QuadInt(F(row[2 * i], den), F(row[2 * i + 1], den), m.d) for i in range(m.g)]
         y = [
-            sum((x.entry(i, j) * w[j] for j in range(m.g)), QuadInt.zero(m.d))
+            sum((x.entry(i, j) * w[j] for j in range(m.g)), QuadInt(0, 0, m.d))
             for i in range(m.g)
         ]
         if not m.lattice.contains([q for e in y for q in (e.a, e.b)]):

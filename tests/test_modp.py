@@ -1,7 +1,7 @@
 """The mod-p toolkit under the degree oracle, against plain-definition
 oracles: resultants against Sylvester determinants, reduction against
-long division, the Lagrange basis against Newton interpolation, roots
-against a scan of F_p, the resultant degree bound, and the fiber count
+long division, the interpolation at 0..n-1 against Newton interpolation
+at any nodes, roots against a scan of F_p, the resultant degree bound, and the fiber count
 against the loop it replaced."""
 
 import random
@@ -22,7 +22,6 @@ from motivix.fermat import (
 )
 from motivix.polyring import (
     BiPoly,
-    FpTables,
     MultiNf,
     RatFunc,
     _BadPrime,
@@ -35,7 +34,7 @@ from motivix.polyring import (
     fp2_sub,
     _fp_reduce,
     fp_distinct_root_count,
-    fp_powers,
+    fp_interp_range,
     fp_resultant,
     fp_roots,
     fp_trim,
@@ -46,8 +45,8 @@ P = 1009
 
 
 def fp_interp(xs, ys, p):
-    """Newton interpolation, the reference for the oracle's Lagrange
-    basis; xs distinct mod p, else InvalidInput.  Each distinct
+    """Newton interpolation, the reference for the oracle's
+    fp_interp_range; xs distinct mod p, else InvalidInput.  Each distinct
     difference xs[k] - xs[k - j] is inverted once."""
     n = len(xs)
     if len({x % p for x in xs}) != n:
@@ -65,11 +64,6 @@ def fp_interp(xs, ys, p):
         a = xs[k]
         poly = [(lo - a * hi) % p for lo, hi in zip([co[k]] + poly, poly + [0])]
     return fp_trim(poly)
-
-
-def eval_x(f, x0, p):
-    """f at x = x0, a dense list in y."""
-    return fp2_eval_x(f, fp_powers(x0, fp2_deg_x(f) + 1, p), p)
 
 
 def det_mod_p(rows, p):
@@ -148,16 +142,15 @@ def test_fp_resultant_matches_sylvester_determinant():
             if tf and tg
             else 0
         )
-        assert fp_resultant(f, g, P, FpTables(P)) == want
+        assert fp_resultant(f, g, P) == want
     # constants, and the zero polynomial on either side
-    tables = FpTables(P)
-    assert fp_resultant([3], [5], P, tables) == 1
-    assert fp_resultant([3], [1, 2, 1], P, tables) == 9
-    assert fp_resultant([1, 2, 1], [3], P, tables) == 9
-    assert fp_resultant([], [1, 1], P, tables) == fp_resultant([1, 1], [0, 0], P, tables) == 0
+    assert fp_resultant([3], [5], P) == 1
+    assert fp_resultant([3], [1, 2, 1], P) == 9
+    assert fp_resultant([1, 2, 1], [3], P) == 9
+    assert fp_resultant([], [1, 1], P) == fp_resultant([1, 1], [0, 0], P) == 0
     # a common root gives 0: (X - 2)(X - 3) against (X - 3)(X + 1)
     assert fp_resultant(
-        poly_mul([-2 % P, 1], [-3 % P, 1], P), poly_mul([-3 % P, 1], [1, 1], P), P, tables
+        poly_mul([-2 % P, 1], [-3 % P, 1], P), poly_mul([-3 % P, 1], [1, 1], P), P
     ) == 0
 
 
@@ -171,7 +164,7 @@ def test_fp_resultant_of_monic_f_ignores_degree_drop_in_g():
         f = random_poly(rng, m - 1, P) + [1]
         drop = rng.randrange(1, n + 1)
         g = random_poly(rng, n - drop, P) + [0] * drop
-        assert fp_resultant(f, g, P, FpTables(P)) == sylvester_resultant(f, g, m, n, P)
+        assert fp_resultant(f, g, P) == sylvester_resultant(f, g, m, n, P)
 
 
 def long_division_remainder(f, g, p):
@@ -195,13 +188,13 @@ def test_fp_reduce_leaves_a_short_remainder_of_the_same_class():
             continue
         if rng.random() < 0.2:
             f = f + [0, 0]
-        r = _fp_reduce(list(f), g, P, FpTables(P))
+        r = _fp_reduce(list(f), g, P)
         assert r == fp_trim(list(r))
         assert len(r) < len(g)
         n = max(len(f), len(r))
         diff = [(a - b) % P for a, b in zip(f + [0] * (n - len(f)), r + [0] * (n - len(r)))]
         assert long_division_remainder(diff, g, P) == []
-    assert _fp_reduce([1, 2], [0, 0, 5], P, FpTables(P)) == [1, 2]
+    assert _fp_reduce([1, 2], [0, 0, 5], P) == [1, 2]
 
 
 def test_fp_interp_round_trip_on_scattered_points():
@@ -226,66 +219,59 @@ def test_fp_interp_rejects_points_equal_mod_p():
     with pytest.raises(InvalidInput):
         fp_interp([3, 1, 2, 3], [0, 0, 0, 0], P)
     assert fp_interp([0, 6], [1, 2], 7) == [1, 6]
-    # the nodes 0..n-1 of the oracle's basis exist mod p only for n <= p
+    # the nodes 0..n-1 of the oracle's interpolation exist mod p only
+    # for n <= p
     with pytest.raises(InvalidInput, match="agree mod 7"):
-        FpTables(7).basis(8)
-    with pytest.raises(InvalidInput, match="agree mod 7"):
-        FpTables(7).interp([1] * 8)
-    assert FpTables(7).interp([1, 2, 3, 4, 5, 6, 0]) == [1, 1]
+        fp_interp_range([1] * 8, 7)
+    assert fp_interp_range([1, 2, 3, 4, 5, 6, 0], 7) == [1, 1]
+    assert fp_interp_range([], 7) == []
 
 
-def test_lagrange_basis_matches_newton_interpolation():
-    """FpTables.interp, through the basis for the nodes 0..n-1, gives the
-    Newton polynomial for every n up to 40, at primes above the oracle's
-    floor, on values that reuse each table many times."""
+def test_interp_range_matches_newton_interpolation():
+    """fp_interp_range, at the nodes 0..n-1, gives the Newton polynomial
+    for every n up to 40, at primes above the oracle's floor; on unit
+    values it gives the Lagrange basis, 1 at one node and 0 elsewhere."""
     rng = random.Random(70107)
     for p in (307, 331, 1009, 7919, 1000000007):
-        tables = FpTables(p)
         for n in range(1, 41):
-            basis = tables.basis(n)
-            for k in range(n):  # basis polynomial k is 1 at k, 0 elsewhere
-                L = fp_trim([row[k] for row in basis])
-                assert [poly_eval(L, x0, p) for x0 in range(n)] == [
-                    int(x0 == k) for x0 in range(n)
-                ]
+            for k in range(n) if n in (1, 2, 3, 20, 40) else ():
+                unit = [int(x0 == k) for x0 in range(n)]
+                L = fp_interp_range(unit, p)
+                assert [poly_eval(L, x0, p) for x0 in range(n)] == unit
             for _ in range(3):
                 ys = [rng.randrange(p) for _ in range(n)]
                 if rng.random() < 0.3:  # a low degree: the result trims
                     low = random_poly(rng, rng.randrange(n), p)
                     ys = [poly_eval(low, x0, p) for x0 in range(n)]
-                assert tables.interp(ys) == fp_interp(range(n), ys, p)
-        assert sorted(tables._bases) == list(range(1, 41))
+                assert fp_interp_range(ys, p) == fp_interp(range(n), ys, p)
 
 
-def test_tables_memoize_inverses_without_changing_answers():
+def test_distinct_root_count_matches_a_scan_of_split_polynomials():
+    """fp_distinct_root_count on products of linear factors, repeats
+    allowed, counts each root once."""
     rng = random.Random(70108)
     for p in (331, 1009):
-        tables = FpTables(p)
         for _ in range(300):
-            f = random_poly(rng, rng.randrange(0, 8), p)
-            g = random_poly(rng, rng.randrange(0, 8), p)
-            assert fp_resultant(f, g, p, tables) == fp_resultant(f, g, p, FpTables(p))
-            assert (fp_distinct_root_count(f, p, tables)
-                    == fp_distinct_root_count(f, p, FpTables(p)))
-        assert all(a * inv % p == 1 for a, inv in tables.items())
-        assert len(tables) < p
+            f = [rng.randrange(1, p)]
+            for _ in range(rng.randrange(0, 8)):
+                f = poly_mul(f, [rng.randrange(p), 1], p)
+            assert fp_distinct_root_count(f, p) == len(scan_roots(f, p))
+    assert fp_distinct_root_count([], P) == fp_distinct_root_count([5], P) == 0
 
 
-def test_eval_on_shared_powers():
+def test_eval_x_matches_the_term_by_term_sum():
     rng = random.Random(70110)
     for _ in range(100):
         dy = rng.randrange(0, 4)
         F = random_bivariate(rng, dy + rng.randrange(0, 5), dy, False, P)
         x0 = rng.randrange(P)
-        xpow = fp_powers(x0, fp2_deg_x(F) + 1 + rng.randrange(3), P)
-        assert xpow == [pow(x0, i, P) for i in range(len(xpow))]
         want = fp_trim(
             [
                 sum(c * pow(x0, i, P) for (i, jj), c in F.items() if jj == j) % P
                 for j in range(fp2_deg_y(F) + 1)
             ]
         )
-        assert fp2_eval_x(F, xpow, P) == eval_x(F, x0, P) == want
+        assert fp2_eval_x(F, x0, P) == want
 
 
 def scan_roots(f, p):
@@ -412,7 +398,7 @@ def random_bivariate(rng, total, ydeg, monic, p):
 def res_y_at(F, G, x0, p):
     m, n = fp2_deg_y(F), fp2_deg_y(G)
     return sylvester_resultant(
-        eval_x(F, x0, p), eval_x(G, x0, p), m, n, p
+        fp2_eval_x(F, x0, p), fp2_eval_x(G, x0, p), m, n, p
     )
 
 
@@ -445,7 +431,7 @@ def test_resultant_degree_bound():
             # the oracle's evaluation: resultants of the specialized
             # polynomials, whose y-degree in G may drop
             vals = [
-                fp_resultant(eval_x(F, x0, P), eval_x(G, x0, P), P, FpTables(P))
+                fp_resultant(fp2_eval_x(F, x0, P), fp2_eval_x(G, x0, P), P)
                 for x0 in range(classical + 1)
             ]
             assert fp_interp(range(bound + 1), vals[: bound + 1], P) == R
@@ -487,13 +473,13 @@ def old_route_count(F_fp, A_fp, B_fp, p, rng, trials=6):
                 continue
             xs = list(range(dxF * dyG + dxG * dyF + 1))
             vals = [
-                fp_resultant(eval_x(Ft, x0, p), eval_x(Gt, x0, p), p, FpTables(p))
+                fp_resultant(fp2_eval_x(Ft, x0, p), fp2_eval_x(Gt, x0, p), p)
                 for x0 in xs
             ]
             if not any(vals):
                 continue
             R = fp_interp(xs, vals, p)
-            best = max(best, fp_distinct_root_count(R, p, FpTables(p)))
+            best = max(best, fp_distinct_root_count(R, p))
     if best == 0:
         raise _BadPrime("no informative fiber sample")
     return best
@@ -550,15 +536,15 @@ def test_route_count_matches_the_previous_loop():
 
 
 def recording_interp(monkeypatch):
-    """Record (point count, p) of every FpTables.interp call."""
+    """Record (point count, p) of every interpolation the oracle runs."""
     seen = []
-    real = FpTables.interp
+    real = fermat.fp_interp_range
 
-    def recording(tables, ys):
-        seen.append((len(ys), tables.p))
-        return real(tables, ys)
+    def recording(ys, p):
+        seen.append((len(ys), p))
+        return real(ys, p)
 
-    monkeypatch.setattr(FpTables, "interp", recording)
+    monkeypatch.setattr(fermat, "fp_interp_range", recording)
     return seen
 
 
@@ -579,9 +565,9 @@ def test_degree_oracle_resultant_count(monkeypatch):
     drawn = []
     real_primes = fermat._oracle_primes
 
-    def counting(f, g, p, inv):
+    def counting(f, g, p):
         calls[0] += 1
-        return fp_resultant(f, g, p, inv)
+        return fp_resultant(f, g, p)
 
     def counting_primes():
         for p in real_primes():
@@ -610,9 +596,9 @@ def test_degree_counts_mod_p_only_the_routes_in_y(monkeypatch):
     routes = []
     real_route = fermat._route_count
 
-    def counting(f, g, p, inv):
+    def counting(f, g, p):
         calls[0] += 1
-        return fp_resultant(f, g, p, inv)
+        return fp_resultant(f, g, p)
 
     def recording(F_fp, A_fp, B_fp, p, rng):
         before = calls[0]
@@ -651,15 +637,15 @@ def test_degree_oracle_rejects_primes_below_its_point_count(monkeypatch):
     """phi2 twisted by swap(y, z) has u = 1/(cbrt4 x^2 y^2) counted
     exactly, and its v = (x^6 - y^6)/(2x^3y^3) route mod p interpolates
     at 37 points.  Mod 7, 13 and 31 there are no 37 distinct points:
-    such a prime is rejected, not interpolated at (FpTables(31).basis(32)
-    raises InvalidInput).  The twist's cube root of 4 sits in its exact
+    such a prime is rejected, not interpolated at (fp_interp_range on 32
+    values mod 31 raises InvalidInput).  The twist's cube root of 4 sits in its exact
     route, so no prime is rejected for want of one."""
     seen = recording_interp(monkeypatch)
     twist = compose_with_perm(c6_generator_morphisms()[1], (0, 2, 1))
     assert degree(twist, primes=[7, 13, 31, 43, 109, 127, 157]) == 12
     assert seen and all(n <= p for n, p in seen)
     with pytest.raises(InvalidInput):
-        FpTables(31).basis(32)
+        fp_interp_range([0] * 32, 31)
 
 
 def test_route_count_cross_checks_the_monomial_route():

@@ -29,15 +29,54 @@ def test_all_names_resolve():
     assert missing == []
 
 
+def _bench_module(name):
+    """benchmarks/<name>.py, loaded by path: the directory is no package."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / (name + ".py")
+    spec = importlib.util.spec_from_file_location("motivix_bench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_spans_resolve():
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("motivix_bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _bench_module("tracing")
     pairs = [pair for targets in tracing.SPANS.values() for pair in targets]
     assert pairs
     for mod, attr in pairs:
         assert callable(_resolve(importlib.import_module("motivix." + mod), attr)), (mod, attr)
+
+
+def test_benchmark_workloads_run_untraced_and_traced(tmp_path):
+    """Every op of both workloads, at their small size, passes its own
+    check untraced and then with the tracer installed, with the same
+    digest; uninstalling restores every wrapped callable."""
+    workloads = _bench_module("workloads")
+    tracing = _bench_module("tracing")
+    modules = {"motivix": motivix}
+    for name in SUBMODULES:
+        modules["motivix." + name] = importlib.import_module("motivix." + name)
+    pkg = workloads.Package(modules)
+    resultant = modules["motivix.polyring"].fp_resultant
+    for workload, make in workloads.WORKLOADS.items():
+        _, ops = make(pkg, 1, str(tmp_path / workload), small=True)
+        untraced = [op.check(op.run())[0] for op in ops]
+        tracer = tracing.Tracer()
+        tracer.install(modules)
+        try:
+            traced = []
+            for op_id, op in enumerate(ops):
+                tracer.begin_op(op_id)
+                output = op.run()
+                tracer.end_op()
+                traced.append(op.check(output)[0])
+        finally:
+            tracer.uninstall()
+        assert traced == untraced, workload
+        calls = tracer.layer_totals(range(len(ops)))
+        assert calls["decomp.decide"]["calls"] >= len(ops), workload
+    assert calls["fermat.degree"]["calls"] == 3
+    assert modules["motivix.polyring"].fp_resultant is resultant
+    assert modules["motivix.fermat"].fp_resultant is resultant
 
 
 def test_no_bare_assert_in_the_package():
@@ -52,7 +91,7 @@ def test_no_bare_assert_in_the_package():
 
 
 # the constructors that re-check d by trial division to sqrt(d)
-VALIDATING = {"QuadInt": ("zero", "one", "sqrt_minus_d", "check_d"), "EndoQ": ("from_rows",)}
+VALIDATING = {"QuadInt": ("check_d",), "EndoQ": ("from_rows",)}
 
 
 def validating_calls(tree):
