@@ -310,9 +310,11 @@ def build_model(d, g, glue=(), mode=LATTICE, exponents=None,
     glue_vecs = tuple(_coerce_glue_vector(v, g, d) for v in glue)
     den = math.lcm(*(q.denominator for v in glue_vecs for x in v for q in (x.a, x.b)))
     if den > MAX_GLUE_DENOMINATOR:
+        # the bit length, since a long denominator has too many digits
+        # to print
         raise InvalidInput(
-            "glue coordinates have common denominator %d > %d"
-            % (den, MAX_GLUE_DENOMINATOR)
+            "glue coordinates have a common denominator of %d bits, above %d"
+            % (den.bit_length(), MAX_GLUE_DENOMINATOR)
         )
     if exponents is not None:
         exponents = tuple(exponents)

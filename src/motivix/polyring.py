@@ -1,6 +1,5 @@
 """Bivariate polynomial and rational-function arithmetic over small
-constant fields, plus the mod-p univariate toolkit behind the
-finite-field degree oracle.
+constant fields, plus the univariate resultant mod p.
 
 Scalars live in Q(eps, cbrt4, i), presented as a product of univariate
 quotients (eps^2 = eps - 1, cbrt4^3 = 4, i^2 = -1).  Each value carries
@@ -27,10 +26,6 @@ KNOWN_GENS = (
 _GEN_INDEX = {name: k for k, (name, _) in enumerate(KNOWN_GENS)}
 _GEN_POLY = {name: poly for name, poly in KNOWN_GENS}
 _GEN_DEG = {name: len(poly) - 1 for name, poly in KNOWN_GENS}
-
-
-class _BadPrime(Exception):
-    """Internal: the chosen prime cannot host this computation."""
 
 
 def check_spec(spec):
@@ -305,19 +300,7 @@ class MultiNf:
         lifted = self.lift(tuple(n for n, _ in KNOWN_GENS))
         return hash(frozenset(lifted.c.items()))
 
-    # -- output / reduction
-
-    def map_fp(self, p, assign):
-        """Image in F_p sending each generator to assign[name]."""
-        total = 0
-        for exps, q in self.c.items():
-            if q.denominator % p == 0:
-                raise _BadPrime("denominator divisible by %d" % p)
-            t = q.numerator * pow(q.denominator, p - 2, p)
-            for name, e in zip(self.spec, exps):
-                t = t * pow(assign[name], e, p)
-            total += t
-        return total % p
+    # -- output
 
     def __repr__(self):
         if not self.c:
@@ -569,14 +552,6 @@ class BiPoly:
             return RatFunc._make(BiPoly._make({}), _ONE_POLY)
         return RatFunc._make(BiPoly._make(num), product((b, dx), (d, dy)))
 
-    def map_fp(self, p, assign):
-        out = {}
-        for k, v in self.c.items():
-            t = v.map_fp(p, assign)
-            if t:
-                out[k] = t
-        return out
-
     def __repr__(self):
         if not self.c:
             return "0"
@@ -726,38 +701,15 @@ class RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# mod-p univariate toolkit (dense lists of residues in range(p), low degree
-# first)
+# the resultant mod p (dense lists of residues in range(p), low degree
+# first).  No package code calls it: the tests' finite-field degree
+# oracle builds on it, and the benchmark tracer wraps it by this name.
 
 
 def fp_trim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def fp_scale(f, s, p):
-    s %= p
-    return fp_trim([c * s % p for c in f])
-
-
-def fp_interp_range(ys, p):
-    """The polynomial of degree below n = len(ys) taking the value ys[k]
-    at x = k for every k < n, by Newton's divided differences: at the
-    nodes 0, 1, ..., n - 1 each difference of order j divides by j.  The
-    nodes must be distinct mod p, so n > p raises InvalidInput."""
-    n = len(ys)
-    if n > p:
-        raise InvalidInput("interpolation nodes 0..%d agree mod %d" % (n - 1, p))
-    co = [y % p for y in ys]
-    for j in range(1, n):
-        inv = pow(j, p - 2, p)
-        co[j:] = [(b - a) * inv % p for a, b in zip(co[j - 1 :], co[j:])]
-    # Horner on the Newton form: poly <- poly * (X - k) + co[k]
-    poly = []
-    for k in range(n - 1, -1, -1):
-        poly = [(lo - k * hi) % p for lo, hi in zip([co[k]] + poly, poly + [0])]
-    return fp_trim(poly)
 
 
 def _fp_reduce(r, g, p):
@@ -772,42 +724,6 @@ def _fp_reduce(r, g, p):
                 r[k + t] = (r[k + t] - c * g[t]) % p
     del r[dg:]
     return fp_trim(r)
-
-
-def _fp_mulmod(f, g, m, p):
-    """f * g mod m."""
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return _fp_reduce([c % p for c in out], m, p)
-
-
-def _fp_powmod(f, e, m, p):
-    """f^e mod m, for e >= 0 and m of positive degree."""
-    out = [1]
-    base = _fp_reduce(list(f), m, p)
-    while e:
-        if e & 1:
-            out = _fp_mulmod(out, base, m, p)
-        base = _fp_mulmod(base, base, m, p)
-        e >>= 1
-    return out
-
-
-def fp_deriv(f, p):
-    return fp_trim([c * k % p for k, c in enumerate(f)][1:])
-
-
-def fp_gcd(f, g, p):
-    f, g = fp_trim(list(f)), fp_trim(list(g))
-    while g:
-        f, g = g, _fp_reduce(f, g, p)
-    if f:
-        f = fp_scale(f, pow(f[-1], p - 2, p), p)
-    return f
 
 
 def fp_resultant(f, g, p):
@@ -834,121 +750,6 @@ def fp_resultant(f, g, p):
         f, g = g, r
 
 
-def fp_distinct_root_count(f, p):
-    """Number of distinct roots of f over the algebraic closure: the
-    degree of f divided by its repeated part."""
-    f = fp_trim(list(f))
-    if len(f) <= 1:
-        return 0
-    rep = fp_gcd(f, fp_deriv(f, p), p)
-    return (len(f) - 1) - (len(rep) - 1)
-
-
-def fp_roots(f, p):
-    """The distinct roots of f in F_p, ascending.  They are the roots of
-    h = gcd(X^p - X, f), found with O(log p) products mod h per step and
-    no scan of F_p: for a = 0, 1, ... the factor
-    gcd(h, (X + a)^((p-1)/2) - 1) holds the roots r with r + a a nonzero
-    square, until one a splits h.  For an odd prime p some a < p does;
-    at p = 2, or at a composite p, a split that never comes raises
-    InvalidInput."""
-    f = fp_trim([c % p for c in f])
-    if len(f) < 2:
-        return []
-    xp = _fp_powmod([0, 1], p, f, p)
-    xp += [0] * (2 - len(xp))
-    xp[1] = (xp[1] - 1) % p
-    return sorted(_fp_split(fp_gcd(f, fp_trim(xp), p), p))
-
-
-def _fp_split(h, p):
-    """The roots of a monic h that is a product of distinct linear
-    factors over F_p."""
-    if len(h) <= 2:
-        return [-h[0] % p] if len(h) == 2 else []
-    for a in range(p):
-        t = _fp_powmod([a, 1], (p - 1) // 2, h, p) or [0]
-        s = fp_gcd(h, fp_trim([(t[0] - 1) % p] + t[1:]), p)
-        if 1 < len(s) < len(h):
-            # the other roots: r + a a non-square, or r = -a
-            plus = fp_trim([(t[0] + 1) % p] + t[1:])
-            rest = fp_gcd(h, _fp_mulmod(plus, [a, 1], h, p), p)
-            return _fp_split(s, p) + _fp_split(rest, p)
-    raise InvalidInput("no a < %d splits the roots: not an odd prime" % p)
-
-
-# bivariate mod-p values are dicts {(i, j): coeff}
-
-
-def fp2_sub(f, g, p):
-    out = dict(f)
-    for k, c in g.items():
-        v = (out.get(k, 0) - c) % p
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
-
-
-def fp2_scale(f, s, p):
-    s %= p
-    return {k: c * s % p for k, c in f.items() if c * s % p}
-
-
-def fp2_shear(f, lam, p):
-    """Substitute x -> x + lam*y."""
-    out = {}
-    for (i, j), c in f.items():
-        row = {0: 1}
-        for _ in range(i):
-            nxt = {}
-            for k, b in row.items():
-                nxt[k] = (nxt.get(k, 0) + b) % p
-                nxt[k + 1] = (nxt.get(k + 1, 0) + b * lam) % p
-            row = nxt
-        for k, b in row.items():
-            key = (i - k, j + k)
-            v = (out.get(key, 0) + c * b) % p
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
-
-
-def fp2_eval_x(f, x0, p):
-    """Evaluate x = x0; returns a dense list in y."""
-    out = [0] * (fp2_deg_y(f) + 1)
-    for (i, j), c in f.items():
-        out[j] += c * pow(x0, i, p)
-    return fp_trim([c % p for c in out])
-
-
-def fp2_deg_x(f):
-    return max((i for (i, _) in f), default=-1)
-
-
-def fp2_deg_y(f):
-    return max((j for (_, j) in f), default=-1)
-
-
-def fp2_res_deg_bound(f, g):
-    """An upper bound on deg_x Res_y(f, g): the smaller of the classical
-    dx(f)*dy(g) + dx(g)*dy(f) and M*n + m*N - m*n, where M, N are the
-    total and m, n the y-degrees of f, g.  For the second, the Sylvester
-    entry in the row of y^k * f and the column of y^e is the coefficient
-    of y^(e-k) in f, of x-degree at most (M + k) - e; likewise for g.
-    Summing the row weights M + k (k < n) and N + k (k < m) and
-    subtracting every e < m + n gives M*n + m*N - m*n, which is
-    M*N - (M - m)*(N - n)."""
-    m, n = fp2_deg_y(f), fp2_deg_y(g)
-    classical = fp2_deg_x(f) * n + fp2_deg_x(g) * m
-    M = max(i + j for (i, j) in f)
-    N = max(i + j for (i, j) in g)
-    return min(classical, M * n + m * N - m * n)
-
-
 __all__ = [
     "KNOWN_GENS",
     "MultiNf",
@@ -956,18 +757,5 @@ __all__ = [
     "RatFunc",
     "join_specs",
     "fp_trim",
-    "fp_scale",
-    "fp_deriv",
-    "fp_gcd",
-    "fp_interp_range",
     "fp_resultant",
-    "fp_distinct_root_count",
-    "fp_roots",
-    "fp2_sub",
-    "fp2_scale",
-    "fp2_shear",
-    "fp2_eval_x",
-    "fp2_deg_x",
-    "fp2_deg_y",
-    "fp2_res_deg_bound",
 ]

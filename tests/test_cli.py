@@ -168,6 +168,26 @@ def test_exit_one_on_json_past_the_reader_limits(capsys, tmp_path, g3_model):
             assert bad in rep["error"]["message"]
 
 
+def test_exit_one_on_a_glue_denominator_too_long_to_print(capsys, tmp_path):
+    # two 3,001-digit denominators, each within the JSON reader's digit
+    # limit, have an lcm of about 6,000 digits: the refusal quotes its
+    # bit length, not its decimal digits
+    path = tmp_path / "long_den.json"
+    glue = [[[1, 10 ** 3000 + 1], [1, 10 ** 3000 + 3]]]
+    path.write_text(json.dumps({"d": 1, "g": 2, "mode": "lattice", "glue": glue}),
+                    encoding="utf-8")
+    code = main(["decide", str(path)])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert (code, err) == (1, "")
+    assert sorted(rep) == ["command", "error", "version"]
+    assert rep["error"] == {
+        "kind": "InvalidInput",
+        "message": "glue coordinates have a common denominator of 19932 bits, "
+                   "above 1000000",
+    }
+
+
 def test_exit_one_on_an_unknown_model_key(capsys, tmp_path):
     # a misspelt flag is refused by name, not read as absent: this g = 2
     # model decides with exit 2 without it
@@ -341,18 +361,14 @@ def test_fermat_commands(capsys, tmp_path):
     assert rep["results"]["g"] == 10
 
 
-def test_fermat_degrees_draw_no_prime(capsys, monkeypatch):
-    """Every generator degree is exact, so `fermat degrees` and `fermat
-    instance` run with the default prime stream failing, and print the
-    reports pinned here by their SHA-256 (the same bytes as when phi2's
-    u was counted mod p)."""
+def test_fermat_degrees_draw_no_prime(capsys):
+    """Every degree is exact and fermat keeps no prime stream, so `fermat
+    degrees` and `fermat instance` draw no prime, and print the reports
+    pinned here by their SHA-256 (the same bytes as when phi2's u was
+    counted mod p)."""
     from motivix import fermat
 
-    def no_primes():
-        raise AssertionError("a prime was drawn")
-        yield
-
-    monkeypatch.setattr(fermat, "_oracle_primes", no_primes)
+    assert not any(hasattr(fermat, name) for name in ("_oracle_primes", "random"))
     pinned = {
         "degrees": "81f417a6563e96a938a2da0447fffcf73e27dddc2b1dcb3aeaa755b60571d17c",
         "instance": "4950f8d775f0a4865ce24a0efc72f20846e608341450b8c8680c7c07015d77b8",

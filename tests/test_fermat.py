@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import modp_oracle
 import motivix
 from motivix import fermat, polyring
 from motivix.decomp import INDECOMPOSABLE, PROOFTRACE, decide
@@ -732,13 +733,15 @@ def test_degree_oracle():
     assert degree(phi2) == 12
     assert degree(phi3) == 4
     # a coordinate twist cannot change the degree; swap(y, z) gives
-    # phi2 the mixed v = (x^6 - y^6)/(2x^3y^3), counted modulo primes
+    # phi2 the mixed v = (x^6 - y^6)/(2x^3y^3), counted on the Newton
+    # polygon like the monomials
     twist = compose_with_perm(phi2, (0, 2, 1))
     assert degree(compose_with_perm(phi2, (1, 0, 2))) == degree(twist) == 12
-    # stable under an explicit, disjoint prime supply
+    # the prime supply is unused; the tests' oracle draws from it
     assert degree(twist, primes=[433, 439, 457, 463, 487, 499]) == 12
+    assert degree(twist, primes=[]) == 12
     with pytest.raises(OracleError):
-        degree(twist, primes=[])
+        modp_oracle.degree(twist, "v", primes=[])
 
 
 def test_degree_of_every_instance_morphism():
@@ -764,9 +767,11 @@ def test_degree_counts_components_in_x_exactly():
     assert fermat._exact_fiber_count(unreduced, W6) == 12
     assert degree(CurveMorphism(W6, E1, unreduced, Y**3)) == 6
     # phi2 twisted by swap(y, z) has v = (x^6 - y^6)/(2x^3y^3), in both
-    # variables and not a monomial
+    # variables and not a monomial, counted on the Newton polygon; with
+    # neither part a monomial there is no exact count
     twist = compose_with_perm(c6_generator_morphisms()[1], (0, 2, 1))
-    assert fermat._exact_fiber_count(fermat._strip_monomial(twist.v), W6) is None
+    assert fermat._exact_fiber_count(fermat._strip_monomial(twist.v), W6) == 36
+    assert fermat._exact_fiber_count(RatFunc(X + Y, X - Y + 1), W6) is None
     # a constant component has no generic fiber: it fails, never gives 0
     for u in (RatFunc.const(1), RatFunc(X, X)):
         with pytest.raises(OracleError, match="constant component"):
@@ -774,10 +779,12 @@ def test_degree_counts_components_in_x_exactly():
 
 
 def test_degree_cross_checks_the_exact_route_mod_p(monkeypatch):
-    """phi2 twisted by swap(y, z) has its u = 1/(cbrt4 x^2 y^2) counted
-    exactly and its v mod p.  The exact route, shifted to degree
-    26 / 2 = 13, disagrees with the mod-p route at every prime: the
-    oracle gives up and returns nothing."""
+    """The oracle takes the u = 1/(cbrt4 x^2 y^2) of phi2 twisted by
+    swap(y, z) exactly and counts its v mod p.  The exact route, shifted
+    to degree 26 / 2 = 13, disagrees with the mod-p route at every
+    prime: the oracle gives up and returns nothing.  fermat.degree,
+    whose v count shifts to 38, refuses a count that 3 does not
+    divide."""
     twist = compose_with_perm(c6_generator_morphisms()[1], (0, 2, 1))
     real = fermat._exact_fiber_count
 
@@ -787,6 +794,8 @@ def test_degree_cross_checks_the_exact_route_mod_p(monkeypatch):
 
     monkeypatch.setattr(fermat, "_exact_fiber_count", shifted)
     with pytest.raises(OracleError, match="did not stabilize"):
+        modp_oracle.degree(twist, "v")
+    with pytest.raises(VerificationError, match="38 not divisible by 3"):
         degree(twist)
 
 
@@ -799,7 +808,7 @@ def test_degree_counts_components_in_y_exactly():
     assert fermat._exact_fiber_count(unreduced, W6) == 18
     assert degree(CurveMorphism(W6, E1, -(X**2), unreduced)) == 6
     # on y^2 + xy + 1 the leading x-coefficient is y: a component in y
-    # alone goes mod p there, one in x alone is still exact
+    # alone has no exact count there, one in x alone is still exact
     conic = PlaneCurve(Y**2 + X * Y + 1)
     assert fermat._exact_fiber_count(RatFunc.var_y(), conic) is None
     assert fermat._exact_fiber_count(RatFunc.var_x(), conic) == 2
@@ -847,14 +856,20 @@ def test_degree_counts_monomials_on_the_newton_polygon():
     phi2 = c6_generator_morphisms()[1]
     W6 = phi2.source
     assert fermat._exact_fiber_count(phi2.u, W6) == 24
-    assert fermat._newton_pole_count(W6.F, -2, 4) == 24
-    assert fermat._newton_pole_count(W6.F, 4, -2) == 24
+    assert fermat._newton_pole_count(W6.F, Y**4, 2, 0) == 24
+    assert fermat._newton_pole_count(W6.F, X**4, 0, 2) == 24
     # x/y on y^2 - 3y + 1 + x^3: 3 poles on the bottom edge, of length 3
     # and normal (0, 1); on (y - 1)^2 + x^3 the left edge polynomial
-    # t^2 - 2t + 1 has a repeated root, so the count does not apply
+    # t^2 - 2t + 1 has a repeated root, which changes no count: the
+    # cusp at (0, 1) is the one place over that edge, of multiplicity 2
     x_over_y = RatFunc(X, Y)
     assert fermat._exact_fiber_count(x_over_y, PlaneCurve(Y**2 - 3 * Y + 1 + X**3)) == 3
-    assert fermat._exact_fiber_count(x_over_y, PlaneCurve((Y - 1) ** 2 + X**3)) is None
+    assert fermat._exact_fiber_count(x_over_y, PlaneCurve((Y - 1) ** 2 + X**3)) == 3
+    # (x^6 - y^6)/(2x^3y^3) on the sextic: 6 poles of order 3 on the
+    # bottom edge and on the left edge, where the initial forms x^6 and
+    # y^6 have no root; none on the hypotenuse
+    assert fermat._newton_pole_count(W6.F, X**6 - Y**6, 3, 3) == 36
+    assert fermat._exact_fiber_count(RatFunc(2 * X**3 * Y**3, X**6 - Y**6), W6) == 36
     # y^2 = x has a segment for its Newton polygon, and y^2 a point
     segment = PlaneCurve(Y**2 - X)
     assert fermat._exact_fiber_count(RatFunc(X * Y, BiPoly.const(1)), segment) is None
@@ -904,7 +919,7 @@ def test_omega_coefficient_rejects_unreduced_polynomials():
 def test_degree_determinism():
     _, phi2, _ = c6_generator_morphisms()
     assert degree(phi2, seed=1) == degree(phi2, seed=2) == 12
-    # phi2 draws no prime; its twist by swap(y, z) takes the seeds mod p
+    # both are exact: the seed is unused
     twist = compose_with_perm(phi2, (0, 2, 1))
     assert degree(twist, seed=1) == degree(twist, seed=2) == 12
 

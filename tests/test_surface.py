@@ -76,7 +76,7 @@ def test_benchmark_workloads_run_untraced_and_traced(tmp_path):
         assert calls["decomp.decide"]["calls"] >= len(ops), workload
     assert calls["fermat.degree"]["calls"] == 3
     assert modules["motivix.polyring"].fp_resultant is resultant
-    assert modules["motivix.fermat"].fp_resultant is resultant
+    assert not hasattr(modules["motivix.fermat"], "fp_resultant")
 
 
 def test_no_bare_assert_in_the_package():
