@@ -31,7 +31,6 @@ from .errors import (
     PreconditionError,
     ReductionError,
     VerificationError,
-    OracleError,
 )
 from .exact import Rat, QuadInt, ZLattice, solve_field
 from .cmlat import (
@@ -105,7 +104,6 @@ __all__ = [
     "PreconditionError",
     "ReductionError",
     "VerificationError",
-    "OracleError",
     "Rat",
     "QuadInt",
     "ZLattice",

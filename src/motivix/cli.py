@@ -57,26 +57,29 @@ from .motcalc import (
 )
 
 
-def _digest(path):
+def _load_json(path):
+    """(value, digest): the JSON value of the file at path and its inputs
+    entry, both from one read of its bytes, so the sha256 names the bytes
+    that were parsed. The text parsed is what a UTF-8 reader in universal
+    newlines mode sees."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return {"file": str(path), "sha256": hashlib.sha256(data).hexdigest()}
-
-
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput("%s is not valid JSON: %s" % (path, exc)) from None
-        except (RecursionError, ValueError) as exc:
-            # nesting past the recursion limit, an integer past the
-            # digit limit, or bytes that are not UTF-8
-            raise InvalidInput("%s cannot be read as JSON: %s" % (path, exc)) from None
+    digest = {"file": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text), digest
+    except json.JSONDecodeError as exc:
+        raise InvalidInput("%s is not valid JSON: %s" % (path, exc)) from None
+    except (RecursionError, ValueError) as exc:
+        # nesting past the recursion limit, an integer past the digit
+        # limit, or bytes that are not UTF-8
+        raise InvalidInput("%s cannot be read as JSON: %s" % (path, exc)) from None
 
 
 def _load_model(path):
-    return model_from_dict(_load_json(path))
+    """(model, digest) of the model file at path."""
+    data, digest = _load_json(path)
+    return model_from_dict(data), digest
 
 
 def _report(args, inputs, results):
@@ -116,7 +119,7 @@ def _apply_trace(verdict_dict, level):
 
 
 def cmd_decide(args):
-    model = _load_model(args.model)
+    model, digest = _load_model(args.model)
     mode = EXHAUSTIVE if args.mode == "exhaustive" else PROOFTRACE
     t0 = time.perf_counter()
     verdict = decide(model, mode)
@@ -124,7 +127,7 @@ def cmd_decide(args):
     if args.timing:
         results["timing_seconds"] = round(time.perf_counter() - t0, 3)
     code = 0 if verdict.status == INDECOMPOSABLE else 2
-    return _report(args, [_digest(args.model)], results), code
+    return _report(args, [digest], results), code
 
 
 # the conv-table report grows as g^5: 1.4 MB in 0.4 s at g = 6, and
@@ -133,7 +136,7 @@ CONV_TABLE_MAX_G = 6
 
 
 def cmd_conv_table(args):
-    model = _load_model(args.model)
+    model, digest = _load_model(args.model)
     if model.g > CONV_TABLE_MAX_G:
         raise InvalidInput("conv-table is bounded to g <= %d" % CONV_TABLE_MAX_G)
     grids = build_grids(model)
@@ -160,7 +163,7 @@ def cmd_conv_table(args):
         "probe_count": len(probes),
         "table": table,
     }
-    return _report(args, [_digest(args.model)], results), 0
+    return _report(args, [digest], results), 0
 
 
 def cmd_motive(args):
@@ -290,7 +293,7 @@ def _parse_subset(text, g):
 
 
 def cmd_av(args):
-    model = _load_model(args.model)
+    model, digest = _load_model(args.model)
     if args.query == "exponents":
         if args.subset:
             subsets = [
@@ -313,7 +316,7 @@ def cmd_av(args):
             entries.append(item)
         results = {"g": model.g, "mode": model.mode.lower(), "exponents": entries}
     elif args.query == "integrality":
-        payload = _load_json(args.endo)
+        payload, endo_digest = _load_json(args.endo)
         x = endo_from_jsonable(payload, model)
         results = {
             "g": model.g,
@@ -321,10 +324,10 @@ def cmd_av(args):
             "endo": endo_to_jsonable(x),
             "integral": bool(is_integral(model, x)),
         }
-        return _report(args, [_digest(args.model), _digest(args.endo)], results), 0
+        return _report(args, [digest, endo_digest], results), 0
     else:
         raise InvalidInput("unknown av query %r" % args.query)
-    return _report(args, [_digest(args.model)], results), 0
+    return _report(args, [digest], results), 0
 
 
 # ---------------------------------------------------------------------------

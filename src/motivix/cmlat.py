@@ -48,6 +48,12 @@ MAX_GLUE_DENOMINATOR = 10 ** 6
 # about 0.4 s on a 2-vCPU host, build_model included
 MAX_G = 64
 
+# a model file lists at most this many glue vectors: a lattice between
+# O^g and (1/den) O^g is spanned over O^g by 2g of them, so every model
+# up to MAX_G has a description this long, and a longer list costs
+# parse time in proportion before any check could refuse it
+MAX_GLUE_VECTORS = 2 * MAX_G
+
 _ZERO = Rat(0)
 
 _UNASKED = object()  # a per-model answer not yet computed
@@ -799,10 +805,17 @@ def model_from_dict(data):
     vecs = data.get("glue", [])
     if not isinstance(vecs, list):
         raise InvalidInput("glue must be a list of vectors, got %r" % (vecs,))
+    if len(vecs) > MAX_GLUE_VECTORS:
+        raise InvalidInput(
+            "glue lists %d vectors, above %d" % (len(vecs), MAX_GLUE_VECTORS)
+        )
     glue = []
     for vec in vecs:
         if not isinstance(vec, (list, tuple)):
             raise InvalidInput("glue vector %r is not a list" % (vec,))
+        if len(vec) > MAX_G:
+            # build_model checks the length against g, after the parse
+            raise InvalidInput("glue vector has length %d, above MAX_G = %d" % (len(vec), MAX_G))
         glue.append([_parse_coord(entry, "glue coordinate") for entry in vec])
     exponents = data.get("exponents")
     if exponents is not None and (

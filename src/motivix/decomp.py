@@ -461,14 +461,18 @@ def _decide_exhaustive(m, probes):
       integral iff the diagonal is, and that depends only on
       sorted(nums): one memo serves every probe;
     - the survivors of a transposition depend only on the other g - 2
-      coordinates, so they are computed once per multiset of those.
+      coordinates, so they are computed once per multiset of those, and
+      only on the c pair of its own two cells, so each of the 21 pairs
+      is decided once (_pair_survivors).
 
     A coordinate enters every image only through c = 4w - u - v, so an
     assignment is decided by the multiset of its c values, its class:
     C(g + 5, 5) classes, of which those holding some c >= 2 (w = 1) are
     walked. A class counts for its multinomial * 2^(n_3 + n_-1) *
-    n_{c>=2} / g assignments with W(1,1) on LAMBDA (_class_weight), which
-    keeps the kill counts exact. The first survivor, and the witness, are
+    n_{c>=2} / g assignments with W(1,1) on LAMBDA (_class_weight); the
+    walked classes weigh 2^(3g - 1) in all, so only the classes the
+    identity probe passes are weighed, and it killed the rest. The kill
+    counts stay exact. The first survivor, and the witness, are
     those of a scan over every mask in (wm, um, vm) order: the least
     _masks over the type multisets of the surviving classes."""
     g = m.g
@@ -492,19 +496,19 @@ def _decide_exhaustive(m, probes):
             got = pair_memo[rest] = _pair_survivors(ok, rest)
         return got
 
-    diag_total = 0
-    diag_killed_identity = 0
+    # every assignment with W(1,1) on LAMBDA
+    diag_total = 1 << 3 * g - 1
+    diag_passed = 0
     diag_killed_pairs = 0
     diag_trivial_only = 0
     open_classes = []
     for cs in itertools.combinations_with_replacement(_CS, g):
         if cs[0] < 2:
             break  # no w = 1 from here on (W(1,1) pinned by the side swap)
-        weight = _class_weight(cs)
-        diag_total += weight
         if not (ok(cs) and ok([2 - c for c in cs])):
-            diag_killed_identity += weight
             continue
+        weight = _class_weight(cs)
+        diag_passed += weight
         per_rest = [(rest, pair_survivors(rest)) for rest in _rests(cs)]
         if not all(surv for _, surv in per_rest):
             diag_killed_pairs += weight
@@ -547,7 +551,7 @@ def _decide_exhaustive(m, probes):
         _note(
             "diagonal-case",
             "identity probe refuted %d of %d diagonal assignments "
-            "(side swap quotiented out)" % (diag_killed_identity, diag_total),
+            "(side swap quotiented out)" % (diag_total - diag_passed, diag_total),
             probe="identity",
         ),
         _note(
@@ -608,20 +612,31 @@ def _masks(combo):
     return tuple(sum(bit << i for i, bit in enumerate(bits)) for bits in (w, u, v))
 
 
+# the 64 local assignments of a transposition of atoms a < b, LAMBDA-first:
+# the LAMBDA bits of cells (a,b),(b,a) in the U, V, W grids, each with its
+# c values (c_ab, c_ba) sorted, the LAMBDA image's first two numerators
+_PAIR_PATTERNS = tuple(
+    (bits, tuple(sorted(_images_direct(bits[0:2], bits[2:4], bits[4:6])[0])))
+    for bits in itertools.product((1, 0), repeat=6)
+)
+# the 21 c pairs they take
+_C_PAIRS = tuple(sorted({pair for _, pair in _PAIR_PATTERNS}))
+
+
 def _pair_survivors(ok, rest):
     """Surviving 6-bit local assignments for a transposition of two atoms,
-    given the c values rest of the others.  A local assignment lists the
-    LAMBDA bits of cells (a,b),(b,a) in the U, V, W grids, iterated
-    LAMBDA-first; ok(nums) answers for the images on the probe's graph,
-    which holds those cells at its first two places and the diagonal
-    cells of the others after them."""
+    given the c values rest of the others, in _PAIR_PATTERNS order.
+    ok(nums) answers for the images on the probe's graph, which holds the
+    cells (a,b),(b,a) at its first two places and the diagonal cells of
+    the others after them. An assignment enters both images only through
+    its c pair, and ok through sorted(nums), so each of the 21 unordered
+    c pairs is decided once and the patterns read their pair's answer."""
     rest_xi = tuple(2 - c for c in rest)
-    survivors = []
-    for bits in itertools.product((1, 0), repeat=6):
-        lam, xi = _images_direct(bits[0:2], bits[2:4], bits[4:6])
-        if ok(lam + rest) and ok(xi + rest_xi):
-            survivors.append(bits)
-    return tuple(survivors)
+    alive = {
+        pair: ok(pair + rest) and ok((2 - pair[0], 2 - pair[1]) + rest_xi)
+        for pair in _C_PAIRS
+    }
+    return tuple(bits for bits, pair in _PAIR_PATTERNS if alive[pair])
 
 
 def _materialize_choice(need_xi_w, per_pair):

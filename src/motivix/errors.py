@@ -53,7 +53,3 @@ class VerificationError(MotivixError):
 
 class ReductionError(MotivixError):
     """A differential-form reduction has no solution in the allowed shape."""
-
-
-class OracleError(MotivixError):
-    """An independent numeric oracle failed to stabilize."""

@@ -286,38 +286,65 @@ def _int_hnf(rows):
 
     Returns the nonzero rows in echelon order: positive pivots, entries
     above each pivot reduced into [0, pivot).
+
+    The rows enter one at a time into an echelon basis, piv[c] holding
+    the row whose pivot is in column c. Once the basis has full rank,
+    the product D of its pivots is its determinant, so D Z^n lies in
+    its span: an entering row is kept reduced mod D, and a pivot row a
+    gcd step changes is reduced by the pivot rows after it. No entry
+    then outgrows D, where eliminating column by column multiplies the
+    rows below by a pivot at every column (16 glue vectors over 999983
+    at g = 20 took 12 s that way).
     """
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
+    n = len(rows[0]) if rows else 0
+    piv = [None] * n
+    det = None  # D, once every column has a pivot
+    for row in rows:
+        v = [x % det for x in row] if det else list(row)
+        for c in range(n):
+            x = v[c]
+            if not x:
+                continue
+            p = piv[c]
+            if p is None:
+                piv[c] = _reduce_tail(v if x > 0 else [-y for y in v], c, piv)
+                if all(piv):
+                    det = math.prod(r[i] for i, r in enumerate(piv))
                 break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, m):
-            if rows[i][c]:
-                a, b = rows[r][c], rows[i][c]
-                g, s, t = _xgcd(a, b)
-                u, v = a // g, b // g
-                # unimodular: det [[s, t], [-v, u]] = s u + t v = 1
-                rr = [s * rows[r][j] + t * rows[i][j] for j in range(n)]
-                ri = [u * rows[i][j] - v * rows[r][j] for j in range(n)]
-                rows[r], rows[i] = rr, ri
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        p = rows[r][c]
-        for i in range(r):
-            q = rows[i][c] // p
+            a = p[c]
+            if x % a:
+                g, s, t = _xgcd(a, x)
+                u, w = a // g, x // g
+                # unimodular: det [[s, t], [-w, u]] = s u + t w = 1
+                piv[c] = _reduce_tail([s * pj + t * vj for pj, vj in zip(p, v)], c, piv)
+                v = [u * vj - w * pj for pj, vj in zip(p, v)]
+                if det:
+                    det = det // a * g
+            else:
+                q = x // a
+                v = [vj - q * pj for pj, vj in zip(p, v)]
+            if det:
+                v = [y % det for y in v]
+    basis = [r for r in piv if r is not None]
+    pivots = [next(c for c, x in enumerate(r) if x) for r in basis]
+    for k, (r, c) in enumerate(zip(basis, pivots)):
+        for i in range(k):
+            q = basis[i][c] // r[c]
             if q:
-                rows[i] = [rows[i][j] - q * rows[r][j] for j in range(n)]
-        r += 1
-    return rows[:r]
+                basis[i] = [xi - q * xr for xi, xr in zip(basis[i], r)]
+    return basis
+
+
+def _reduce_tail(v, c, piv):
+    """v, its pivot in column c, with each entry after c that has a pivot
+    row in piv reduced into [0, pivot) by that row."""
+    for j in range(c + 1, len(v)):
+        r = piv[j]
+        if r is not None:
+            q = v[j] // r[j]
+            if q:
+                v = [vi - q * ri for vi, ri in zip(v, r)]
+    return v
 
 
 class ZLattice:

@@ -15,7 +15,6 @@ import math
 from .cmlat import AXIOMATIC, build_model
 from .errors import (
     InvalidInput,
-    OracleError,
     ReductionError,
     UnsupportedQuery,
     VerificationError,
@@ -438,7 +437,7 @@ def _exact_fiber_count(comp, source):
     with a monomial numerator counts its reciprocal, which has as many
     poles.  It returns None where that count does not apply, or where
     neither part is a monomial.  A constant component, or one in y alone
-    on a source free of x, has no generic fiber and raises OracleError.
+    on a source free of x, has no generic fiber and raises InvalidInput.
     """
     F = source.F
     num, den = comp.num, comp.den
@@ -458,7 +457,7 @@ def _exact_fiber_count(comp, source):
     else:
         return None
     if count == 0:
-        raise OracleError("a constant component has no generic fiber")
+        raise InvalidInput("a constant component has no generic fiber")
     return count
 
 

@@ -15,7 +15,7 @@ motivix.polyring, where the benchmark tracer wraps fp_resultant.
 import random
 
 from motivix import fermat
-from motivix.errors import InvalidInput, OracleError, VerificationError
+from motivix.errors import InvalidInput, MotivixError, VerificationError
 from motivix.exact import _is_int
 from motivix.polyring import KNOWN_GENS, _fp_reduce, fp_resultant, fp_trim, join_specs
 
@@ -28,6 +28,10 @@ _GEN_MINPOLY = {name: poly for name, poly in KNOWN_GENS}
 # Miller-Rabin to the first 13 prime bases is exact below this bound
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_TEST_BOUND = 3317044064679887385961981
+
+
+class OracleError(MotivixError):
+    """The oracle's degree failed to stabilize over the primes drawn."""
 
 
 class _BadPrime(Exception):

@@ -3,11 +3,13 @@ trace levels, and the model file round trip."""
 
 import hashlib
 import json
+import random
 import time
 from fractions import Fraction as F
 
 import pytest
 
+from motivix import cli
 from motivix.cli import CONV_TABLE_MAX_G, build_parser, main
 from motivix.cmlat import AXIOMATIC, build_model, model_to_dict
 from motivix.exact import ZLattice
@@ -199,6 +201,90 @@ def test_exit_one_on_an_unknown_model_key(capsys, tmp_path):
     assert "'maximal_ordr'" in rep["error"]["message"]
     path.write_text(json.dumps(g2), encoding="utf-8")
     assert run(capsys, "decide", str(path))[0] == 2
+
+
+def test_report_hashes_the_bytes_it_decided(capsys, g3_model, monkeypatch):
+    # the model file is read once: rewritten during the decision, the
+    # report still names the bytes that were parsed
+    with open(g3_model, "rb") as fh:
+        decided = hashlib.sha256(fh.read()).hexdigest()
+    real = cli.decide
+
+    def rewriting(model, mode):
+        with open(g3_model, "w", encoding="utf-8") as fh:
+            fh.write("{}")
+        return real(model, mode)
+
+    monkeypatch.setattr(cli, "decide", rewriting)
+    code, rep = run(capsys, "decide", g3_model)
+    assert code == 0
+    assert rep["inputs"] == [{"file": g3_model, "sha256": decided}]
+
+
+def test_json_errors_count_newlines_as_one_character(capsys, tmp_path, monkeypatch):
+    # the text parsed is the universal-newlines reading of the bytes, so
+    # a CRLF or a lone CR is one character in the error position
+    monkeypatch.chdir(tmp_path)
+    for name, data, where in (
+        ("crlf.json", b'{"d": 1,\r\n "g": 2,\r "mode": }',
+         "Expecting value: line 3 column 10 (char 27)"),
+        ("cr.json", b'{"d": 1,\r\n "mode": "\r"}',
+         "Invalid control character at: line 2 column 11 (char 19)"),
+    ):
+        (tmp_path / name).write_bytes(data)
+        code, rep = run(capsys, "decide", name)
+        assert code == 1
+        assert rep["error"]["message"] == "%s is not valid JSON: %s" % (name, where)
+
+
+CLASS_NUMBER_ONE = (1, 2, 3, 7, 11, 19, 43, 67, 163)
+
+
+def seeded_decide_models(seed):
+    """Lattice models for g = 2..8, four per g: one glue vector with equal
+    coordinates, rational or in Q(sqrt(-d)), sometimes with a second
+    one, and one with coordinates drawn apart."""
+    rng = random.Random(seed)
+    models = []
+    for g in range(2, 9):
+        for k in range(4):
+            d = rng.choice(CLASS_NUMBER_ONE)
+            n = rng.choice((5, 7, 11, 13))
+            if k == 3:
+                glue = [[[rng.randrange(n), n] for _ in range(g)]]
+            else:
+                coord = [rng.randrange(1, n), n]
+                if k == 2:
+                    coord = [coord, [rng.randrange(n), n]]
+                glue = [[coord] * g]
+                if rng.random() < 0.5:
+                    glue.append([[1, rng.choice((5, 7, 11))]] * g)
+            model = {"d": d, "g": g, "glue": glue, "mode": "lattice"}
+            if d % 4 == 3 and rng.random() < 0.5:
+                model["maximal_order"] = True
+            models.append(model)
+    return models
+
+
+def test_decide_reports_pinned(capsys, tmp_path, monkeypatch):
+    # the exit codes and full-trace reports of both modes on 28 seeded
+    # models, survivors, witnesses and hypothesis failures included
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    codes = []
+    for i, model in enumerate(seeded_decide_models(20261021)):
+        path = "m%02d.json" % i
+        with open(path, "w") as fh:
+            json.dump(model, fh)
+        for mode in ("exhaustive", "prooftrace"):
+            code = main(["decide", path, "--mode", mode, "--trace", "full"])
+            codes.append(code)
+            h.update(b"%d\n" % code)
+            h.update(capsys.readouterr().out.encode())
+    assert [codes.count(c) for c in (0, 2, 3)] == [36, 8, 12]
+    assert h.hexdigest() == (
+        "8a4bb5d5b252b3b09c68edd75fd2f385448ef0d06104d69238fea1d6c64f5f61"
+    )
 
 
 def test_report_determinism(capsys, g3_model, tmp_path):

@@ -572,8 +572,9 @@ def test_decide_input_validation(monkeypatch):
     def unreachable(*args):
         raise AssertionError("g = 21 reached the hypothesis gate or the enumeration")
 
-    monkeypatch.setattr(decomp, "_hypothesis_gate", unreachable)
-    monkeypatch.setattr(decomp, "_images_direct", unreachable)
+    # the search's entry points: its pattern table is built at import
+    for name in ("_hypothesis_gate", "_pair_survivors", "monomial_is_integral"):
+        monkeypatch.setattr(decomp, name, unreachable)
     with pytest.raises(InvalidInput, match="g <= 20"):
         decide(m21, EXHAUSTIVE)
     ax = build_model(1, 3, mode=AXIOMATIC, exponents=(5, 5, 5), assume_proper_ge4=True)

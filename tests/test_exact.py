@@ -351,6 +351,46 @@ def test_hnf_rank_deficient():
         ZLattice.from_rows([[1, 2], [2, 4]], 1)
 
 
+def column_hnf(rows):
+    """Row Hermite normal form by eliminating one column at a time over
+    all rows, the textbook route whose entries can grow with every
+    column."""
+    rows = [list(r) for r in rows]
+    m, n = len(rows), len(rows[0])
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, m):
+            if rows[i][c]:
+                g, s, t = exact._xgcd(rows[r][c], rows[i][c])
+                u, v = rows[r][c] // g, rows[i][c] // g
+                rows[r], rows[i] = ([s * x + t * y for x, y in zip(rows[r], rows[i])],
+                                    [u * y - v * x for x, y in zip(rows[r], rows[i])])
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        for i in range(r):
+            q = rows[i][c] // rows[r][c]
+            rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return rows[:r]
+
+
+def test_hnf_matches_column_elimination():
+    rng = random.Random(20261021)
+    for _ in range(3000):
+        n, m = rng.randint(1, 6), rng.randint(1, 9)
+        bound = rng.choice((2, 5, 30, 1000))
+        rows = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0
+                 for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.5:  # full rank from the start, as build_model's
+            d = rng.randint(1, 40)
+            rows = [[d * (i == j) for j in range(n)] for i in range(n)] + rows
+        assert exact._int_hnf(rows) == column_hnf(rows), rows
+
+
 def test_from_rows_takes_integer_rows_over_a_positive_denominator():
     assert ZLattice.from_rows([[2, 4], [0, 6]], 4) == ZLattice.from_rows([[1, 2], [0, 3]], 2)
     for rows, den in (([[Rat(1, 5), 0], [0, 1]], 1), ([[1.0, 0], [0, 1]], 1),

@@ -42,6 +42,7 @@ from motivix.decomp import (
     _decide_exhaustive,
     _masks,
     _note,
+    _pair_survivors,
     _type_splits,
     decide,
     probes_for,
@@ -174,6 +175,19 @@ def type_pair_survivors(ok, u, v, w):
         u[0], u[1], v[0], v[1], w[0], w[1] = bits
         lam, xi = _images_direct(u, v, w)
         if ok(lam) and ok(xi):
+            survivors.append(bits)
+    return tuple(survivors)
+
+
+def assignment_pair_survivors(ok, rest):
+    """_pair_survivors by its definition: each of the 64 local assignments
+    of a transposition, LAMBDA-first, survives when both of its images
+    are integral, given the c values rest of the other coordinates."""
+    rest_xi = tuple(2 - c for c in rest)
+    survivors = []
+    for bits in itertools.product((1, 0), repeat=6):
+        lam, xi = _images_direct(bits[0:2], bits[2:4], bits[4:6])
+        if ok(lam + rest) and ok(xi + rest_xi):
             survivors.append(bits)
     return tuple(survivors)
 
@@ -397,6 +411,29 @@ def test_class_weights_sum_their_type_orbits():
         assert len(walked) == math.comb(g + 5, 5) - math.comb(g + 2, 2)
         assert sum(map(_class_weight, walked)) == 2 ** (3 * g - 1)
     assert len(walked) == 52899  # C(25, 5) - C(22, 2) at g = 20
+
+
+def test_pair_survivors_match_every_assignment():
+    # every rest of g - 2 c values, on symmetric, asymmetric and
+    # below-the-gate lattices up to g = 6
+    models = corpus(20261018) + below_gate_models()
+    assert {m.g for m in models} == {2, 3, 4, 5, 6}
+    checked = 0
+    for m in models:
+        ident = tuple(range(m.g))
+        memo = {}
+
+        def ok(nums):
+            key = tuple(sorted(nums))
+            if key not in memo:
+                memo[key] = monomial_is_integral(m, ident, key, 2)
+            return memo[key]
+
+        for rest in itertools.combinations_with_replacement(_CS, m.g - 2):
+            want = assignment_pair_survivors(ok, rest)
+            assert _pair_survivors(ok, rest) == want, (m, rest)
+            checked += bool(want) and len(want) < 64
+    assert checked  # some rests keep part of the 64 assignments
 
 
 def test_orbit_search_matches_ordered_oracle():

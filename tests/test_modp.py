@@ -32,7 +32,7 @@ from modp_oracle import (
     map_fp,
 )
 from motivix import fermat
-from motivix.errors import InvalidInput, OracleError, UnsupportedQuery
+from motivix.errors import InvalidInput, UnsupportedQuery
 from motivix.fermat import (
     PlaneCurve,
     build_c6_instance,
@@ -336,7 +336,7 @@ def test_degree_oracle_fails_fast_on_large_primes(monkeypatch):
 
     monkeypatch.setattr(modp_oracle, "_route_count", recording)
     start = time.perf_counter()
-    with pytest.raises(OracleError):
+    with pytest.raises(modp_oracle.OracleError):
         oracle_degree(shear, "v", primes=primes)
     assert counted == [1000000123]
     assert oracle_degree(shear, "v", primes=cubes) == 1
