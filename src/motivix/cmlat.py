@@ -88,6 +88,9 @@ __all__ = [
     "swap_is_integral",
     "first_bad_swap",
     "swaps_are_integral",
+    "diagonal_step",
+    "diagonal_modulus",
+    "diagonal_is_integral",
 ]
 
 
@@ -257,6 +260,8 @@ class AbelianModel:
         self._grids = None  # corr.GridProjectors, built on the first probe
         self._proper_ge4_verified = None
         self._bad_swap = _UNASKED  # see first_bad_swap
+        self._diag_step = _UNASKED  # see diagonal_step
+        self._diag_memo = {}  # see diagonal_is_integral
 
     @property
     def atom_exponents(self):
@@ -641,6 +646,91 @@ def swaps_are_integral(m):
     """Whether every plain swap of two atoms is integral on the LATTICE
     model m (first_bad_swap)."""
     return first_bad_swap(m) is None
+
+
+def _prime_factors(n):
+    """The distinct primes of the integer n >= 1, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def diagonal_step(m):
+    """r, the least t > 0 with t (e_1 - e_2) integral, as a Rat, on the
+    LATTICE model m with g >= 2 whose swaps are integral (first_bad_swap).
+    Asked once per model.
+
+    The t that pass form a group rZ. It holds den, the denominator of the
+    lattice basis: den (e_1 - e_2) maps Lambda into Z^{2g}, inside O^g.
+    It lies in (1/den) Z: the image of the unit vector at atom 1, which
+    is in O^g, must lie in Lambda, inside (1/den) Z^{2g}. So r = u / den
+    with u dividing den^2. The search starts from u = den^2 and divides
+    by each prime of den while the quotient still passes: at most
+    2 Omega(den) + omega(den) queries, and no list of divisors."""
+    if m._diag_step is _UNASKED:
+        if m.g < 2 or not swaps_are_integral(m):
+            raise PreconditionError("the diagonal step needs g >= 2 and integral swaps")
+        den = m.lattice.den
+        ident = tuple(range(m.g))
+        u = den * den
+        for p in _prime_factors(den):
+            while u % p == 0 and monomial_is_integral(
+                    m, ident, [u // p, -(u // p)] + [0] * (m.g - 2), den):
+                u //= p
+        m._diag_step = Rat(u, den)
+    return m._diag_step
+
+
+def diagonal_modulus(m, den):
+    """M with (n_i - n_1) / den in rZ exactly when M divides n_i - n_1,
+    for integers n_i and r = diagonal_step(m): the numerator of den * r.
+    1 at g = 1, where no such condition arises."""
+    if m.g == 1:
+        return 1
+    r = diagonal_step(m)
+    return r.numerator * den // math.gcd(den, r.denominator)
+
+
+def diagonal_is_integral(m, nums, den):
+    """Whether diag(nums / den) is integral on the LATTICE model m whose
+    swaps are integral (first_bad_swap); den > 0.
+
+    Write x = nums / den, r = diagonal_step(m) and S = sum_i (x_i - x_1).
+    Then diag(x) is integral exactly when both of these hold:
+    - every x_i - x_1 lies in rZ;
+    - diag(x_1 + S, x_1, ..., x_1) is integral.
+    First, swapping atoms 1 and i conjugates diag(x) by an integral
+    involution, and the difference of the two diagonals is
+    (x_i - x_1)(e_1 - e_i). So an integral diag(x) gives the first
+    condition, as t (e_1 - e_i) is integral exactly when t (e_1 - e_2)
+    is (conjugate by a swap). Second,
+    x = x_1 1 + sum_i (x_i - x_1)(e_i - e_1) + S e_1, and under the
+    first condition every middle term is integral; so diag(x) is then
+    integral exactly when x_1 1 + S e_1 is. The identity is integral,
+    so x_1 counts only mod 1. The answers sit in one memo on the model
+    keyed on (x_1 mod 1, S), so the kernel runs once per key."""
+    g = m.g
+    x1 = nums[0]
+    step = diagonal_modulus(m, den)
+    if step > 1 and any((x - x1) % step for x in nums):
+        return False
+    s = sum(nums) - g * x1
+    x1 %= den
+    k = math.gcd(x1, s, den)
+    key = (x1 // k, s // k, den // k)
+    got = m._diag_memo.get(key)
+    if got is None:
+        got = m._diag_memo[key] = monomial_is_integral(
+            m, tuple(range(g)), [x1 + s] + [x1] * (g - 1), den)
+    return got
 
 
 def verify_proper_exponents(m):

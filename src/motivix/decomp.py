@@ -9,10 +9,11 @@ convolution against the probe sends each side of a candidate to an
 endomorphism of the glued product of CM elliptic curves, and both images
 have to be integral.
 
-EXHAUSTIVE mode enumerates every nontrivial candidate for g <= 20,
-factored through the per-probe restrictions and taken one class of
-diagonal c values (c = 4w - u - v per atom, six values) at a time, and
-refutes them probe by probe.  PROOFTRACE mode replays the symbolic
+EXHAUSTIVE mode enumerates every nontrivial candidate, factored
+through the per-probe restrictions and taken one class of diagonal c
+values (c = 4w - u - v per atom, six values) at a time, building only
+the classes whose c / 2 are congruent mod the swap step, and refutes
+them probe by probe.  PROOFTRACE mode replays the symbolic
 two-case argument at any g and emits the derivation as a trace.
 
 The grid shape of the candidate space is a trusted reduction: any
@@ -32,12 +33,13 @@ from .cmlat import (
     LATTICE,
     PermEndoSpec,
     _transposition,
+    diagonal_is_integral,
+    diagonal_modulus,
     endo_to_jsonable,
     exponent_failure,
     first_bad_swap,
     full_grid,
     is_integral,
-    monomial_is_integral,
     perm_endo,
     rosati,
 )
@@ -52,9 +54,6 @@ from .errors import (
 
 EXHAUSTIVE = "EXHAUSTIVE"
 PROOFTRACE = "PROOFTRACE"
-
-# C(g + 5, 5) classes of c values: 53,130 at g = 20
-EXHAUSTIVE_MAX_G = 20
 
 INDECOMPOSABLE = "INDECOMPOSABLE"
 SURVIVING_CANDIDATE = "SURVIVING_CANDIDATE"
@@ -396,29 +395,28 @@ def _note(rule, note, probe=None):
 def decide(m, mode):
     """Decide essential indecomposability for the model.
 
-    EXHAUSTIVE (lattice models, g <= 20): enumerate all nontrivial
-    candidates up to the side swap, factored through per-probe
-    restrictions and taken one class of diagonal assignments at a time
-    (those with the same multiset of c = 4w - u - v, C(g + 5, 5)
-    classes), and refute each.  PROOFTRACE (any g): replay the
-    symbolic argument.  INDECOMPOSABLE means every nontrivial candidate
-    is refuted; SURVIVING_CANDIDATE reports one that no probe refutes
-    (without asserting decomposability); UNDECIDED means the symbolic
-    argument does not close."""
+    EXHAUSTIVE (lattice models, any g up to cmlat.MAX_G): enumerate
+    all nontrivial candidates up to the side swap, factored through
+    per-probe restrictions and taken one class of diagonal assignments
+    at a time (those with the same multiset of c = 4w - u - v), and
+    refute each. Only the classes whose c / 2 are congruent mod the
+    swap step r (cmlat.diagonal_step) are built, since no other passes
+    the identity probe; past the gate at g >= 3 the modulus on c is at
+    least 3, so there are O(g) of them (_decide_exhaustive).
+    PROOFTRACE (any g): replay the symbolic argument.  INDECOMPOSABLE
+    means every nontrivial candidate is refuted; SURVIVING_CANDIDATE
+    reports one that no probe refutes (without asserting
+    decomposability); UNDECIDED means the symbolic argument does not
+    close."""
     if mode not in (EXHAUSTIVE, PROOFTRACE):
         raise InvalidInput("unknown mode %r" % (mode,))
-    if mode == EXHAUSTIVE:
-        # ahead of the hypothesis gate, so a request exhaustive search
-        # cannot serve is refused whatever the gate would say
-        if m.g > EXHAUSTIVE_MAX_G:
-            raise InvalidInput(
-                "exhaustive search is bounded to g <= %d" % EXHAUSTIVE_MAX_G
-            )
-        if m.mode != LATTICE:
-            raise UnsupportedQuery(
-                "exhaustive search needs a lattice model; axiomatic "
-                "integrality does not cover off-diagonal probe images"
-            )
+    # ahead of the hypothesis gate, so an axiomatic model is refused
+    # whatever the gate would say
+    if mode == EXHAUSTIVE and m.mode != LATTICE:
+        raise UnsupportedQuery(
+            "exhaustive search needs a lattice model; axiomatic "
+            "integrality does not cover off-diagonal probe images"
+        )
     probes = probes_for(m)
     trace = [_note("trusted-reduction", TRUSTED_REDUCTION)]
     _hypothesis_gate(m, trace)
@@ -458,33 +456,37 @@ def _decide_exhaustive(m, probes):
     relabelling the atoms changes no integrality answer:
     - a probe image with nums[i] / 2 at (sigma(i), i) is S_sigma *
       diag(nums / 2), and S_sigma is an integral involution, so it is
-      integral iff the diagonal is, and that depends only on
-      sorted(nums): one memo serves every probe;
+      integral iff the diagonal is: cmlat.diagonal_is_integral answers
+      every probe, from one memo keyed on (x_1 mod 1, S);
     - the survivors of a transposition depend only on the other g - 2
       coordinates, so they are computed once per multiset of those, and
       only on the c pair of its own two cells, so each of the 21 pairs
       is decided once (_pair_survivors).
 
     A coordinate enters every image only through c = 4w - u - v, so an
-    assignment is decided by the multiset of its c values, its class:
-    C(g + 5, 5) classes, of which those holding some c >= 2 (w = 1) are
-    walked. A class counts for its multinomial * 2^(n_3 + n_-1) *
-    n_{c>=2} / g assignments with W(1,1) on LAMBDA (_class_weight); the
-    walked classes weigh 2^(3g - 1) in all, so only the classes the
-    identity probe passes are weighed, and it killed the rest. The kill
-    counts stay exact. The first survivor, and the witness, are
-    those of a scan over every mask in (wm, um, vm) order: the least
-    _masks over the type multisets of the surviving classes."""
+    assignment is decided by the multiset of its c values, its class.
+    Those holding some c >= 2 (w = 1) count; a class counts for its
+    multinomial * 2^(n_3 + n_-1) * n_{c>=2} / g assignments with W(1,1)
+    on LAMBDA (_class_weight), and they weigh 2^(3g - 1) in all. The
+    identity image diag(c / 2) is integral only when all the c / 2 are
+    congruent mod r = cmlat.diagonal_step(m), so only those classes are
+    built (_passing_classes), and the identity probe killed the weight
+    of all the others. The kill counts stay exact.
+
+    At g >= 3 a model that passes the gate has r = p / q with p >= 2:
+    r (e_1 - e_2) squared is r^2 (e_1 + e_2), so p^2 (e_1 + e_2) is
+    integral and n_{12} divides p^2, while n_{12} >= 4. The modulus on
+    c, the numerator of 2r, is then at least 3, no group of congruent c
+    values holds more than two of the six, and the search builds O(g)
+    classes.
+
+    The first survivor, and the witness, are those of a scan over every
+    mask in (wm, um, vm) order: the least _masks over the type multisets
+    of the surviving classes."""
     g = m.g
-    ident = tuple(range(g))
-    integral_memo = {}
 
     def ok(nums):
-        key = tuple(sorted(nums))
-        got = integral_memo.get(key)
-        if got is None:
-            got = integral_memo[key] = monomial_is_integral(m, ident, key, 2)
-        return got
+        return diagonal_is_integral(m, nums, 2)
 
     pair_memo = {}
 
@@ -502,11 +504,7 @@ def _decide_exhaustive(m, probes):
     diag_killed_pairs = 0
     diag_trivial_only = 0
     open_classes = []
-    for cs in itertools.combinations_with_replacement(_CS, g):
-        if cs[0] < 2:
-            break  # no w = 1 from here on (W(1,1) pinned by the side swap)
-        if not (ok(cs) and ok([2 - c for c in cs])):
-            continue
+    for cs in _passing_classes(m):
         weight = _class_weight(cs)
         diag_passed += weight
         per_rest = [(rest, pair_survivors(rest)) for rest in _rests(cs)]
@@ -567,6 +565,26 @@ def _decide_exhaustive(m, probes):
         ),
     ]
     return INDECOMPOSABLE, extra, None
+
+
+def _passing_classes(m):
+    """The classes the identity probe passes, on a model whose swaps are
+    integral: those holding some c >= 2 whose diag(c / 2) and
+    diag((2 - c) / 2) are both integral. Only classes whose c values are
+    congruent mod diagonal_modulus(m, 2) are built: the c values are
+    split into their residue classes, and combinations are drawn inside
+    each, in descending order."""
+    modulus = diagonal_modulus(m, 2)
+    groups = {}
+    for c in _CS:
+        groups.setdefault(c % modulus, []).append(c)
+    for group in groups.values():
+        for cs in itertools.combinations_with_replacement(group, m.g):
+            if cs[0] < 2:
+                break  # no w = 1 from here on (W(1,1) pinned by the side swap)
+            if (diagonal_is_integral(m, cs, 2)
+                    and diagonal_is_integral(m, [2 - c for c in cs], 2)):
+                yield cs
 
 
 def _class_weight(cs):

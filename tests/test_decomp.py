@@ -489,8 +489,8 @@ def test_hypothesis_gate_messages():
 
 def count_probe_queries(monkeypatch):
     """Record the sigma of every swap query, the permutation matrix of a
-    transposition asked through monomial_is_integral from cmlat or
-    decomp."""
+    transposition asked through cmlat.monomial_is_integral, which every
+    lattice query of cmlat and decomp goes through."""
     calls = []
     real = cmlat.monomial_is_integral
 
@@ -500,7 +500,6 @@ def count_probe_queries(monkeypatch):
         return real(m, sigma, nums, den)
 
     monkeypatch.setattr(cmlat, "monomial_is_integral", counted)
-    monkeypatch.setattr(decomp, "monomial_is_integral", counted)
     return calls
 
 
@@ -563,20 +562,16 @@ def test_gate_skips_the_subset_scan_above_g_10(monkeypatch):
             decide(m, mode)
 
 
-def test_decide_input_validation(monkeypatch):
+def test_decide_input_validation():
     m = sym_model(2)
     with pytest.raises(InvalidInput):
         decide(m, "GUESS")
-    m21 = sym_model(21)
-
-    def unreachable(*args):
-        raise AssertionError("g = 21 reached the hypothesis gate or the enumeration")
-
-    # the search's entry points: its pattern table is built at import
-    for name in ("_hypothesis_gate", "_pair_survivors", "monomial_is_integral"):
-        monkeypatch.setattr(decomp, name, unreachable)
-    with pytest.raises(InvalidInput, match="g <= 20"):
-        decide(m21, EXHAUSTIVE)
+    # exhaustive search serves every g the models allow: 21 is decided,
+    # and 65 is refused when the model is built
+    v = decide(sym_model(21), EXHAUSTIVE)
+    assert v.status == INDECOMPOSABLE and v.witness is None
+    with pytest.raises(InvalidInput, match="MAX_G = 64"):
+        sym_model(65)
     ax = build_model(1, 3, mode=AXIOMATIC, exponents=(5, 5, 5), assume_proper_ge4=True)
     with pytest.raises(UnsupportedQuery):
         decide(ax, EXHAUSTIVE)

@@ -5,8 +5,10 @@ behind the full hypothesis gate (every proper subset exponent, then each
 transposition probe and its Rosati transform as EndoQs). It is the
 oracle for g <= 6. `type_orbit_exhaustive` walks one S_g orbit of
 (w, u, v) type multisets at a time, C(g + 7, 7) of them, and serves as
-the oracle up to g = 8. Beyond that, exhaustive is checked against
-prooftrace.
+the oracle up to g = 8. `class_walk` puts every class of c values to the
+2g x 2g kernel, C(g + 5, 5) - C(g + 2, 2) of them, as the search did
+before it built only the congruent ones; it is the oracle up to g = 20.
+Beyond that, exhaustive is checked against prooftrace.
 """
 
 import itertools
@@ -20,6 +22,10 @@ import pytest
 
 from motivix.cmlat import (
     build_model,
+    diagonal_is_integral,
+    diagonal_modulus,
+    diagonal_step,
+    first_bad_swap,
     is_integral,
     monomial_is_integral,
     rosati,
@@ -27,7 +33,6 @@ from motivix.cmlat import (
 )
 from motivix.decomp import (
     EXHAUSTIVE,
-    EXHAUSTIVE_MAX_G,
     INDECOMPOSABLE,
     PROOFTRACE,
     SURVIVING_CANDIDATE,
@@ -43,13 +48,15 @@ from motivix.decomp import (
     _masks,
     _note,
     _pair_survivors,
+    _passing_classes,
+    _rests,
     _type_splits,
     decide,
     probes_for,
     refute,
     verdict_to_dict,
 )
-from motivix.errors import HypothesisError, VerificationError
+from motivix.errors import HypothesisError, PreconditionError, VerificationError
 
 CLASS_NUMBER_ONE = (1, 2, 3, 7, 11, 19, 43, 67, 163)
 
@@ -251,6 +258,64 @@ def type_orbit_exhaustive(m, probes):
                                          trivial_only), None
 
 
+def class_walk(m, probes):
+    """The class search as it was before it built only the congruent
+    classes: every class of c values holding a c >= 2 goes to the 2g x 2g
+    kernel under a memo keyed on its sorted c values. Returns the
+    (status, notes, witness) of _decide_exhaustive and the classes the
+    identity probe passes, in walk order."""
+    g = m.g
+    ident = tuple(range(g))
+    integral_memo = {}
+
+    def ok(nums):
+        key = tuple(sorted(nums))
+        got = integral_memo.get(key)
+        if got is None:
+            got = integral_memo[key] = monomial_is_integral(m, ident, key, 2)
+        return got
+
+    pair_memo = {}
+
+    def pair_survivors(rest):
+        got = pair_memo.get(rest)
+        if got is None:
+            got = pair_memo[rest] = _pair_survivors(ok, rest)
+        return got
+
+    total = 1 << 3 * g - 1
+    passed = killed_pairs = trivial_only = 0
+    passing, open_classes = [], []
+    for cs in classes(g):
+        if not (ok(cs) and ok([2 - c for c in cs])):
+            continue
+        passing.append(cs)
+        weight = _class_weight(cs)
+        passed += weight
+        per_rest = [(rest, pair_survivors(rest)) for rest in _rests(cs)]
+        if not all(surv for _, surv in per_rest):
+            killed_pairs += weight
+        elif _materialize_choice(cs[-1] >= 2, per_rest) is None:
+            trivial_only += weight
+        else:
+            open_classes.append(cs)
+    if not open_classes:
+        notes = refuted_notes(total - passed, total, killed_pairs, trivial_only)
+        return (INDECOMPOSABLE, notes, None), passing
+    combo = min((combo for cs in open_classes for combo in _type_splits(cs)), key=_masks)
+    wm, um, vm = _masks(combo)
+    c_at = [4 * w - u - v for w, u, v in (_TYPES[t] for t in combo)]
+    per_pair = []
+    for a, b in itertools.combinations(range(g), 2):
+        rest = c_at[:a] + c_at[a + 1:b] + c_at[b + 1:]
+        per_pair.append(((a, b), pair_survivors(tuple(sorted(rest, reverse=True)))))
+    witness = _build_witness(g, um, vm, wm, _materialize_choice(wm == (1 << g) - 1, per_pair))
+    check = refute(witness, m, probes)
+    if check.refuted or not witness.is_nontrivial():
+        raise VerificationError("class walk witness must pass")
+    return (SURVIVING_CANDIDATE, survivor_notes() + list(check.steps), witness), passing
+
+
 def survivor_notes():
     return [
         _note(
@@ -406,7 +471,7 @@ def test_class_weights_sum_their_type_orbits():
         orbits = [c for c in itertools.combinations_with_replacement(range(8), g)
                   if _TYPES[c[0]][0]]
         assert sorted(seen) == orbits
-    for g in range(1, EXHAUSTIVE_MAX_G + 1):
+    for g in range(1, 21):
         walked = classes(g)
         assert len(walked) == math.comb(g + 5, 5) - math.comb(g + 2, 2)
         assert sum(map(_class_weight, walked)) == 2 ** (3 * g - 1)
@@ -497,7 +562,7 @@ def test_exhaustive_matches_prooftrace_beyond_the_oracle(d, glue, maximal):
                                              maximal_order=maximal))
 
 
-@pytest.mark.parametrize("g", [16, EXHAUSTIVE_MAX_G])
+@pytest.mark.parametrize("g", [16, 20, 32, 64])
 def test_exhaustive_matches_prooftrace_up_to_the_bound(g):
     check_against_prooftrace(build_model(1, g, glue=[(F(1, 5),) * g]))
 
@@ -512,3 +577,88 @@ def check_against_prooftrace(m):
     notes = [s["note"] for s in ve.trace]
     assert any("of %d diagonal assignments" % 2 ** (3 * m.g - 1) in n for n in notes)
     assert elapsed < 5.0
+
+
+def symmetric_models(seed, count=40, max_g=10):
+    """Seeded lattices whose glue vectors repeat one coordinate at every
+    atom, so every swap is integral: one or two glue generators, sqrt(-d)
+    parts, maximal orders, d of class number one, g = 2..max_g."""
+    rng = random.Random(seed)
+    models = []
+    for _ in range(count):
+        g = rng.randrange(2, max_g + 1)
+        d = rng.choice(CLASS_NUMBER_ONE)
+        glue = []
+        for _ in range(rng.choice((1, 2))):
+            n = rng.choice((2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 25))
+            coord = F(rng.randrange(1, n), n)
+            if rng.random() < 0.4:
+                coord = (coord, F(rng.randrange(n), n))
+            glue.append((coord,) * g)
+        models.append(build_model(d, g, glue=glue,
+                                  maximal_order=d % 4 == 3 and rng.random() < 0.5))
+    return models
+
+
+def walk_agrees(m):
+    """Whether the search and the class walk agree on m: the passing
+    classes, the notes with their kill counts, the status and witness."""
+    probes = probes_for(m)
+    want, passing = class_walk(m, probes)
+    assert sorted(_passing_classes(m)) == sorted(passing), m
+    assert _decide_exhaustive(m, probes) == want, m
+    return want[0]
+
+
+def test_congruent_search_matches_the_class_walk():
+    models = [m for m in corpus(20261022) if first_bad_swap(m) is None]
+    models += below_gate_models() + symmetric_models(20261022)
+    assert max(m.g for m in models) == 10
+    statuses = {walk_agrees(m) for m in models}
+    assert statuses == {SURVIVING_CANDIDATE, INDECOMPOSABLE}
+
+
+def test_congruent_search_matches_the_class_walk_to_g20():
+    for g in (11, 14, 17, 20):
+        assert walk_agrees(build_model(1, g, glue=[(F(1, 5),) * g])) == INDECOMPOSABLE
+
+
+def test_diagonal_membership_matches_the_kernel():
+    # the (x_1, S) test against the 2g x 2g kernel, on random diagonals
+    # over den 1, 2 and 4, half of them congruent mod the step
+    rng = random.Random(20261023)
+    models = [m for m in corpus(20261023) if first_bad_swap(m) is None]
+    models += below_gate_models() + symmetric_models(20261023, count=20)
+    answers = set()
+    for m in models:
+        ident = tuple(range(m.g))
+        for den in (1, 2, 4):
+            step = diagonal_modulus(m, den)
+            for _ in range(12):
+                base = rng.randrange(-50, 50)
+                if rng.random() < 0.5:
+                    nums = [base + step * rng.randrange(-3, 4) for _ in ident]
+                else:
+                    nums = [rng.randrange(-50, 50) for _ in ident]
+                want = monomial_is_integral(m, ident, nums, den)
+                assert diagonal_is_integral(m, nums, den) == want, (m, nums, den)
+                answers.add(want)
+    assert answers == {True, False}
+    # the step needs the swaps; a model whose probe (1,3) fails has none
+    with pytest.raises(PreconditionError):
+        diagonal_step(build_model(1, 3, glue=[(F(1, 5), F(1, 5), F(2, 5))]))
+
+
+def test_gated_models_have_a_c_modulus_of_at_least_three():
+    # at g >= 3, n_12 >= 4 divides p^2 for the step r = p / q, so p >= 2
+    # and no residue class mod the modulus holds more than two c values
+    models = corpus(20261018) + corpus(20261022) + symmetric_models(20261022)
+    checked = 0
+    for m in models:
+        if m.g < 3 or outcome(lambda m: decide(m, EXHAUSTIVE), m)[0] == "gate":
+            continue
+        modulus = diagonal_modulus(m, 2)
+        assert modulus >= 3, m
+        assert max(sum(c % modulus == k for c in _CS) for k in range(modulus)) <= 2
+        checked += 1
+    assert checked >= 10

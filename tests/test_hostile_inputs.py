@@ -1,14 +1,22 @@
-"""A seeded corpus of hostile model files, run through the command line.
+"""A seeded corpus of hostile input files, run through the command line.
 
-Every file goes through `decide` in both modes and `av exponents`. Each
-run must exit 0, 1, 2 or 3, print exactly one JSON report (an error
-report on exit 1 or 3), write nothing to stderr and answer within BUDGET_S.
-The files are three small valid models with one slot replaced by a
+Every model file goes through `decide` in both modes and `av exponents`,
+and every endomorphism file through `av integrality` on a valid model.
+Each run must exit 0, 1, 2 or 3, print exactly one JSON report (an error
+report on exit 1 or 3), write nothing to stderr and answer within
+BUDGET_S.
+
+The model files are three small valid models with one slot replaced by a
 hostile value (huge integers, floats, booleans, strings, null, wrong
 shapes, deep nesting), with keys added, misspelled, dropped or
 duplicated, plus text that is no JSON at all, two files of several MB (a
 long glue list, a long glue vector) and dense glue at g = 20, whose
 lattice basis grew past the budget under column-by-column elimination.
+The endomorphism files are a valid matrix for each of those models with
+one slot replaced the same way, plus null, ragged and wrong-size
+matrices, zero and negative denominators, entries of 4,000 digits
+everywhere and a 64 x 64 matrix for a g = 3 model. A valid g = 64 model
+goes through exhaustive search, which serves every g a model may have.
 """
 
 import contextlib
@@ -161,6 +169,26 @@ def run(command, path):
     return code, out.getvalue(), err.getvalue(), time.perf_counter() - t0
 
 
+def check_run(what, command, path=None):
+    """The escapes of one run: what is wrong with its exit code, report,
+    stderr or time, each prefixed by what."""
+    code, out, err, seconds = run(command, path)
+    try:
+        report = json.loads(out)
+    except ValueError:
+        return [what + "stdout is not one JSON report: %r" % out[:200]]
+    escapes = []
+    if code not in (0, 1, 2, 3):
+        escapes.append(what + "exit %r" % (code,))
+    if (code in (1, 3)) != ("error" in report):
+        escapes.append(what + "exit %d with report keys %s" % (code, sorted(report)))
+    if err:
+        escapes.append(what + "stderr %r" % err[:200])
+    if seconds > BUDGET_S:
+        escapes.append(what + "%.2f s" % seconds)
+    return escapes
+
+
 def test_hostile_model_files(tmp_path):
     files = hostile_files(20261021)
     assert 300 <= len(files) <= 500
@@ -170,24 +198,93 @@ def test_hostile_model_files(tmp_path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         for command in COMMANDS:
-            code, out, err, seconds = run(command, str(path))
             what = "%s %s: " % (name, " ".join(a for a in command if a is not MODEL))
-            try:
-                report = json.loads(out)
-            except ValueError:
-                escapes.append(what + "stdout is not one JSON report: %r" % out[:200])
-                continue
-            if code not in (0, 1, 2, 3):
-                escapes.append(what + "exit %r" % (code,))
-            if (code in (1, 3)) != ("error" in report):
-                escapes.append(what + "exit %d with report keys %s" % (code, sorted(report)))
-            if err:
-                escapes.append(what + "stderr %r" % err[:200])
-            if seconds > BUDGET_S:
-                escapes.append(what + "%.2f s" % seconds)
+            escapes += check_run(what, command, str(path))
     assert not escapes, "\n".join(escapes)
 
 
 def test_corpus_is_seeded():
     assert hostile_files(1) == hostile_files(1)
     assert hostile_files(1) != hostile_files(2)
+    assert endo_files(1) == endo_files(1)
+    assert endo_files(1) != endo_files(2)
+
+
+def endo_bases():
+    """(model, endomorphism) pairs: each base model with a matrix it
+    takes, in the [num, den] shorthand and in the full
+    [[an, ad], [bn, bd]] form."""
+    g2, g3, ax = bases()
+    return [
+        (g2, [[[1, 1], [0, 1]], [[0, 1], [3, 2]]]),
+        (g3, [[[[1, 2], [1, 2]], [[0, 1], [0, 1]], [[0, 1], [0, 1]]],
+              [[[0, 1], [0, 1]], [[1, 1], [0, 1]], [[0, 1], [0, 1]]],
+              [[[0, 1], [0, 1]], [[0, 1], [0, 1]], [[2, 1], [-1, 3]]]]),
+        (ax, [[[5, 1], [0, 1], [0, 1]], [[0, 1], [5, 1], [0, 1]],
+              [[0, 1], [0, 1], [10, 1]]]),
+    ]
+
+
+# integers every numeric slot of a matrix gets: zero and negative, as
+# denominators too, and 4,000 digits
+ENDO_INTS = ("0", "-1", "-5", "1" + "0" * 3999, "-" + "7" * 4000)
+
+
+def endo_files(seed):
+    """(name, model text, endomorphism text) of each case of the corpus."""
+    rng = random.Random(seed)
+    out = []
+    for b, (model, endo) in enumerate(endo_bases()):
+        model_text = dump(model)
+        g = len(endo)
+
+        def case(name, value):
+            out.append(("e%d-%s" % (b, name), model_text, dump(value)))
+
+        for path, leaf in slots(endo):
+            name = "-".join(map(str, path))
+            if isinstance(leaf, int):
+                picks = [rng.choice(ENDO_INTS), rng.choice(FLOATS + BOOLS + STRINGS)]
+            else:
+                picks = rng.sample(SHAPES + SMALL_INTS + STRINGS + BOOLS, 2)
+            for i, text in enumerate(picks):
+                case("%s-%d" % (name, i), replace(endo, path, Raw(text)))
+        for i, text in enumerate(SHAPES + FLOATS[:2] + BOOLS + STRINGS[:2]):
+            case("top-%d" % i, Raw(text))
+        for depth in NESTINGS:
+            path = rng.choice([p for p, _ in slots(endo)])
+            case("nest%d" % depth, replace(endo, path, Raw("[" * depth + "]" * depth)))
+        case("ragged", [row[:i + 1] for i, row in enumerate(endo)])
+        case("short-row", endo[:-1] + [endo[-1][:-1]])
+        case("extra-row", endo + [endo[0]])
+        case("too-small", [row[:-1] for row in endo[:-1]])
+        case("64x64", [[[int(i == j), 1] for j in range(64)] for i in range(64)])
+        # every entry a full coordinate of four distinct 4,000-digit parts
+        case("digits", [[[[rng.randrange(10 ** 3999, 10 ** 4000) for _ in range(2)]
+                          for _ in range(2)] for _ in range(g)] for _ in range(g)])
+        for den in ("0", "-3"):
+            case("den%s" % den, [[Raw("[1, %s]" % den)] * g] * g)
+    return out
+
+
+def test_hostile_endomorphism_files(tmp_path):
+    files = endo_files(20261022)
+    assert 150 <= len(files) <= 400
+    escapes = []
+    for name, model_text, endo_text in files:
+        model_path, endo_path = tmp_path / (name + "-model.json"), tmp_path / (name + ".json")
+        model_path.write_text(model_text, encoding="utf-8")
+        endo_path.write_text(endo_text, encoding="utf-8")
+        command = ("av", "integrality", str(model_path), "--endo", str(endo_path))
+        escapes += check_run(name + " av integrality: ", command)
+    assert not escapes, "\n".join(escapes)
+
+
+def test_exhaustive_serves_g64(tmp_path):
+    path = tmp_path / "g64.json"
+    path.write_text(dump(Pairs([("d", 1), ("g", 64), ("mode", "lattice"),
+                                ("glue", [[[1, 5]] * 64])])), encoding="utf-8")
+    command = ("decide", str(path), "--mode", "exhaustive")
+    assert not check_run("g64 decide exhaustive: ", command)
+    code, out, _, _ = run(command, None)
+    assert code == 0 and json.loads(out)["results"]["status"] == "INDECOMPOSABLE"
