@@ -334,13 +334,22 @@ def cmd_av(args):
 # parser wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InvalidInput, so that
+    main reports them with exit 1 like any other bad input; --help still
+    exits 0. Subparsers are built of the same class."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built on the first call and shared after.
 
     parse_args returns a fresh Namespace per call, so one parser serves
     every main call of the process. It is not built at import."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="motivix",
         description="Decide integral indecomposability of product-surface "
         "transcendental motives and audit the supporting computations.",
@@ -413,13 +422,15 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    args.command_echo = list(argv) if argv is not None else sys.argv[1:]
+    command = list(argv) if argv is not None else sys.argv[1:]
+    args = None  # until the command line parses
     try:
+        args = build_parser().parse_args(argv)
+        args.command_echo = command
         report, code = args.func(args)
     except (MotivixError, OSError) as exc:
         error = {"kind": type(exc).__name__, "message": str(exc)}
-        _emit({"version": __version__, "command": args.command_echo, "error": error}, args)
+        _emit({"version": __version__, "command": command, "error": error}, args)
         return 3 if isinstance(exc, HypothesisError) else 1
     _emit(report, args)
     return code

@@ -40,12 +40,12 @@ CONSISTENT = "CONSISTENT"
 VIOLATES = "VIOLATES"
 
 # glue coordinates are limited to this common denominator, which keeps
-# the divisor scans behind exponents short
+# the prime factoring behind the exponent searches short
 MAX_GLUE_DENOMINATOR = 10 ** 6
 
 # g is limited to this bound: the lattice basis has (2g)^2 entries and
 # prooftrace lists g(g-1)/2 probes; a lattice prooftrace at g = 64 takes
-# about 0.4 s on a 2-vCPU host, build_model included
+# about 0.015 s on a 2-vCPU host, build_model included
 MAX_G = 64
 
 # a model file lists at most this many glue vectors: a lattice between
@@ -89,7 +89,6 @@ __all__ = [
     "first_bad_swap",
     "swaps_are_integral",
     "diagonal_step",
-    "diagonal_modulus",
     "diagonal_is_integral",
 ]
 
@@ -226,19 +225,6 @@ class PermEndoSpec:
 
 def full_grid(g):
     return frozenset((i, j) for i in range(g) for j in range(g))
-
-
-def _divisors_sorted(n):
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
 
 
 class AbelianModel:
@@ -566,14 +552,39 @@ def _axiomatic_is_integral(m, cs):
 # exponents
 
 
+def _prime_factors(n):
+    """The distinct primes of the integer n >= 1, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _ideal_generator(n, holds):
+    """The least t > 0 of an ideal of Z that holds n, holds(t) its
+    membership test: n divided by each of its primes while the quotient
+    passes, in at most Omega(n) + omega(n) tests, none of n itself."""
+    for p in _prime_factors(n):
+        while n % p == 0 and holds(n // p):
+            n //= p
+    return n
+
+
 def exponent(m, K):
     """n_K: the minimal positive integer with n_K * e_K integral.
 
     On a lattice model n_K divides den, the denominator of the lattice
     basis: Lambda = H / den lies in (1/den) Z^{2g}, and Z^{2g} lies in
     O^g, inside Lambda, so den * e_K maps Lambda into Lambda. The t with
-    t * e_K integral form an ideal of Z, so the first divisor of den that
-    passes is n_K."""
+    t * e_K integral form an ideal of Z, searched by _ideal_generator;
+    den, never asked there, is checked when the search ends on it."""
     K = _check_subset(m, K)
     if not K or len(K) == m.g:
         return 1
@@ -587,11 +598,16 @@ def exponent(m, K):
     if K in m._exp_cache:
         return m._exp_cache[K]
     ident = tuple(range(m.g))
-    for t in _divisors_sorted(m.lattice.den):
-        if monomial_is_integral(m, ident, [t if i in K else 0 for i in ident], 1):
-            m._exp_cache[K] = t
-            return t
-    raise VerificationError("no exponent found; den * e_K must be integral")
+
+    def holds(t):
+        return monomial_is_integral(m, ident, [t if i in K else 0 for i in ident], 1)
+
+    den = m.lattice.den
+    t = _ideal_generator(den, holds)
+    if t == den and not holds(den):
+        raise VerificationError("no exponent found; den * e_K must be integral")
+    m._exp_cache[K] = t
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -628,14 +644,18 @@ def first_bad_swap(m):
     (1 2), ..., whose plain swap is not integral on the LATTICE model m,
     or None. Asked once per model.
 
-    The g - 1 adjacent swaps generate S_g, and the integral swaps form a
-    group: an integral swap maps Lambda onto itself. So when the adjacent
-    swaps pass every swap does, and S_g acts on the lattice by permuting
-    the atoms; only a failing one sends the check through every pair."""
+    The integral permutations of the atoms form a group, as a power of
+    each is the identity. (0 1) and the g-cycle generate S_g, so when
+    both pass, every swap does and S_g acts on the lattice: two queries
+    at any g, one at g = 2 where they coincide. Only a failing one sends
+    the check through every pair."""
     if m._bad_swap is _UNASKED:
         g = m.g
         m._bad_swap = None
-        if not all(swap_is_integral(m, a, a + 1) for a in range(g - 1)):
+        gens = [_transposition(g, 0, 1)] if g > 1 else []
+        if g > 2:
+            gens.append(tuple(range(1, g)) + (0,))  # the g-cycle
+        if not all(monomial_is_integral(m, sigma, [1] * g, 1) for sigma in gens):
             a, b = next(pair for pair in itertools.combinations(range(g), 2)
                         if not swap_is_integral(m, *pair))
             m._bad_swap = _transposition(g, a, b)
@@ -648,55 +668,25 @@ def swaps_are_integral(m):
     return first_bad_swap(m) is None
 
 
-def _prime_factors(n):
-    """The distinct primes of the integer n >= 1, by trial division."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def diagonal_step(m):
-    """r, the least t > 0 with t (e_1 - e_2) integral, as a Rat, on the
-    LATTICE model m with g >= 2 whose swaps are integral (first_bad_swap).
-    Asked once per model.
+    """r, the least t > 0 with t (e_1 - e_2) integral, on the LATTICE
+    model m whose swaps are integral (first_bad_swap); 1 at g = 1, where
+    no difference condition arises. Asked once per model.
 
-    The t that pass form a group rZ. It holds den, the denominator of the
-    lattice basis: den (e_1 - e_2) maps Lambda into Z^{2g}, inside O^g.
-    It lies in (1/den) Z: the image of the unit vector at atom 1, which
-    is in O^g, must lie in Lambda, inside (1/den) Z^{2g}. So r = u / den
-    with u dividing den^2. The search starts from u = den^2 and divides
-    by each prime of den while the quotient still passes: at most
-    2 Omega(den) + omega(den) queries, and no list of divisors."""
+    Every such t is an integer: t^k (e_1 +- e_2), the k-th power of
+    t (e_1 - e_2), sends the unit vector at atom 1, in O^g inside
+    Lambda inside (1/den) Z^{2g}, to t^k there, so den t^k is an integer
+    for every k. They form an ideal rZ of Z that holds den, the
+    denominator of the lattice basis, as den (e_1 - e_2) maps Lambda into
+    Z^{2g}, inside O^g. So r divides den (_ideal_generator)."""
     if m._diag_step is _UNASKED:
-        if m.g < 2 or not swaps_are_integral(m):
-            raise PreconditionError("the diagonal step needs g >= 2 and integral swaps")
-        den = m.lattice.den
-        ident = tuple(range(m.g))
-        u = den * den
-        for p in _prime_factors(den):
-            while u % p == 0 and monomial_is_integral(
-                    m, ident, [u // p, -(u // p)] + [0] * (m.g - 2), den):
-                u //= p
-        m._diag_step = Rat(u, den)
+        if not swaps_are_integral(m):
+            raise PreconditionError("the diagonal step needs integral swaps")
+        g, ident = m.g, tuple(range(m.g))
+        m._diag_step = 1 if g == 1 else _ideal_generator(
+            m.lattice.den,
+            lambda t: monomial_is_integral(m, ident, [t, -t] + [0] * (g - 2), 1))
     return m._diag_step
-
-
-def diagonal_modulus(m, den):
-    """M with (n_i - n_1) / den in rZ exactly when M divides n_i - n_1,
-    for integers n_i and r = diagonal_step(m): the numerator of den * r.
-    1 at g = 1, where no such condition arises."""
-    if m.g == 1:
-        return 1
-    r = diagonal_step(m)
-    return r.numerator * den // math.gcd(den, r.denominator)
 
 
 def diagonal_is_integral(m, nums, den):
@@ -715,21 +705,21 @@ def diagonal_is_integral(m, nums, den):
     x = x_1 1 + sum_i (x_i - x_1)(e_i - e_1) + S e_1, and under the
     first condition every middle term is integral; so diag(x) is then
     integral exactly when x_1 1 + S e_1 is. The identity is integral,
-    so x_1 counts only mod 1. The answers sit in one memo on the model
-    keyed on (x_1 mod 1, S), so the kernel runs once per key."""
+    so x_1 counts only mod 1, and S is then an integer. The answers sit
+    in one memo on the model keyed on (x_1 mod 1, S), so the kernel runs
+    once per key."""
     g = m.g
     x1 = nums[0]
-    step = diagonal_modulus(m, den)
-    if step > 1 and any((x - x1) % step for x in nums):
+    step = den * diagonal_step(m)
+    if any((x - x1) % step for x in nums):
         return False
-    s = sum(nums) - g * x1
-    x1 %= den
-    k = math.gcd(x1, s, den)
-    key = (x1 // k, s // k, den // k)
-    got = m._diag_memo.get(key)
+    s = (sum(nums) - g * x1) // den
+    k = math.gcd(x1, den)
+    a, b = x1 // k % (den // k), den // k  # x_1 mod 1 = a / b in lowest terms
+    got = m._diag_memo.get((a, b, s))
     if got is None:
-        got = m._diag_memo[key] = monomial_is_integral(
-            m, tuple(range(g)), [x1 + s] + [x1] * (g - 1), den)
+        got = m._diag_memo[a, b, s] = monomial_is_integral(
+            m, tuple(range(g)), [a + s * b] + [a] * (g - 1), b)
     return got
 
 
@@ -739,7 +729,10 @@ def verify_proper_exponents(m):
 
     On a lattice model whose swaps are integral, S_g permutes the atoms,
     so n_K depends on |K| alone and K = {0..s-1} stands for every K of
-    size s: g - 1 exponents instead of 2^g - 2, with the same answer."""
+    size s. By diagonal_is_integral's lemma t e_K is integral exactly
+    when r = diagonal_step(m) divides t and n_1 divides (g - s) t, so
+    n_K = lcm(r, n_1 / gcd(n_1, g - s)): one kernel exponent, n_1, in
+    place of 2^g - 2."""
     if m.mode == AXIOMATIC:
         if m.g == 1:
             return None  # no proper nonempty subsets at all
@@ -752,11 +745,13 @@ def verify_proper_exponents(m):
     if m._proper_ge4_verified:
         return None
     if swaps_are_integral(m):
-        subsets = (frozenset(range(s)) for s in range(1, m.g))
+        n1 = exponent(m, {0})
+        found = ((frozenset(range(s)), n1 if s == 1 else
+                  math.lcm(diagonal_step(m), n1 // math.gcd(n1, m.g - s)))
+                 for s in range(1, m.g))
     else:
-        subsets = proper_nonempty_subsets(m.g)
-    for K in subsets:
-        n = exponent(m, K)
+        found = ((K, exponent(m, K)) for K in proper_nonempty_subsets(m.g))
+    for K, n in found:
         if n < 4:
             return K, n
     m._proper_ge4_verified = True

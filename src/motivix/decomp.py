@@ -34,7 +34,7 @@ from .cmlat import (
     PermEndoSpec,
     _transposition,
     diagonal_is_integral,
-    diagonal_modulus,
+    diagonal_step,
     endo_to_jsonable,
     exponent_failure,
     first_bad_swap,
@@ -349,16 +349,17 @@ def _hypothesis_gate(m, trace):
     cmlat.exponent_failure, the check the subsets lemma makes: computed
     on a lattice, and on an AXIOMATIC model the declared atom exponents
     plus the declared assume_proper_ge4 for unions. Probe integrality is
-    cmlat.first_bad_swap on a lattice, one swap query per probe and g - 1
-    in all when the adjacent swaps pass; an AXIOMATIC model assumes it.
+    cmlat.first_bad_swap on a lattice, two queries when (1 2) and the
+    g-cycle pass and one per probe otherwise; an AXIOMATIC model assumes
+    it.
 
     In LATTICE mode the probes go first. Once every plain swap is
-    integral, S_g acts on the lattice, so n_K depends on |K| alone and
-    K = {1..s} stands for every subset of size s; every later diagonal
-    query depends only on its sorted entries (_decide_exhaustive). A
-    failing probe at g <= 10 sends the gate through all 2^g - 2 subsets
-    instead, so an exponent failure is still reported first, at its first
-    K in size-then-lex order; above g = 10 the failing probe is reported
+    integral, S_g acts on the lattice, so n_K depends on |K| alone, in
+    closed form from n_1 and the swap step, and every later diagonal
+    query only on its sorted entries (_decide_exhaustive). A failing
+    probe at g <= 10 sends the gate through all 2^g - 2 subsets instead,
+    so an exponent failure is still reported first, at its first K in
+    size-then-lex order; above g = 10 the failing probe is reported
     without that scan."""
     bad_swap = first_bad_swap(m) if m.mode == LATTICE else None
     failure = None
@@ -402,7 +403,7 @@ def decide(m, mode):
     refute each. Only the classes whose c / 2 are congruent mod the
     swap step r (cmlat.diagonal_step) are built, since no other passes
     the identity probe; past the gate at g >= 3 the modulus on c is at
-    least 3, so there are O(g) of them (_decide_exhaustive).
+    least 4, so there are O(g) of them (_decide_exhaustive).
     PROOFTRACE (any g): replay the symbolic argument.  INDECOMPOSABLE
     means every nontrivial candidate is refuted; SURVIVING_CANDIDATE
     reports one that no probe refutes (without asserting
@@ -473,12 +474,11 @@ def _decide_exhaustive(m, probes):
     built (_passing_classes), and the identity probe killed the weight
     of all the others. The kill counts stay exact.
 
-    At g >= 3 a model that passes the gate has r = p / q with p >= 2:
-    r (e_1 - e_2) squared is r^2 (e_1 + e_2), so p^2 (e_1 + e_2) is
-    integral and n_{12} divides p^2, while n_{12} >= 4. The modulus on
-    c, the numerator of 2r, is then at least 3, no group of congruent c
-    values holds more than two of the six, and the search builds O(g)
-    classes.
+    r is an integer, and at g >= 3 a model that passes the gate has
+    r >= 2: r (e_1 - e_2) squared is r^2 (e_1 + e_2), so n_{12} divides
+    r^2, while n_{12} >= 4. The modulus on c, 2r, is then at least 4, no
+    group of congruent c values holds more than two of the six, and the
+    search builds O(g) classes.
 
     The first survivor, and the witness, are those of a scan over every
     mask in (wm, um, vm) order: the least _masks over the type multisets
@@ -571,10 +571,10 @@ def _passing_classes(m):
     """The classes the identity probe passes, on a model whose swaps are
     integral: those holding some c >= 2 whose diag(c / 2) and
     diag((2 - c) / 2) are both integral. Only classes whose c values are
-    congruent mod diagonal_modulus(m, 2) are built: the c values are
+    congruent mod 2r, r = diagonal_step(m), are built: the c values are
     split into their residue classes, and combinations are drawn inside
     each, in descending order."""
-    modulus = diagonal_modulus(m, 2)
+    modulus = 2 * diagonal_step(m)
     groups = {}
     for c in _CS:
         groups.setdefault(c % modulus, []).append(c)

@@ -325,10 +325,8 @@ def test_parser_is_built_once(capsys, g3_model, tmp_path):
     # a usage error and a timed call that writes a file leave the shared
     # parser as it was
     plain = (main(["decide", g3_model]), capsys.readouterr().out)
-    with pytest.raises(SystemExit) as exc:
-        main(["decide", g3_model, "--mode", "guess"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, refused = run(capsys, "decide", g3_model, "--mode", "guess")
+    assert code == 1 and refused["error"]["kind"] == "InvalidInput"
     target = tmp_path / "timed.json"
     code, timed = run(capsys, "--timing", "--json", str(target), "decide", g3_model)
     assert code == 0 and "timing_seconds" in timed["results"]
@@ -489,6 +487,15 @@ def test_av_commands(capsys, tmp_path, g3_model):
 
 
 def test_usage_errors(capsys):
-    with pytest.raises(SystemExit):
-        main(["no-such-command"])
+    # a command line the parser refuses is bad input: exit 1 and an
+    # error report on stdout, nothing on stderr; --help still exits 0
+    for argv in ([], ["no-such-command"], ["decide"], ["motive", "curve", "--g", "abc"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert code == 1 and err == "", argv
+        assert report["command"] == argv and report["error"]["kind"] == "InvalidInput"
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
     capsys.readouterr()

@@ -6,6 +6,7 @@ the module.
 """
 
 import itertools
+import math
 import random
 import time
 
@@ -131,10 +132,10 @@ def test_build_model_bounds_the_glue_denominator(monkeypatch):
     m = build_model(1, 2, glue=[(Rat(1, 10 ** 6), Rat(1, 10 ** 6))])
     assert m.atom_exponents == (10 ** 6, 10 ** 6)
 
-    def unreachable(n):
-        raise AssertionError("the divisor scan ran on a rejected model")
+    def unreachable(n, holds):
+        raise AssertionError("the exponent search ran on a rejected model")
 
-    monkeypatch.setattr(cmlat, "_divisors_sorted", unreachable)
+    monkeypatch.setattr(cmlat, "_ideal_generator", unreachable)
     for glue in (
         [(Rat(1, 10 ** 6 + 1), 0)],
         [((0, Rat(1, 1000003)), 0)],  # a prime denominator in the sqrt(-d) part
@@ -520,6 +521,11 @@ def test_verify_proper_exponents_matches_the_full_scan():
         assert got == full_exponent_scan(build_model(d, g, glue=glue)), (d, g, glue)
         routes[cmlat.swaps_are_integral(m)] += 1
         union_failures += got is not None and len(got[0]) > 1
+        if cmlat.swaps_are_integral(m):
+            # the closed form of the symmetric route, n_{1..s} from r and n_1
+            r, n1 = cmlat.diagonal_step(m), exponent(m, [0])
+            for s in range(1, g):
+                assert exponent(m, range(s)) == math.lcm(r, n1 // math.gcd(n1, g - s)), (m, s)
     assert routes[True] >= 20 and routes[False] >= 10
     assert union_failures >= 1
 

@@ -503,19 +503,42 @@ def count_probe_queries(monkeypatch):
     return calls
 
 
-def test_gate_asks_adjacent_swaps_only_when_they_pass(monkeypatch):
-    # the g - 1 adjacent swaps generate S_g, so a passing model needs no
-    # other swap query, and the exponent check reuses their answer
+def test_gate_asks_two_generators_only_when_they_pass(monkeypatch):
+    # (1 2) and the g-cycle generate S_g, so a passing model needs no
+    # other swap query, and the exponent check reuses their answer; at
+    # g = 2 the two are one permutation, asked once
     calls = count_probe_queries(monkeypatch)
     m = sym_model(8)
     assert decide(m, PROOFTRACE).status == INDECOMPOSABLE
-    assert len(calls) == 7
-    assert calls == [decomp._transposition(8, a, a + 1) for a in range(7)]
+    assert calls == [decomp._transposition(8, 0, 1), (1, 2, 3, 4, 5, 6, 7, 0)]
     # later checks on the same model ask none of them again
     assert verify_proper_exponents(m) is None
     assert subsets_lemma_check(m, [0], [1]) == CONSISTENT
     assert decide(m, EXHAUSTIVE).status == INDECOMPOSABLE
-    assert len(calls) == 7
+    assert len(calls) == 2
+    del calls[:]
+    m = sym_model(2)
+    assert decide(m, PROOFTRACE).status == UNDECIDED
+    assert decide(m, EXHAUSTIVE).status == SURVIVING_CANDIDATE
+    assert calls == [(1, 0)]
+
+
+def test_decide_asks_a_handful_of_kernel_queries(monkeypatch):
+    # at g = 64 two swap generators, the exponent n_1 and the swap step
+    # r, and in exhaustive mode the diagonals of the passing classes; at
+    # g = 2 one swap and n_1, since the gate needs no r there
+    real = cmlat.monomial_is_integral
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cmlat, "monomial_is_integral", counted)
+    for g, mode, want in ((64, EXHAUSTIVE, 7), (64, PROOFTRACE, 5), (2, PROOFTRACE, 3)):
+        del calls[:]
+        decide(sym_model(g), mode)
+        assert len(calls) == want, (g, mode)
 
 
 def test_gate_names_the_first_failing_probe_of_the_full_scan():

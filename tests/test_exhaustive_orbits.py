@@ -23,12 +23,12 @@ import pytest
 from motivix.cmlat import (
     build_model,
     diagonal_is_integral,
-    diagonal_modulus,
     diagonal_step,
     first_bad_swap,
     is_integral,
     monomial_is_integral,
     rosati,
+    swap_is_integral,
     verify_proper_exponents,
 )
 from motivix.decomp import (
@@ -630,10 +630,13 @@ def test_diagonal_membership_matches_the_kernel():
     models = [m for m in corpus(20261023) if first_bad_swap(m) is None]
     models += below_gate_models() + symmetric_models(20261023, count=20)
     answers = set()
-    for m in models:
+    for m in models + [build_model(1, 1, glue=[(F(1, 5),)])]:
         ident = tuple(range(m.g))
+        r = diagonal_step(m)
+        # an integer dividing den, by the power argument
+        assert type(r) is int and m.lattice.den % r == 0, m
         for den in (1, 2, 4):
-            step = diagonal_modulus(m, den)
+            step = den * r
             for _ in range(12):
                 base = rng.randrange(-50, 50)
                 if rng.random() < 0.5:
@@ -649,16 +652,47 @@ def test_diagonal_membership_matches_the_kernel():
         diagonal_step(build_model(1, 3, glue=[(F(1, 5), F(1, 5), F(2, 5))]))
 
 
-def test_gated_models_have_a_c_modulus_of_at_least_three():
-    # at g >= 3, n_12 >= 4 divides p^2 for the step r = p / q, so p >= 2
-    # and no residue class mod the modulus holds more than two c values
+def test_gated_models_have_a_c_modulus_of_at_least_four():
+    # at g >= 3, n_12 >= 4 divides r^2 for the integer step r, so r >= 2
+    # and no residue class mod the modulus 2r holds more than two c values
     models = corpus(20261018) + corpus(20261022) + symmetric_models(20261022)
     checked = 0
     for m in models:
         if m.g < 3 or outcome(lambda m: decide(m, EXHAUSTIVE), m)[0] == "gate":
             continue
-        modulus = diagonal_modulus(m, 2)
-        assert modulus >= 3, m
+        modulus = 2 * diagonal_step(m)
+        assert modulus >= 4, m
         assert max(sum(c % modulus == k for c in _CS) for k in range(modulus)) <= 2
         checked += 1
     assert checked >= 10
+
+
+def test_two_generators_match_the_full_swap_scan():
+    # first_bad_swap asks (1 2) and the g-cycle; the scan asks every
+    # pair. Glue closed under cyclic shifts passes the cycle alone, glue
+    # symmetric in atoms 1 and 2 passes (1 2) alone
+    rng = random.Random(20261024)
+    models = corpus(20261024) + below_gate_models() + symmetric_models(20261024)
+    for _ in range(40):
+        g = rng.randrange(2, 8)
+        n = rng.choice((2, 3, 4, 5, 6, 7))
+        vec = [F(rng.randrange(n), n) for _ in range(g)]
+        shape = rng.randrange(3)
+        if shape == 0:
+            glue = [vec[k:] + vec[:k] for k in range(g)]
+        elif shape == 1:
+            glue = [vec, [vec[1], vec[0]] + vec[2:]]
+        else:
+            glue = [vec]
+        models.append(build_model(rng.choice((1, 2, 3)), g, glue=glue))
+    passing = 0
+    for m in models:
+        bad = [pair for pair in itertools.combinations(range(m.g), 2)
+               if not swap_is_integral(m, *pair)]
+        got = first_bad_swap(m)
+        if bad:
+            assert got is not None and [i for i in range(m.g) if got[i] != i] == list(bad[0]), m
+        else:
+            assert got is None, m
+            passing += 1
+    assert 20 <= passing < len(models) - 20

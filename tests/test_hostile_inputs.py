@@ -1,7 +1,8 @@
 """A seeded corpus of hostile input files, run through the command line.
 
 Every model file goes through `decide` in both modes and `av exponents`,
-and every endomorphism file through `av integrality` on a valid model.
+and every endomorphism file through `av integrality` on a valid model;
+a few command lines the parser refuses go through `main` as they are.
 Each run must exit 0, 1, 2 or 3, print exactly one JSON report (an error
 report on exit 1 or 3), write nothing to stderr and answer within
 BUDGET_S.
@@ -288,3 +289,11 @@ def test_exhaustive_serves_g64(tmp_path):
     assert not check_run("g64 decide exhaustive: ", command)
     code, out, _, _ = run(command, None)
     assert code == 0 and json.loads(out)["results"]["status"] == "INDECOMPOSABLE"
+
+
+def test_hostile_argv():
+    # usage errors are bad input, exit 1, like a bad file
+    for argv in (("motive", "curve", "--g", "abc"), ("decide",),
+                 ("motive", "curve", "--g", "9" * 5000)):
+        assert not check_run(" ".join(argv)[:40] + ": ", argv)
+        assert run(argv, None)[0] == 1
